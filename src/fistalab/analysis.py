@@ -55,7 +55,8 @@ class TraceCheckReport:
         return self.status != FAIL
 
     def format_line(self) -> str:
-        return f"CHECK {self.name} {self.status} worst={self.worst!r} at_k={self.at_k}"
+        line = f"CHECK {self.name} {self.status} worst={self.worst!r} at_k={self.at_k}"
+        return f"{line} -- {self.note}" if self.note else line
 
 
 @dataclass(frozen=True)

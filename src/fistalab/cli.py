@@ -22,12 +22,14 @@ import sys
 import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Optional
+from typing import Optional, get_args, get_type_hints
 
 import numpy as np
 
 from . import __version__
 from .analysis import (
+    NOT_APPLICABLE,
+    TraceCheckReport,
     check_function_value_bound,
     check_lyapunov_monotone,
     check_residual_bound,
@@ -89,6 +91,17 @@ class RunConfig:
     with_oracle: bool = False
 
     def validate(self) -> None:
+        # config files are JSON, so check the types before comparing values
+        for key, hint in get_type_hints(RunConfig).items():
+            allowed = get_args(hint) or (hint,)  # Optional[X] -> (X, NoneType)
+            value = getattr(self, key)
+            if isinstance(value, bool):  # an int subclass, taken only by bool fields
+                ok = bool in allowed
+            else:
+                ok = isinstance(value, allowed) or (float in allowed and isinstance(value, int))
+            if not ok:
+                names = " or ".join("null" if t is type(None) else t.__name__ for t in allowed)
+                raise ValueError(f"config key {key!r} must be {names}, got {value!r}")
         if (self.problem is None) == (self.instance is None):
             raise ValueError("exactly one of --problem / --instance is required")
         if self.problem is not None and self.problem not in PROBLEM_KINDS:
@@ -168,9 +181,13 @@ def read_trace_csv(path, lipschitz_L: float = math.nan) -> Trace:
         header = fh.readline().strip()
         if header != ",".join(Trace.COLUMNS):
             raise ValueError(f"unexpected trace header: {header!r}")
-        rows = [line.strip().split(",") for line in fh if line.strip()]
+        rows = [(lineno, line.strip().split(","))
+                for lineno, line in enumerate(fh, start=2) if line.strip()]
     trace = Trace(lipschitz_L)
-    for row in rows:
+    for lineno, row in rows:
+        if len(row) != len(Trace.COLUMNS):
+            raise ValueError(f"line {lineno}: expected {len(Trace.COLUMNS)} fields, "
+                             f"got {len(row)}")
         trace.k.append(int(row[0]))
         trace.a_k.append(float(row[1]))
         trace.L_k.append(float(row[2]))
@@ -213,6 +230,10 @@ def write_manifest(path, cfg: RunConfig, result: SolveResult, L: float,
 def cmd_run(cfg: RunConfig) -> int:
     cfg.validate()
     inst = _instance_from_config(cfg)
+    if cfg.with_oracle and isinstance(inst, QuadraticInstance) and inst.dim > MAX_ENUM_DIM:
+        # checked before solving, so that a failed run leaves no trace behind
+        print(f"error: oracle needs n <= {MAX_ENUM_DIM} for quadratics", file=sys.stderr)
+        return EXIT_ERROR
     p = to_problem(inst)
     if cfg.out is not None:
         outdir = Path(cfg.out)
@@ -231,9 +252,6 @@ def cmd_run(cfg: RunConfig) -> int:
     write_trace_csv(result.trace, outdir / "trace.csv")
     if cfg.with_oracle:
         if isinstance(inst, QuadraticInstance):
-            if inst.dim > MAX_ENUM_DIM:
-                print(f"error: oracle needs n <= {MAX_ENUM_DIM} for quadratics", file=sys.stderr)
-                return EXIT_ERROR
             cert = brute_force_optimum(p, inst)
         else:
             cert = lasso_optimum(p, inst)
@@ -266,12 +284,14 @@ def cmd_check(args) -> int:
     if not trace_path.exists():
         print(f"error: no such trace {trace_path}", file=sys.stderr)
         return EXIT_ERROR
+    manifest_path = trace_path.with_name("manifest.json")
+    manifest = None
+    if manifest_path.exists():
+        with open(manifest_path, encoding="ascii") as fh:
+            manifest = json.load(fh)
     L = args.lipschitz
-    if L is None:
-        manifest = trace_path.with_name("manifest.json")
-        if manifest.exists():
-            with open(manifest, encoding="ascii") as fh:
-                L = json.load(fh)["lipschitz_L"]
+    if L is None and manifest is not None:
+        L = manifest["lipschitz_L"]
     if L is None:
         print("error: Lipschitz constant unavailable (pass --lipschitz or keep "
               "manifest.json next to the trace)", file=sys.stderr)
@@ -284,13 +304,15 @@ def cmd_check(args) -> int:
 
     reports = [check_residual_bound(trace, trace.lipschitz_L)]
     certificate = load_certificate(args.oracle) if args.oracle else None
-    if certificate is not None and trace.has_vectors:
+    # without a manifest the trace is taken to be run_mfista's, whose step
+    # 1/(4L) the energy and value inequalities assume
+    solver = manifest["config"]["solver"] if manifest is not None else "mfista"
+    if solver == "mfista" and certificate is not None and trace.has_vectors:
         reports.append(check_lyapunov_monotone(trace, certificate))
         reports.append(check_function_value_bound(trace, certificate, trace.lipschitz_L))
     else:
-        from .analysis import NOT_APPLICABLE, TraceCheckReport
-
-        why = "needs an oracle certificate and a full-vector trace"
+        why = ("needs an oracle certificate and a full-vector trace" if solver == "mfista"
+               else f"holds for mfista traces only, this one is from {solver}")
         reports.append(TraceCheckReport("lyapunov_monotone", NOT_APPLICABLE, note=why))
         reports.append(TraceCheckReport("function_value_bound", NOT_APPLICABLE, note=why))
     convex = bool(np.all(trace.column("L_k") == 0.0))

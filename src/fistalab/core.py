@@ -1,4 +1,4 @@
-"""Dense vector helpers and the composite-problem abstraction.
+"""The composite-problem abstraction and its counted, validated per-run view.
 
 A problem is a pair of oracles for the smooth part (value + gradient), a
 value/prox pair for the convex possibly-nonsmooth part, an optional domain
@@ -18,11 +18,6 @@ import numpy as np
 __all__ = [
     "OracleError",
     "as_vector",
-    "add",
-    "scale",
-    "dot",
-    "norm2",
-    "axpy",
     "CompositeProblem",
     "EvalCounters",
     "CountedProblem",
@@ -47,36 +42,6 @@ def as_vector(x, dim: Optional[int] = None) -> np.ndarray:
     if dim is not None and v.size != dim:
         raise ValueError(f"dimension mismatch: expected {dim}, got {v.size}")
     return v
-
-
-def _same_dim(a: np.ndarray, b: np.ndarray) -> None:
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-
-
-def add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    _same_dim(a, b)
-    return a + b
-
-
-def scale(c: float, a: np.ndarray) -> np.ndarray:
-    return c * a
-
-
-def dot(a: np.ndarray, b: np.ndarray) -> float:
-    _same_dim(a, b)
-    return float(a @ b)
-
-
-def norm2(a: np.ndarray) -> float:
-    """Euclidean norm."""
-    return float(np.linalg.norm(a))
-
-
-def axpy(alpha: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """alpha * x + y as one fused update."""
-    _same_dim(x, y)
-    return alpha * x + y
 
 
 @dataclass
@@ -104,7 +69,6 @@ class CompositeProblem:
     domain_bound_C: float
     omega_project: Optional[Callable[[np.ndarray], np.ndarray]] = None
     known_m: Optional[float] = None
-    known_opt: Optional[tuple[np.ndarray, float]] = None
 
     def __post_init__(self):
         if self.dim < 1:

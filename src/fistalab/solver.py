@@ -11,7 +11,11 @@ residual v with v in grad f(y) + subdiff h(y), so a converged result is a
 near-stationarity certificate.
 
 Two baselines share the trace format: classic FISTA with a configurable step
-and non-accelerated proximal gradient.
+and non-accelerated proximal gradient.  All three run one loop with three
+switches: classic FISTA is the main iteration with curvature tracking off,
+and proximal gradient is that again with momentum off.  FISTA with step
+1/(4L) and projected extrapolation therefore reproduces run_mfista's
+iterates exactly on convex problems.
 """
 
 from __future__ import annotations
@@ -59,13 +63,11 @@ class SolverConfig:
     `curvature_clamp_tol` absorbs floating-point noise in the curvature
     estimate: positive estimates at or below it are treated as zero, so convex
     problems are detected as such.  None means 1e-12 * L, resolved at run
-    time.  `ak_mode` is fixed; the field exists so a different momentum law
-    would be a config change, not a signature change.
+    time.
     """
 
     epsilon: float
     max_iters: int
-    ak_mode: str = "recurrence"
     record_trace: bool = True
     trace_vectors: bool = False
     curvature_clamp_tol: Optional[float] = None
@@ -75,8 +77,6 @@ class SolverConfig:
             raise ValueError("epsilon must be positive")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        if self.ak_mode != "recurrence":
-            raise ValueError(f"unknown ak_mode {self.ak_mode!r}")
         if self.curvature_clamp_tol is not None and self.curvature_clamp_tol < 0:
             raise ValueError("curvature_clamp_tol must be nonnegative")
 
@@ -145,11 +145,6 @@ class Trace:
             self.ys.append(np.array(y, dtype=float))
             self.vs.append(np.array(v, dtype=float))
 
-    def row(self, i: int) -> IterateRecord:
-        return IterateRecord(self.k[i], self.a_k[i], self.L_k[i], self.vnorm[i],
-                             self.phi[i], self.dxy[i], self.dyy[i],
-                             self.gradevals[i], self.proxevals[i])
-
     def column(self, name: str) -> np.ndarray:
         if name not in self.COLUMNS:
             raise KeyError(name)
@@ -213,9 +208,9 @@ def solve_subproblem(p: CompositeProblem | CountedProblem, x_k: np.ndarray,
 
 
 def _residual(grad_y: np.ndarray, grad_x: np.ndarray, y: np.ndarray, x: np.ndarray,
-              y_prev: np.ndarray, curvature: float, L: float) -> np.ndarray:
+              y_prev: np.ndarray, curvature: float, inv_step: float) -> np.ndarray:
     # member of grad f(y) + subdiff h(y) by the prox optimality condition
-    return grad_y - grad_x + curvature * (y_prev - x) + 4.0 * L * (x - y)
+    return grad_y - grad_x + curvature * (y_prev - x) + inv_step * (x - y)
 
 
 def stationarity_residual(p: CompositeProblem, y_k: np.ndarray, x_k: np.ndarray,
@@ -230,7 +225,7 @@ def stationarity_residual(p: CompositeProblem, y_k: np.ndarray, x_k: np.ndarray,
     y_prev = as_vector(y_prev, p.dim)
     gy = np.asarray(p.smooth_grad(y_k), dtype=float)
     gx = np.asarray(p.smooth_grad(x_k), dtype=float)
-    return _residual(gy, gx, y_k, x_k, y_prev, L_k, p.lipschitz_L)
+    return _residual(gy, gx, y_k, x_k, y_prev, L_k, 4.0 * p.lipschitz_L)
 
 
 def extrapolate_project(p: CompositeProblem | CountedProblem, y_k: np.ndarray,
@@ -270,13 +265,6 @@ def estimate_curvature(p: CompositeProblem, y_k: np.ndarray, x_next: np.ndarray)
                                float(d @ d), float(np.linalg.norm(y_k)))
 
 
-def _start_checks(p: CompositeProblem, cfg: SolverConfig, y0: np.ndarray) -> np.ndarray:
-    y0 = as_vector(y0, p.dim)
-    if math.isinf(float(p.h_value(y0))):
-        raise InvalidStartError("start point is outside dom h")
-    return y0
-
-
 def _record_phi(cp: CountedProblem, y: np.ndarray, fy: float, k: int) -> float:
     hy = cp.h(y)
     if math.isinf(hy):
@@ -284,47 +272,60 @@ def _record_phi(cp: CountedProblem, y: np.ndarray, fy: float, k: int) -> float:
     return fy + hy
 
 
-def run_mfista(p: CompositeProblem, cfg: SolverConfig, y0: np.ndarray) -> SolveResult:
-    """Main solver loop.
+def _iterate(p: CompositeProblem, cfg: SolverConfig, y0: np.ndarray, solver: str,
+             step: float, inv_step: float, track_curvature: bool, momentum: bool,
+             project: bool) -> SolveResult:
+    """The iteration loop behind all three solvers.
 
-    Per iteration: build the shifted-model gradient at x_k from the cached
-    gradient, take one prox step (the subproblem), advance the momentum
-    coefficient, form the stationarity residual v_k and the extrapolated
-    next point, then re-estimate the curvature shift at x_{k+1} (caching its
-    gradient for the next iteration).  The termination test on ||v_k|| runs
-    as soon as v_k exists, before the curvature step, so a converged run
-    does not spend a gradient it will never use.  Cost per full iteration:
-    one prox, two gradients (at y_k and x_{k+1}), two f values.
+    Per iteration: one prox step at x_k from the cached gradient, the
+    gradient at y_k, the stationarity residual v_k, and the next point
+    x_{k+1}: y_k extrapolated by momentum (then projected if `project`), or
+    y_k itself without momentum, whose gradient is then already in hand.
+    The test on ||v_k|| runs as soon as v_k exists, so a converged run spends
+    no gradient at x_{k+1}.  With `track_curvature` the model is shifted by
+    the curvature estimate, which is re-estimated from the linearization gap
+    at x_{k+1}; without it the curvature terms are skipped, not multiplied by
+    zero (that would flip signed zeros in v), and f(y_k) is evaluated only
+    for the trace.  `inv_step` comes separately from `step` so that each
+    solver keeps its own rounding of 1/step.
     """
     cp = CountedProblem(p)
-    y0 = _start_checks(p, cfg, y0)
+    y0 = as_vector(y0, p.dim)
+    if math.isinf(float(p.h_value(y0))):
+        raise InvalidStartError("start point is outside dom h")
     L = p.lipschitz_L
     clamp = cfg.curvature_clamp_tol if cfg.curvature_clamp_tol is not None else 1e-12 * L
 
-    trace = Trace(L, y0, cfg.trace_vectors, "mfista") if cfg.record_trace else None
-    y_prev = y0
-    x = y0
-    a_prev = 1.0
+    trace = Trace(L, y0, cfg.trace_vectors, solver) if cfg.record_trace else None
+    y_prev = x = y = y0
+    a_prev = a_cur = 1.0
     curvature = 0.0  # model shift; starts at zero and stays there on convex problems
     try:
         grad_x = cp.grad(x)
     except OracleError as e:
         raise OracleError(f"iteration 1: {e}") from e
 
-    y = y0
     v = np.zeros(p.dim)
     status = "max_iters_reached"
     k = 0
     for k in range(1, cfg.max_iters + 1):
         try:
-            model_grad = grad_x + curvature * (x - y_prev)
-            y = solve_subproblem(cp, x, model_grad)
-            a_cur = next_momentum(a_prev)
+            model_grad = grad_x + curvature * (x - y_prev) if track_curvature else grad_x
+            y = cp.prox(x - step * model_grad, step)
             grad_y = cp.grad(y)
-            v = _residual(grad_y, grad_x, y, x, y_prev, curvature, L)
-            x_next = extrapolate_project(cp, y, y_prev, a_prev, a_cur)
+            if track_curvature:
+                v = _residual(grad_y, grad_x, y, x, y_prev, curvature, inv_step)
+            else:
+                v = grad_y - grad_x + inv_step * (x - y)
+            if momentum:
+                a_cur = next_momentum(a_prev)
+                x_next = y + ((a_prev - 1.0) / a_cur) * (y - y_prev)
+                if project:
+                    x_next = cp.project(x_next)
+            else:
+                x_next = y
             vn = float(np.linalg.norm(v))
-            fy = cp.f(y)
+            fy = cp.f(y) if trace is not None or track_curvature else math.nan
             if trace is not None:
                 trace.append(IterateRecord(
                     k, a_cur, curvature, vn, _record_phi(cp, y, fy, k),
@@ -333,73 +334,47 @@ def run_mfista(p: CompositeProblem, cfg: SolverConfig, y0: np.ndarray) -> SolveR
             if vn <= cfg.epsilon:
                 status = "converged"
                 break
-            grad_xn = cp.grad(x_next)
-            d = y - x_next
-            gd = float(grad_xn @ d)
-            fxn = cp.f(x_next)
-            gap = fxn + gd - fy
-            est = _curvature_from_gap(gap, abs(fy) + abs(fxn) + abs(gd),
-                                      float(d @ d), float(np.linalg.norm(y)))
-            curvature = max(0.0, est)
-            if curvature <= clamp:
-                curvature = 0.0
+            grad_xn = cp.grad(x_next) if momentum else grad_y
+            if track_curvature:
+                d = y - x_next
+                gd = float(grad_xn @ d)
+                fxn = cp.f(x_next)
+                gap = fxn + gd - fy
+                est = _curvature_from_gap(gap, abs(fy) + abs(fxn) + abs(gd),
+                                          float(d @ d), float(np.linalg.norm(y)))
+                curvature = max(0.0, est)
+                if curvature <= clamp:
+                    curvature = 0.0
         except OracleError as e:
             raise OracleError(f"iteration {k}: {e}") from e
         y_prev, x, a_prev, grad_x = y, x_next, a_cur, grad_xn
 
     return SolveResult(status, y, v, k, trace, cp.counters)
+
+
+def run_mfista(p: CompositeProblem, cfg: SolverConfig, y0: np.ndarray) -> SolveResult:
+    """Main solver: step 1/(4L), online curvature shift, projected extrapolation.
+
+    Cost per full iteration: one prox, two gradients (at y_k and x_{k+1}),
+    two f values.
+    """
+    L = p.lipschitz_L
+    return _iterate(p, cfg, y0, "mfista", 1.0 / (4.0 * L), 4.0 * L,
+                    track_curvature=True, momentum=True, project=True)
 
 
 def run_fista_baseline(p: CompositeProblem, cfg: SolverConfig, y0: np.ndarray,
                        step: float, project_extrapolation: bool = False) -> SolveResult:
     """Classic FISTA with the same momentum law and a configurable step.
 
-    With step = 1/(4L) and project_extrapolation=True this follows the exact
-    arithmetic path of run_mfista on problems where the curvature estimate
+    With step = 1/(4L) and project_extrapolation=True its iterates are
+    exactly those of run_mfista on problems where the curvature estimate
     stays zero, which is the convex case.  The canonical step is 1/L.
     """
     if not step > 0:
         raise ValueError("step must be positive")
-    cp = CountedProblem(p)
-    y0 = _start_checks(p, cfg, y0)
-
-    trace = Trace(p.lipschitz_L, y0, cfg.trace_vectors, "fista") if cfg.record_trace else None
-    y_prev = y0
-    x = y0
-    a_prev = 1.0
-    try:
-        grad_x = cp.grad(x)
-    except OracleError as e:
-        raise OracleError(f"iteration 1: {e}") from e
-
-    y = y0
-    v = np.zeros(p.dim)
-    status = "max_iters_reached"
-    k = 0
-    for k in range(1, cfg.max_iters + 1):
-        try:
-            y = cp.prox(x - step * grad_x, step)
-            a_cur = next_momentum(a_prev)
-            grad_y = cp.grad(y)
-            v = grad_y - grad_x + (x - y) / step
-            x_next = y + ((a_prev - 1.0) / a_cur) * (y - y_prev)
-            if project_extrapolation:
-                x_next = cp.project(x_next)
-            vn = float(np.linalg.norm(v))
-            if trace is not None:
-                trace.append(IterateRecord(
-                    k, a_cur, 0.0, vn, _record_phi(cp, y, cp.f(y), k),
-                    float(np.linalg.norm(y - x)), float(np.linalg.norm(y - y_prev)),
-                    cp.counters.grad_evals, cp.counters.prox_evals), y, v)
-            if vn <= cfg.epsilon:
-                status = "converged"
-                break
-            grad_xn = cp.grad(x_next)
-        except OracleError as e:
-            raise OracleError(f"iteration {k}: {e}") from e
-        y_prev, x, a_prev, grad_x = y, x_next, a_cur, grad_xn
-
-    return SolveResult(status, y, v, k, trace, cp.counters)
+    return _iterate(p, cfg, y0, "fista", step, 1.0 / step,
+                    track_curvature=False, momentum=True, project=project_extrapolation)
 
 
 def run_proxgrad_baseline(p: CompositeProblem, cfg: SolverConfig, y0: np.ndarray) -> SolveResult:
@@ -408,38 +383,6 @@ def run_proxgrad_baseline(p: CompositeProblem, cfg: SolverConfig, y0: np.ndarray
     The reported residual L*(y_prev - y) + grad f(y) - grad f(y_prev) is a
     member of grad f(y) + subdiff h(y), same certificate as the others.
     """
-    cp = CountedProblem(p)
-    y0 = _start_checks(p, cfg, y0)
     L = p.lipschitz_L
-    step = 1.0 / L
-
-    trace = Trace(L, y0, cfg.trace_vectors, "proxgrad") if cfg.record_trace else None
-    y_prev = y0
-    try:
-        grad_prev = cp.grad(y_prev)
-    except OracleError as e:
-        raise OracleError(f"iteration 1: {e}") from e
-
-    y = y0
-    v = np.zeros(p.dim)
-    status = "max_iters_reached"
-    k = 0
-    for k in range(1, cfg.max_iters + 1):
-        try:
-            y = cp.prox(y_prev - step * grad_prev, step)
-            grad_y = cp.grad(y)
-            v = grad_y - grad_prev + L * (y_prev - y)
-            vn = float(np.linalg.norm(v))
-            if trace is not None:
-                dyy = float(np.linalg.norm(y - y_prev))
-                trace.append(IterateRecord(
-                    k, 1.0, 0.0, vn, _record_phi(cp, y, cp.f(y), k),
-                    dyy, dyy, cp.counters.grad_evals, cp.counters.prox_evals), y, v)
-            if vn <= cfg.epsilon:
-                status = "converged"
-                break
-        except OracleError as e:
-            raise OracleError(f"iteration {k}: {e}") from e
-        y_prev, grad_prev = y, grad_y
-
-    return SolveResult(status, y, v, k, trace, cp.counters)
+    return _iterate(p, cfg, y0, "proxgrad", 1.0 / L, L,
+                    track_curvature=False, momentum=False, project=False)

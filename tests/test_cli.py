@@ -188,3 +188,59 @@ def test_default_out_root_env(tmp_path):
     dirs = list(root.iterdir())
     assert len(dirs) == 1
     assert (dirs[0] / "trace.csv").exists()
+
+
+def test_check_baseline_full_trace_skips_mfista_inequalities(tmp_path, capsys):
+    # the energy and value inequalities belong to run_mfista's step 1/(4L);
+    # a FISTA trace read through its manifest must not be gated on them
+    inst_file = tmp_path / "inst.txt"
+    run_cli("gen", "--kind", "nonconvex-qp", "--n", "4", "--seed", "5", "--out", str(inst_file))
+    rundir = tmp_path / "fista"
+    assert run_cli("run", "--instance", str(inst_file), "--solver", "fista", "--trace", "full",
+                   "--with-oracle", "--out", str(rundir)) == 0
+    capsys.readouterr()
+    code = run_cli("check", str(rundir / "trace.csv"), "--oracle", str(rundir / "oracle.json"))
+    out = capsys.readouterr().out
+    assert code == 0
+    for name in ("lyapunov_monotone", "function_value_bound"):
+        line = next(ln for ln in out.splitlines() if ln.startswith(f"CHECK {name} "))
+        assert line.startswith(f"CHECK {name} N/A")
+        assert "from fista" in line
+
+
+def test_run_with_oracle_checked_before_solving(tmp_path, capsys):
+    rundir = tmp_path / "r7"
+    code = run_cli("run", "--problem", "convex-qp", "--n", "8", "--with-oracle",
+                   "--out", str(rundir))
+    assert code == 1
+    assert "oracle needs n <= 4" in capsys.readouterr().err
+    assert not (rundir / "trace.csv").exists()
+
+
+@pytest.mark.parametrize("cfg,key", [
+    ({"problem": "convex-qp", "n": "8"}, "n"),
+    ({"problem": "convex-qp", "eps": "1e-6"}, "eps"),
+    ({"problem": "convex-qp", "n": True}, "n"),
+    ({"problem": "convex-qp", "with_oracle": "yes"}, "with_oracle"),
+    ({"problem": ["convex-qp"]}, "problem"),
+])
+def test_run_config_file_types_checked(tmp_path, capsys, cfg, key):
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert run_cli("run", "--config", str(cfg_path), "--out", str(tmp_path / "r8")) == 1
+    assert f"config key {key!r}" in capsys.readouterr().err
+    assert not (tmp_path / "r8").exists()
+
+
+def test_check_short_trace_row(tmp_path, capsys):
+    rundir = tmp_path / "r9"
+    run_cli("run", "--problem", "convex-qp", "--n", "3", "--seed", "1", "--eps", "1e-7",
+            "--out", str(rundir))
+    lines = (rundir / "trace.csv").read_text().splitlines()
+    lines[2] = ",".join(lines[2].split(",")[:5])
+    (rundir / "trace.csv").write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match="line 3"):
+        read_trace_csv(rundir / "trace.csv")
+    capsys.readouterr()
+    assert run_cli("check", str(rundir / "trace.csv")) == 1
+    assert "unreadable trace: line 3" in capsys.readouterr().err

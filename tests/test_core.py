@@ -14,7 +14,7 @@ from fistalab import (
     objective_value,
     sample_feasible,
 )
-from fistalab.core import add, as_vector, axpy, dot, norm2, scale
+from fistalab.core import as_vector
 
 
 def finite_vec(n, lo=-1e3, hi=1e3):
@@ -32,24 +32,7 @@ def quad_problem(dim, f, grad, L, h_value=None, h_prox=None):
                             lipschitz_L=L, domain_bound_C=float(math.sqrt(dim)))
 
 
-# --- vector helpers -----------------------------------------------------
-
-def test_vec_op_values():
-    assert dot(np.array([1.0, 2.0]), np.array([3.0, 4.0])) == 11.0
-    assert norm2(np.array([3.0, 4.0])) == 5.0
-    np.testing.assert_array_equal(scale(2.0, np.array([1.0, -1.0])), [2.0, -2.0])
-    np.testing.assert_array_equal(add(np.array([1.0, 2.0]), np.array([3.0, 4.0])), [4.0, 6.0])
-    np.testing.assert_array_equal(axpy(2.0, np.array([1.0, 0.0]), np.array([0.0, 1.0])), [2.0, 1.0])
-
-
-def test_vec_op_dimension_mismatch():
-    with pytest.raises(ValueError):
-        dot(np.zeros(2), np.zeros(3))
-    with pytest.raises(ValueError):
-        add(np.zeros(2), np.zeros(3))
-    with pytest.raises(ValueError):
-        axpy(1.0, np.zeros(2), np.zeros(3))
-
+# --- input coercion ------------------------------------------------------
 
 def test_as_vector_rejects_bad_input():
     with pytest.raises(ValueError):
@@ -61,17 +44,6 @@ def test_as_vector_rejects_bad_input():
     with pytest.raises(ValueError):
         as_vector(np.zeros(3), dim=2)
     assert as_vector(1.5).shape == (1,)
-
-
-@given(a=finite_vec(5), b=finite_vec(5), c=finite_vec(5))
-@settings(max_examples=200, deadline=None)
-def test_triangle_identity(a, b, c):
-    # ||a-b||^2 - 2<a-b, a-c> + ||a-c||^2 == ||b-c||^2, up to rounding on the
-    # largest intermediate term
-    lhs = norm2(a - b) ** 2 - 2.0 * dot(a - b, a - c) + norm2(a - c) ** 2
-    rhs = norm2(b - c) ** 2
-    scale_ = max(norm2(a - b) ** 2, norm2(a - c) ** 2, rhs, 1.0)
-    assert abs(lhs - rhs) <= 1e-12 * scale_
 
 
 # --- linearization and objective ---------------------------------------
@@ -117,7 +89,7 @@ def test_lipschitz_envelope_on_instances(maker, kwargs, rng):
     for i in range(0, 60, 2):
         u1, u2 = pts[i], pts[i + 1]
         gap = abs(p.smooth_value(u1) - linearize_f(p, u1, u2))
-        assert gap <= 0.5 * p.lipschitz_L * norm2(u1 - u2) ** 2 + 1e-9
+        assert gap <= 0.5 * p.lipschitz_L * float(np.linalg.norm(u1 - u2)) ** 2 + 1e-9
 
 
 def test_objective_value_examples():

@@ -244,8 +244,6 @@ def test_solver_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(epsilon=1e-8, max_iters=0)
     with pytest.raises(ValueError):
-        SolverConfig(epsilon=1e-8, max_iters=10, ak_mode="fixed")
-    with pytest.raises(ValueError):
         SolverConfig(epsilon=1e-8, max_iters=10, curvature_clamp_tol=-1.0)
 
 

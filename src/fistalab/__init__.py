@@ -8,8 +8,6 @@ from .core import (
     CountedProblem,
     EvalCounters,
     OracleError,
-    linearize_f,
-    objective_value,
 )
 from .prox import (
     BallSet,
@@ -24,19 +22,14 @@ from .prox import (
 )
 from .solver import (
     InvalidStartError,
-    IterateRecord,
     SolveResult,
     SolverConfig,
     Trace,
-    estimate_curvature,
-    extrapolate_project,
     momentum_sequence,
     next_momentum,
     run_fista_baseline,
     run_mfista,
     run_proxgrad_baseline,
-    solve_subproblem,
-    stationarity_residual,
 )
 from .problems import (
     LassoOnBallInstance,

@@ -2,9 +2,11 @@
 
 A problem is a pair of oracles for the smooth part (value + gradient), a
 value/prox pair for the convex possibly-nonsmooth part, an optional domain
-projection, and the constants that the solvers and checks rely on.  All
-vectors are plain 1-D float64 numpy arrays; oracles are user-supplied
-callables and are never differentiated numerically.
+projection, and the gradient's Lipschitz constant L, the one constant the
+solvers use.  All vectors are plain 1-D float64 numpy arrays; oracles are
+user-supplied callables and are never differentiated numerically.  The
+solvers reach the oracles only through a CountedProblem, which counts and
+validates every call.
 """
 
 from __future__ import annotations
@@ -21,8 +23,6 @@ __all__ = [
     "CompositeProblem",
     "EvalCounters",
     "CountedProblem",
-    "linearize_f",
-    "objective_value",
 ]
 
 
@@ -66,36 +66,13 @@ class CompositeProblem:
     h_value: Callable[[np.ndarray], float]
     h_prox: Callable[[np.ndarray, float], np.ndarray]
     lipschitz_L: float
-    domain_bound_C: float
     omega_project: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    known_m: Optional[float] = None
 
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError("dim must be >= 1")
         if not self.lipschitz_L > 0:
             raise ValueError("lipschitz_L must be positive")
-        if not self.domain_bound_C > 0:
-            raise ValueError("domain_bound_C must be positive")
-        if self.known_m is not None and not 0.0 <= self.known_m <= self.lipschitz_L:
-            raise ValueError("known_m must satisfy 0 <= m <= lipschitz_L")
-
-
-def linearize_f(p: CompositeProblem, u1: np.ndarray, u2: np.ndarray) -> float:
-    """First-order model of the smooth part at u2, evaluated at u1:
-    f(u2) + <grad f(u2), u1 - u2>."""
-    u1 = as_vector(u1, p.dim)
-    u2 = as_vector(u2, p.dim)
-    return float(p.smooth_value(u2)) + float(p.smooth_grad(u2) @ (u1 - u2))
-
-
-def objective_value(p: CompositeProblem, y: np.ndarray) -> float:
-    """Composite objective f(y) + h(y); +inf when y is outside dom h."""
-    y = as_vector(y, p.dim)
-    hy = float(p.h_value(y))
-    if math.isinf(hy):
-        return math.inf
-    return float(p.smooth_value(y)) + hy
 
 
 @dataclass
@@ -106,9 +83,6 @@ class EvalCounters:
     prox_evals: int = 0
     proj_evals: int = 0
     f_evals: int = 0
-
-    def snapshot(self) -> "EvalCounters":
-        return EvalCounters(self.grad_evals, self.prox_evals, self.proj_evals, self.f_evals)
 
 
 class CountedProblem:
@@ -121,14 +95,6 @@ class CountedProblem:
     def __init__(self, problem: CompositeProblem):
         self.problem = problem
         self.counters = EvalCounters()
-
-    @property
-    def dim(self) -> int:
-        return self.problem.dim
-
-    @property
-    def lipschitz_L(self) -> float:
-        return self.problem.lipschitz_L
 
     def f(self, y: np.ndarray) -> float:
         self.counters.f_evals += 1

@@ -239,8 +239,6 @@ def to_problem(inst) -> CompositeProblem:
             h_value=box.h_value,
             h_prox=lambda z, t: prox_box_indicator(box, z, t),
             lipschitz_L=inst.lipschitz_L,
-            domain_bound_C=box.norm_bound(),
-            known_m=inst.known_m,
         )
     if isinstance(inst, LassoOnBallInstance):
         reg = inst.regularizer()
@@ -251,8 +249,6 @@ def to_problem(inst) -> CompositeProblem:
             h_value=reg.h_value,
             h_prox=lambda z, t: prox_l1_on_ball(reg, z, t),
             lipschitz_L=inst.lipschitz_L,
-            domain_bound_C=inst.radius,
-            known_m=0.0,
         )
     raise TypeError(f"unknown instance type {type(inst).__name__}")
 

@@ -64,9 +64,6 @@ class BoxSet:
     def h_value(self, z: np.ndarray) -> float:
         return 0.0 if self.contains(z) else math.inf
 
-    def norm_bound(self) -> float:
-        return float(np.linalg.norm(np.maximum(np.abs(self.lower), np.abs(self.upper))))
-
 
 @dataclass(frozen=True)
 class BallSet:

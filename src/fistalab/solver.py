@@ -8,14 +8,17 @@ model whenever it is positive.  On convex problems the estimate stays at
 zero and the iteration reduces to plain FISTA with step 1/(4L) and projected
 extrapolation.  Termination is on the norm of an explicit stationarity
 residual v with v in grad f(y) + subdiff h(y), so a converged result is a
-near-stationarity certificate.
+near-stationarity certificate.  The method needs the Lipschitz constant L and
+nothing else: no curvature modulus, no domain bound, no tuning knob.
 
 Two baselines share the trace format: classic FISTA with a configurable step
 and non-accelerated proximal gradient.  All three run one loop with three
 switches: classic FISTA is the main iteration with curvature tracking off,
 and proximal gradient is that again with momentum off.  FISTA with step
 1/(4L) and projected extrapolation therefore reproduces run_mfista's
-iterates exactly on convex problems.
+iterates exactly on convex problems.  That loop, `_iterate`, is the one place
+the prox step, the residual, the extrapolation and the curvature estimate are
+written.
 """
 
 from __future__ import annotations
@@ -31,15 +34,10 @@ from .core import CompositeProblem, CountedProblem, EvalCounters, OracleError, a
 __all__ = [
     "InvalidStartError",
     "SolverConfig",
-    "IterateRecord",
     "Trace",
     "SolveResult",
     "next_momentum",
     "momentum_sequence",
-    "solve_subproblem",
-    "stationarity_residual",
-    "extrapolate_project",
-    "estimate_curvature",
     "run_mfista",
     "run_fista_baseline",
     "run_proxgrad_baseline",
@@ -58,42 +56,18 @@ class InvalidStartError(ValueError):
 
 @dataclass
 class SolverConfig:
-    """Run parameters shared by all solvers.
-
-    `curvature_clamp_tol` absorbs floating-point noise in the curvature
-    estimate: positive estimates at or below it are treated as zero, so convex
-    problems are detected as such.  None means 1e-12 * L, resolved at run
-    time.
-    """
+    """Run parameters shared by all solvers."""
 
     epsilon: float
     max_iters: int
     record_trace: bool = True
     trace_vectors: bool = False
-    curvature_clamp_tol: Optional[float] = None
 
     def __post_init__(self):
         if not self.epsilon > 0:
             raise ValueError("epsilon must be positive")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        if self.curvature_clamp_tol is not None and self.curvature_clamp_tol < 0:
-            raise ValueError("curvature_clamp_tol must be nonnegative")
-
-
-@dataclass(frozen=True)
-class IterateRecord:
-    """One completed iteration: scalars and norms only."""
-
-    k: int
-    a_k: float
-    L_k: float
-    vnorm: float
-    phi: float
-    dxy: float
-    dyy: float
-    gradevals: int
-    proxevals: int
 
 
 class Trace:
@@ -108,9 +82,8 @@ class Trace:
     COLUMNS = ("k", "a_k", "L_k", "vnorm", "phi", "dxy", "dyy", "gradevals", "proxevals")
 
     def __init__(self, lipschitz_L: float, y0: Optional[np.ndarray] = None,
-                 keep_vectors: bool = False, solver: str = ""):
+                 keep_vectors: bool = False):
         self.lipschitz_L = float(lipschitz_L)
-        self.solver = solver
         self.y0 = None if y0 is None else np.array(y0, dtype=float)
         self.k: list[int] = []
         self.a_k: list[float] = []
@@ -131,16 +104,18 @@ class Trace:
     def has_vectors(self) -> bool:
         return self.ys is not None and len(self.ys) == len(self.k)
 
-    def append(self, rec: IterateRecord, y=None, v=None) -> None:
-        self.k.append(rec.k)
-        self.a_k.append(rec.a_k)
-        self.L_k.append(rec.L_k)
-        self.vnorm.append(rec.vnorm)
-        self.phi.append(rec.phi)
-        self.dxy.append(rec.dxy)
-        self.dyy.append(rec.dyy)
-        self.gradevals.append(rec.gradevals)
-        self.proxevals.append(rec.proxevals)
+    def append(self, k: int, a_k: float, L_k: float, vnorm: float, phi: float, dxy: float,
+               dyy: float, gradevals: int, proxevals: int, y=None, v=None) -> None:
+        """One completed iteration: the CSV columns, then the vectors if kept."""
+        self.k.append(k)
+        self.a_k.append(a_k)
+        self.L_k.append(L_k)
+        self.vnorm.append(vnorm)
+        self.phi.append(phi)
+        self.dxy.append(dxy)
+        self.dyy.append(dyy)
+        self.gradevals.append(gradevals)
+        self.proxevals.append(proxevals)
         if self.ys is not None:
             self.ys.append(np.array(y, dtype=float))
             self.vs.append(np.array(v, dtype=float))
@@ -192,79 +167,6 @@ def momentum_sequence(count: int) -> np.ndarray:
     return out
 
 
-def solve_subproblem(p: CompositeProblem | CountedProblem, x_k: np.ndarray,
-                     grad_fk_at_x: np.ndarray) -> np.ndarray:
-    """Minimizer of <grad_fk_at_x, y - x> + h(y) + 2L||y - x||^2 in one prox call.
-
-    Completing the square shows this is the prox of h with step 1/(4L) at
-    x - grad/(4L).  `grad_fk_at_x` is the shifted-model gradient at x, already
-    assembled by the caller.
-    """
-    cp = p if isinstance(p, CountedProblem) else CountedProblem(p)
-    x_k = as_vector(x_k, cp.dim)
-    grad_fk_at_x = as_vector(grad_fk_at_x, cp.dim)
-    t = 1.0 / (4.0 * cp.lipschitz_L)
-    return cp.prox(x_k - t * grad_fk_at_x, t)
-
-
-def _residual(grad_y: np.ndarray, grad_x: np.ndarray, y: np.ndarray, x: np.ndarray,
-              y_prev: np.ndarray, curvature: float, inv_step: float) -> np.ndarray:
-    # member of grad f(y) + subdiff h(y) by the prox optimality condition
-    return grad_y - grad_x + curvature * (y_prev - x) + inv_step * (x - y)
-
-
-def stationarity_residual(p: CompositeProblem, y_k: np.ndarray, x_k: np.ndarray,
-                          y_prev: np.ndarray, L_k: float) -> np.ndarray:
-    """Explicit element of grad f(y_k) + subdiff h(y_k) for the main iteration.
-
-    Valid whenever y_k came out of solve_subproblem at x_k with curvature
-    shift L_k relative to y_prev.
-    """
-    y_k = as_vector(y_k, p.dim)
-    x_k = as_vector(x_k, p.dim)
-    y_prev = as_vector(y_prev, p.dim)
-    gy = np.asarray(p.smooth_grad(y_k), dtype=float)
-    gx = np.asarray(p.smooth_grad(x_k), dtype=float)
-    return _residual(gy, gx, y_k, x_k, y_prev, L_k, 4.0 * p.lipschitz_L)
-
-
-def extrapolate_project(p: CompositeProblem | CountedProblem, y_k: np.ndarray,
-                        y_prev: np.ndarray, a_prev: float, a_cur: float) -> np.ndarray:
-    """Momentum extrapolation followed by the domain projection (identity if none)."""
-    cp = p if isinstance(p, CountedProblem) else CountedProblem(p)
-    coef = (a_prev - 1.0) / a_cur
-    return cp.project(y_k + coef * (y_k - y_prev))
-
-
-def _curvature_from_gap(gap: float, gap_scale: float, d2: float, y_norm: float) -> float:
-    """Raw curvature estimate 2*gap/d2 with the two degeneracy guards applied."""
-    thr = 1e-14 * (1.0 + y_norm)
-    if d2 <= thr * thr:
-        return 0.0
-    if abs(gap) <= _CURVATURE_SIG_RTOL * (1.0 + gap_scale):
-        # gap below cancellation noise: no usable curvature information
-        return 0.0
-    return 2.0 * gap / d2
-
-
-def estimate_curvature(p: CompositeProblem, y_k: np.ndarray, x_next: np.ndarray) -> float:
-    """Scaled gap between the linearization of f at x_next and f itself at y_k.
-
-    Positive values witness nonconvexity between the two points; the next
-    model shift is max(0, estimate).  Returns 0 when the points coincide.
-    """
-    y_k = as_vector(y_k, p.dim)
-    x_next = as_vector(x_next, p.dim)
-    fy = float(p.smooth_value(y_k))
-    fxn = float(p.smooth_value(x_next))
-    gxn = np.asarray(p.smooth_grad(x_next), dtype=float)
-    d = y_k - x_next
-    gd = float(gxn @ d)
-    gap = fxn + gd - fy
-    return _curvature_from_gap(gap, abs(fy) + abs(fxn) + abs(gd),
-                               float(d @ d), float(np.linalg.norm(y_k)))
-
-
 def _record_phi(cp: CountedProblem, y: np.ndarray, fy: float, k: int) -> float:
     hy = cp.h(y)
     if math.isinf(hy):
@@ -272,13 +174,14 @@ def _record_phi(cp: CountedProblem, y: np.ndarray, fy: float, k: int) -> float:
     return fy + hy
 
 
-def _iterate(p: CompositeProblem, cfg: SolverConfig, y0: np.ndarray, solver: str,
-             step: float, inv_step: float, track_curvature: bool, momentum: bool,
+def _iterate(p: CompositeProblem, cfg: SolverConfig, y0: np.ndarray, step: float,
+             inv_step: float, track_curvature: bool, momentum: bool,
              project: bool) -> SolveResult:
     """The iteration loop behind all three solvers.
 
-    Per iteration: one prox step at x_k from the cached gradient, the
-    gradient at y_k, the stationarity residual v_k, and the next point
+    This is the only place the method's arithmetic is written.  Per
+    iteration: one prox step at x_k from the cached gradient, the gradient at
+    y_k, the stationarity residual v_k, and the next point
     x_{k+1}: y_k extrapolated by momentum (then projected if `project`), or
     y_k itself without momentum, whose gradient is then already in hand.
     The test on ||v_k|| runs as soon as v_k exists, so a converged run spends
@@ -294,9 +197,11 @@ def _iterate(p: CompositeProblem, cfg: SolverConfig, y0: np.ndarray, solver: str
     if math.isinf(float(p.h_value(y0))):
         raise InvalidStartError("start point is outside dom h")
     L = p.lipschitz_L
-    clamp = cfg.curvature_clamp_tol if cfg.curvature_clamp_tol is not None else 1e-12 * L
+    # positive estimates at or below this are rounding noise, so that convex
+    # problems are detected as such
+    clamp = 1e-12 * L
 
-    trace = Trace(L, y0, cfg.trace_vectors, solver) if cfg.record_trace else None
+    trace = Trace(L, y0, cfg.trace_vectors) if cfg.record_trace else None
     y_prev = x = y = y0
     a_prev = a_cur = 1.0
     curvature = 0.0  # model shift; starts at zero and stays there on convex problems
@@ -313,8 +218,9 @@ def _iterate(p: CompositeProblem, cfg: SolverConfig, y0: np.ndarray, solver: str
             model_grad = grad_x + curvature * (x - y_prev) if track_curvature else grad_x
             y = cp.prox(x - step * model_grad, step)
             grad_y = cp.grad(y)
+            # v is in grad f(y) + subdiff h(y) by the prox optimality condition
             if track_curvature:
-                v = _residual(grad_y, grad_x, y, x, y_prev, curvature, inv_step)
+                v = grad_y - grad_x + curvature * (y_prev - x) + inv_step * (x - y)
             else:
                 v = grad_y - grad_x + inv_step * (x - y)
             if momentum:
@@ -327,24 +233,29 @@ def _iterate(p: CompositeProblem, cfg: SolverConfig, y0: np.ndarray, solver: str
             vn = float(np.linalg.norm(v))
             fy = cp.f(y) if trace is not None or track_curvature else math.nan
             if trace is not None:
-                trace.append(IterateRecord(
-                    k, a_cur, curvature, vn, _record_phi(cp, y, fy, k),
-                    float(np.linalg.norm(y - x)), float(np.linalg.norm(y - y_prev)),
-                    cp.counters.grad_evals, cp.counters.prox_evals), y, v)
+                trace.append(k, a_cur, curvature, vn, _record_phi(cp, y, fy, k),
+                             float(np.linalg.norm(y - x)), float(np.linalg.norm(y - y_prev)),
+                             cp.counters.grad_evals, cp.counters.prox_evals, y, v)
             if vn <= cfg.epsilon:
                 status = "converged"
                 break
             grad_xn = cp.grad(x_next) if momentum else grad_y
             if track_curvature:
+                # 2 * gap / ||y - x_{k+1}||^2, where gap is how far the
+                # linearization of f at x_{k+1} overshoots f(y_k); positive
+                # values witness nonconvexity between the two points
                 d = y - x_next
                 gd = float(grad_xn @ d)
                 fxn = cp.f(x_next)
                 gap = fxn + gd - fy
-                est = _curvature_from_gap(gap, abs(fy) + abs(fxn) + abs(gd),
-                                          float(d @ d), float(np.linalg.norm(y)))
-                curvature = max(0.0, est)
-                if curvature <= clamp:
-                    curvature = 0.0
+                d2 = float(d @ d)
+                thr = 1e-14 * (1.0 + float(np.linalg.norm(y)))
+                curvature = 0.0
+                if d2 > thr * thr and abs(gap) > _CURVATURE_SIG_RTOL * (
+                        1.0 + abs(fy) + abs(fxn) + abs(gd)):
+                    est = 2.0 * gap / d2
+                    if est > clamp:
+                        curvature = est
         except OracleError as e:
             raise OracleError(f"iteration {k}: {e}") from e
         y_prev, x, a_prev, grad_x = y, x_next, a_cur, grad_xn
@@ -359,7 +270,7 @@ def run_mfista(p: CompositeProblem, cfg: SolverConfig, y0: np.ndarray) -> SolveR
     two f values.
     """
     L = p.lipschitz_L
-    return _iterate(p, cfg, y0, "mfista", 1.0 / (4.0 * L), 4.0 * L,
+    return _iterate(p, cfg, y0, 1.0 / (4.0 * L), 4.0 * L,
                     track_curvature=True, momentum=True, project=True)
 
 
@@ -373,7 +284,7 @@ def run_fista_baseline(p: CompositeProblem, cfg: SolverConfig, y0: np.ndarray,
     """
     if not step > 0:
         raise ValueError("step must be positive")
-    return _iterate(p, cfg, y0, "fista", step, 1.0 / step,
+    return _iterate(p, cfg, y0, step, 1.0 / step,
                     track_curvature=False, momentum=True, project=project_extrapolation)
 
 
@@ -384,5 +295,5 @@ def run_proxgrad_baseline(p: CompositeProblem, cfg: SolverConfig, y0: np.ndarray
     member of grad f(y) + subdiff h(y), same certificate as the others.
     """
     L = p.lipschitz_L
-    return _iterate(p, cfg, y0, "proxgrad", 1.0 / L, L,
+    return _iterate(p, cfg, y0, 1.0 / L, L,
                     track_curvature=False, momentum=False, project=False)

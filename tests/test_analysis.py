@@ -20,7 +20,6 @@ from fistalab import (
     make_nonconvex_qp,
     run_mfista,
 )
-from fistalab.solver import IterateRecord
 
 
 def synthetic_trace(vnorm, dxy=None, dyy=None, L_k=None, L=1.0):
@@ -30,8 +29,8 @@ def synthetic_trace(vnorm, dxy=None, dyy=None, L_k=None, L=1.0):
     L_k = np.asarray(L_k) if L_k is not None else np.zeros(n)
     tr = Trace(L)
     for i in range(n):
-        tr.append(IterateRecord(i + 1, 1.0, float(L_k[i]), float(vnorm[i]), 0.0,
-                                float(dxy[i]), float(dyy[i]), 2 * (i + 1), i + 1))
+        tr.append(i + 1, 1.0, float(L_k[i]), float(vnorm[i]), 0.0,
+                  float(dxy[i]), float(dyy[i]), 2 * (i + 1), i + 1)
     return tr
 
 

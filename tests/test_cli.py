@@ -244,3 +244,71 @@ def test_check_short_trace_row(tmp_path, capsys):
     capsys.readouterr()
     assert run_cli("check", str(rundir / "trace.csv")) == 1
     assert "unreadable trace: line 3" in capsys.readouterr().err
+
+
+def test_check_advisory_trend_does_not_set_exit_code(tmp_path, capsys):
+    # 50 iterations of a genuine convex run are too few for the n^{-3/2}
+    # trend, which is advisory: its FAIL is printed, the gates decide the code
+    rundir = tmp_path / "r10"
+    assert run_cli("run", "--problem", "convex-qp", "--n", "4", "--seed", "2",
+                   "--eps", "1e-300", "--max-iters", "50", "--out", str(rundir)) == 2
+    capsys.readouterr()
+    code = run_cli("check", str(rundir / "trace.csv"))
+    lines = capsys.readouterr().out.splitlines()
+    trend = next(ln for ln in lines if ln.startswith("CHECK scaled_trend_1.5 "))
+    assert trend.startswith("CHECK scaled_trend_1.5 FAIL worst=")
+    assert trend.endswith(" -- advisory")
+    assert code == 0
+    assert lines[-1] == trend  # gates first, the advisory line last
+
+
+def test_stale_vector_sidecar_is_not_paired(tmp_path):
+    out = tmp_path / "r11"
+    common = ("run", "--problem", "nonconvex-qp", "--n", "4", "--eps", "1e-9",
+              "--out", str(out))
+    run_cli(*common, "--seed", "1", "--trace", "full")
+    assert (out / "trace_vectors.npz").exists()
+    run_cli(*common, "--seed", "2", "--trace", "norms")
+    assert not (out / "trace_vectors.npz").exists()  # the writer removed it
+    back = read_trace_csv(out / "trace.csv")
+    assert not back.has_vectors and back.ys is None and back.y0 is None
+
+    # a sidecar whose vector count differs from the CSV rows is not read
+    run_cli(*common, "--seed", "1", "--trace", "full")
+    lines = (out / "trace.csv").read_text().splitlines()
+    (out / "trace.csv").write_text("\n".join(lines[:-1]) + "\n")
+    back = read_trace_csv(out / "trace.csv")
+    assert back.ys is None and back.vs is None and back.y0 is None
+
+
+def test_check_trend_not_applicable_to_baselines(tmp_path, capsys):
+    # a FISTA trace has L_k == 0 on every row whatever the problem, so it
+    # says nothing about convexity: the trend is run_mfista's only
+    inst_file = tmp_path / "inst.txt"
+    run_cli("gen", "--kind", "nonconvex-qp", "--n", "4", "--seed", "5", "--out", str(inst_file))
+    rundir = tmp_path / "fista"
+    assert run_cli("run", "--instance", str(inst_file), "--solver", "fista",
+                   "--out", str(rundir)) == 0
+    capsys.readouterr()
+    assert run_cli("check", str(rundir / "trace.csv")) == 0
+    out = capsys.readouterr().out
+    trend = [ln for ln in out.splitlines() if ln.startswith("CHECK scaled_trend")]
+    assert len(trend) == 1
+    assert trend[0].startswith("CHECK scaled_trend N/A")
+    assert "from fista" in trend[0] and trend[0].endswith(" -- advisory")
+
+
+@pytest.mark.parametrize("instance,extra,key", [
+    ({"kind": "convex-qp", "n": 4, "seeed": 3}, {}, "seeed"),
+    ({"kind": "convex-qp", "n": 4}, {"max_iter": 5}, "max_iter"),
+    ({"kind": "convex-qp", "n": "4"}, {}, "n"),
+    ({"kind": "convex-qp", "n": 4}, {"trace": 1}, "trace"),
+])
+def test_sweep_rejects_bad_keys_before_running(tmp_path, capsys, instance, extra, key):
+    matrix = {"instances": [{"kind": "convex-qp", "n": 4}, instance],
+              "solvers": ["mfista"], "epsilons": [1e-6], **extra}
+    cfg_path = tmp_path / "sweep.json"
+    cfg_path.write_text(json.dumps(matrix))
+    assert run_cli("sweep", str(cfg_path), "--out", str(tmp_path / "sw")) == 1
+    assert repr(key) in capsys.readouterr().err
+    assert not (tmp_path / "sw").exists()  # no cell ran, not even the good one

@@ -2,23 +2,15 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
-from hypothesis.extra.numpy import arrays
 
 from fistalab import (
     CompositeProblem,
     CountedProblem,
-    linearize_f,
     make_convex_qp,
     make_nonconvex_qp,
-    objective_value,
     sample_feasible,
 )
 from fistalab.core import as_vector
-
-
-def finite_vec(n, lo=-1e3, hi=1e3):
-    return arrays(np.float64, (n,), elements=st.floats(lo, hi, allow_nan=False))
 
 
 def quad_problem(dim, f, grad, L, h_value=None, h_prox=None):
@@ -28,8 +20,7 @@ def quad_problem(dim, f, grad, L, h_value=None, h_prox=None):
     if h_prox is None:
         h_prox = lambda z, t: np.clip(z, -1.0, 1.0)
     return CompositeProblem(dim=dim, smooth_value=f, smooth_grad=grad,
-                            h_value=h_value, h_prox=h_prox,
-                            lipschitz_L=L, domain_bound_C=float(math.sqrt(dim)))
+                            h_value=h_value, h_prox=h_prox, lipschitz_L=L)
 
 
 # --- input coercion ------------------------------------------------------
@@ -46,37 +37,10 @@ def test_as_vector_rejects_bad_input():
     assert as_vector(1.5).shape == (1,)
 
 
-# --- linearization and objective ---------------------------------------
+# --- problems and their counted view -------------------------------------
 
 def half_sq_norm(dim):
     return quad_problem(dim, lambda y: 0.5 * float(y @ y), lambda y: y.copy(), 1.0)
-
-
-def test_linearize_examples():
-    p = half_sq_norm(2)
-    u = np.array([1.0, 0.0])
-    assert linearize_f(p, u, u) == 0.5  # linearization at the base point is f itself
-
-    p1 = half_sq_norm(1)
-    assert linearize_f(p1, np.array([2.0]), np.array([1.0])) == 1.5
-
-    neg = quad_problem(1, lambda y: -0.5 * float(y @ y), lambda y: -y, 1.0)
-    # f(0) = 0 lies below this value 0.5: the linearization is not a lower
-    # bound, which is exactly what nonconvexity means
-    assert linearize_f(neg, np.array([0.0]), np.array([1.0])) == 0.5
-
-
-def test_linearize_dimension_mismatch():
-    p = half_sq_norm(2)
-    with pytest.raises(ValueError):
-        linearize_f(p, np.zeros(3), np.zeros(2))
-
-
-@given(u=finite_vec(4, -10, 10))
-@settings(max_examples=100, deadline=None)
-def test_linearize_at_same_point_is_exact(u):
-    p = half_sq_norm(4)
-    assert linearize_f(p, u, u) == p.smooth_value(u)
 
 
 @pytest.mark.parametrize("maker,kwargs", [
@@ -88,17 +52,9 @@ def test_lipschitz_envelope_on_instances(maker, kwargs, rng):
     pts = sample_feasible(inst, rng, 60)
     for i in range(0, 60, 2):
         u1, u2 = pts[i], pts[i + 1]
-        gap = abs(p.smooth_value(u1) - linearize_f(p, u1, u2))
+        linearized = p.smooth_value(u2) + p.smooth_grad(u2) @ (u1 - u2)
+        gap = abs(p.smooth_value(u1) - linearized)
         assert gap <= 0.5 * p.lipschitz_L * float(np.linalg.norm(u1 - u2)) ** 2 + 1e-9
-
-
-def test_objective_value_examples():
-    p = half_sq_norm(1)
-    assert objective_value(p, np.array([0.5])) == 0.125
-    assert objective_value(p, np.array([2.0])) == math.inf
-
-    neg = quad_problem(1, lambda y: -0.5 * float(y @ y), lambda y: -y, 1.0)
-    assert objective_value(neg, np.array([1.0])) == -0.5
 
 
 def test_problem_validation():
@@ -107,13 +63,9 @@ def test_problem_validation():
     h = lambda y: 0.0
     pr = lambda z, t: z
     with pytest.raises(ValueError):
-        CompositeProblem(2, f, g, h, pr, lipschitz_L=0.0, domain_bound_C=1.0)
+        CompositeProblem(2, f, g, h, pr, lipschitz_L=0.0)
     with pytest.raises(ValueError):
-        CompositeProblem(2, f, g, h, pr, lipschitz_L=1.0, domain_bound_C=0.0)
-    with pytest.raises(ValueError):
-        CompositeProblem(2, f, g, h, pr, lipschitz_L=1.0, domain_bound_C=1.0, known_m=2.0)
-    with pytest.raises(ValueError):
-        CompositeProblem(0, f, g, h, pr, lipschitz_L=1.0, domain_bound_C=1.0)
+        CompositeProblem(0, f, g, h, pr, lipschitz_L=1.0)
 
 
 def test_counted_problem_counts_and_validates():
@@ -130,10 +82,6 @@ def test_counted_problem_counts_and_validates():
     out = cp.project(y)
     assert out is y
     assert cp.counters.proj_evals == 0
-
-    snap = cp.counters.snapshot()
-    cp.grad(y)
-    assert cp.counters.grad_evals == snap.grad_evals + 1
 
     with pytest.raises(ValueError):
         cp.prox(y, 0.0)

@@ -46,7 +46,6 @@ def test_box_h_value_and_bound():
     box = BoxSet(np.array([-1.0]), np.array([1.0]))
     assert box.h_value(np.array([0.3])) == 0.0
     assert box.h_value(np.array([1.5])) == math.inf
-    assert UNIT_BOX.norm_bound() == math.sqrt(2.0)
 
 
 # --- projections ---------------------------------------------------------

@@ -9,8 +9,6 @@ from fistalab import (
     InvalidStartError,
     OracleError,
     SolverConfig,
-    estimate_curvature,
-    extrapolate_project,
     lasso_optimum,
     make_convex_qp,
     make_lasso_on_ball,
@@ -21,21 +19,18 @@ from fistalab import (
     run_mfista,
     run_proxgrad_baseline,
     sample_feasible,
-    solve_subproblem,
-    stationarity_residual,
     to_problem,
 )
 
 from conftest import grid_min_1d_vec
 
 
-def box_problem(dim, f, grad, L, lo=-1.0, hi=1.0, omega=None):
+def box_problem(dim, f, grad, L, lo=-1.0, hi=1.0):
     return CompositeProblem(
         dim=dim, smooth_value=f, smooth_grad=grad,
         h_value=lambda y: 0.0 if np.all((y >= lo - 1e-12) & (y <= hi + 1e-12)) else math.inf,
         h_prox=lambda z, t: np.clip(z, lo, hi),
-        lipschitz_L=L, domain_bound_C=float(max(abs(lo), abs(hi)) * math.sqrt(dim)),
-        omega_project=omega,
+        lipschitz_L=L,
     )
 
 
@@ -85,38 +80,47 @@ def test_momentum_sequence_matches_single_steps():
         momentum_sequence(-1)
 
 
-# --- subproblem / residual / extrapolation / curvature --------------------
+# --- one iteration of the loop: prox step, residual, curvature ------------
+
+def first_iterate(p, y0):
+    """y_1 and v_1 of run_mfista from y0 (one iteration, never converged)."""
+    res = run_mfista(p, SolverConfig(epsilon=1e-300, max_iters=1), np.array(y0))
+    assert res.iterations == 1 and res.counters.prox_evals == 1
+    return res.y, res.v
+
 
 def test_solve_subproblem_against_grid():
-    p = box_problem(1, lambda y: 0.0, lambda y: np.zeros(1), 1.0)
-
+    # f(y) = g*y with L = 1: the first step minimizes the model
+    # g*(y - x) + 2*L*(y - x)^2 over the box [-1, 1] with one prox call
     def model(x, g):
-        # objective of the inner step: g*(y-x) + 2*L*(y-x)^2 over the box
         return lambda ys: g * (ys - x) + 2.0 * (ys - x) ** 2
 
-    y = solve_subproblem(p, np.array([0.5]), np.array([4.0]))
+    def linear(g):
+        return box_problem(1, lambda y: g * float(y[0]), lambda y: np.full(1, g), 1.0)
+
+    y, _ = first_iterate(linear(4.0), [0.5])
     oracle = grid_min_1d_vec(model(0.5, 4.0), -1.0, 1.0)
-    assert abs(y[0] - (-0.5)) < 1e-15
+    assert y[0] == -0.5
     assert abs(oracle - y[0]) < 1e-6
 
-    y = solve_subproblem(p, np.array([0.9]), np.array([-4.0]))
+    y, _ = first_iterate(linear(-4.0), [0.9])
     oracle = grid_min_1d_vec(model(0.9, -4.0), -1.0, 1.0)
     assert y[0] == 1.0
     assert abs(oracle - y[0]) < 1e-6
 
     # zero model gradient keeps a feasible x fixed
-    y = solve_subproblem(p, np.array([0.25]), np.zeros(1))
+    y, _ = first_iterate(linear(0.0), [0.25])
     assert y[0] == 0.25
 
 
 def test_stationarity_residual_symbolic_cases():
     p = box_problem(2, lambda y: 0.5 * float(y @ y), lambda y: y.copy(), 1.0)
-    x = np.array([0.3, -0.2])
-    assert np.all(stationarity_residual(p, x, x, x, 0.0) == 0.0)
+    y, v = first_iterate(p, [0.0, 0.0])
+    assert np.all(y == 0.0) and np.all(v == 0.0)
 
-    # linear gradient, no curvature shift: v = (y - x) + 4(x - y) = 3(x - y)
-    y = np.array([0.1, 0.4])
-    v = stationarity_residual(p, y, x, x, 0.0)
+    # linear gradient, no curvature shift yet: v = (y - x) + 4(x - y) = 3(x - y)
+    x = np.array([0.3, -0.2])
+    y, v = first_iterate(p, x)
     np.testing.assert_allclose(v, 3.0 * (x - y), rtol=0, atol=1e-15)
 
 
@@ -135,32 +139,15 @@ def test_residual_membership_on_solver_runs(rng):
             assert slack.min() >= -1e-9
 
 
-def test_extrapolate_project_cases():
-    box_omega = lambda x: np.clip(x, -1.0, 1.0)
-    p = box_problem(1, lambda y: 0.0, lambda y: np.zeros(1), 1.0, omega=box_omega)
-    y, y_prev = np.array([0.4]), np.array([0.1])
-    # first iteration: a_prev = 1 gives zero momentum
-    assert extrapolate_project(p, y, y_prev, 1.0, next_momentum(1.0))[0] == 0.4
-    assert extrapolate_project(p, y, y, 1.618, 2.1935)[0] == 0.4
-    # hand arithmetic: 0.9 + (0.618/2.1935)*0.8 = 1.1254 clamps to the box
-    out = extrapolate_project(p, np.array([0.9]), np.array([0.1]), 1.618, 2.1935)
-    assert out[0] == 1.0
-    unclamped = 0.9 + (0.618 / 2.1935) * 0.8
-    assert abs(unclamped - 1.12539) < 1e-4
-
-
 def test_estimate_curvature_symbolic_cases():
-    concave = concave_1d()
-    # for f = -y^2/2 the gap is (y-x)^2/2, so the estimate is exactly 1 = L
-    est = estimate_curvature(concave, np.array([0.5]), np.array([0.2]))
-    assert math.isclose(est, 1.0, rel_tol=1e-12)
-
-    convex = box_problem(1, lambda y: 0.5 * float(y @ y), lambda y: y.copy(), 1.0)
-    est = estimate_curvature(convex, np.array([0.5]), np.array([0.2]))
-    assert math.isclose(est, -1.0, rel_tol=1e-12)
-
-    x = np.array([0.5])
-    assert estimate_curvature(concave, x, x) == 0.0
+    # for f = -y^2/2 the linearization gap is (y - x)^2/2, so the estimate is
+    # exactly 1 = L.  The first two rows have no shift: L_1 starts at zero and
+    # a_0 = 1 puts x_2 on y_1, where the gap vanishes.
+    res = run_mfista(concave_1d(), SolverConfig(epsilon=1e-300, max_iters=4), np.array([0.1]))
+    L_k = res.trace.column("L_k")
+    assert len(L_k) == 4
+    assert np.all(L_k[:2] == 0.0)
+    np.testing.assert_allclose(L_k[2:], 1.0, rtol=1e-12, atol=0)
 
 
 # --- the main loop -------------------------------------------------------
@@ -243,8 +230,6 @@ def test_solver_config_validation():
         SolverConfig(epsilon=0.0, max_iters=10)
     with pytest.raises(ValueError):
         SolverConfig(epsilon=1e-8, max_iters=0)
-    with pytest.raises(ValueError):
-        SolverConfig(epsilon=1e-8, max_iters=10, curvature_clamp_tol=-1.0)
 
 
 def test_oracle_failure_carries_iteration_index():

@@ -223,6 +223,7 @@ def write_manifest(path, cfg: RunConfig, result: SolveResult, L: float,
         "final_vnorm": float(np.linalg.norm(result.v)),
         "iterations": result.iterations,
         "lipschitz_L": L,
+        "counters": asdict(result.counters),
     }
     tmp = Path(path).with_suffix(".tmp")
     with open(tmp, "w", encoding="ascii") as fh:
@@ -256,6 +257,10 @@ def cmd_run(cfg: RunConfig) -> int:
     result = dispatch_solver(p, cfg)
     wall = time.perf_counter() - t0
 
+    # an older run's manifest or certificate must not pair with this trace,
+    # not even when this run fails before writing its own
+    for stale in ("manifest.json", "oracle.json"):
+        (outdir / stale).unlink(missing_ok=True)
     write_trace_csv(result.trace, outdir / "trace.csv")
     if cfg.with_oracle:
         if isinstance(inst, QuadraticInstance):

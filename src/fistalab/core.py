@@ -2,11 +2,13 @@
 
 A problem is a pair of oracles for the smooth part (value + gradient), a
 value/prox pair for the convex possibly-nonsmooth part, an optional domain
-projection, and the gradient's Lipschitz constant L, the one constant the
-solvers use.  All vectors are plain 1-D float64 numpy arrays; oracles are
-user-supplied callables and are never differentiated numerically.  The
-solvers reach the oracles only through a CountedProblem, which counts and
-validates every call.
+projection, the gradient's Lipschitz constant L, the one constant the
+solvers use, and optionally a fused value-and-gradient oracle that shares
+work between f and grad f at one point.  All vectors are plain 1-D float64
+numpy arrays; oracles are user-supplied callables and are never
+differentiated numerically.  The solvers reach the oracles only through a
+CountedProblem, which counts and validates every call; it alone knows
+whether a problem supplies the fused oracle.
 """
 
 from __future__ import annotations
@@ -53,8 +55,10 @@ class CompositeProblem:
     returns +inf outside dom h; `h_prox(z, t)` returns
     argmin_y { h(y) + ||y - z||^2 / (2 t) } and must land in dom h.
     `omega_project` is the projection onto the set where the gradient is
-    Lipschitz; None means the whole space (identity).  Oracles must be defined
-    everywhere; only their restriction to that set matters.
+    Lipschitz; None means the whole space (identity).  `smooth_value_grad(y)`,
+    when given, returns `(smooth_value(y), smooth_grad(y))` from one shared
+    computation; None means the two are called separately.  Oracles must be
+    defined everywhere; only their restriction to that set matters.
 
     All oracles must be safe for concurrent read-only use; counting state
     lives in per-run CountedProblem wrappers, never here.
@@ -67,6 +71,7 @@ class CompositeProblem:
     h_prox: Callable[[np.ndarray, float], np.ndarray]
     lipschitz_L: float
     omega_project: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    smooth_value_grad: Optional[Callable[[np.ndarray], tuple[float, np.ndarray]]] = None
 
     def __post_init__(self):
         if self.dim < 1:
@@ -98,14 +103,35 @@ class CountedProblem:
 
     def f(self, y: np.ndarray) -> float:
         self.counters.f_evals += 1
-        val = float(self.problem.smooth_value(y))
+        return self._checked_value(self.problem.smooth_value(y))
+
+    def grad(self, y: np.ndarray) -> np.ndarray:
+        self.counters.grad_evals += 1
+        return self._checked_grad(self.problem.smooth_grad(y))
+
+    def value_grad(self, y: np.ndarray) -> tuple[float, np.ndarray]:
+        """(f(y), grad f(y)), counted as one value plus one gradient.
+
+        Uses the problem's fused oracle when it has one; otherwise the
+        gradient, then the value, exactly as two separate calls would.
+        """
+        fused = self.problem.smooth_value_grad
+        if fused is None:
+            g = self.grad(y)
+            return self.f(y), g
+        self.counters.grad_evals += 1
+        self.counters.f_evals += 1
+        val, g = fused(y)
+        return self._checked_value(val), self._checked_grad(g)
+
+    def _checked_value(self, val) -> float:
+        val = float(val)
         if not math.isfinite(val):
             raise OracleError(f"smooth_value returned non-finite {val!r}")
         return val
 
-    def grad(self, y: np.ndarray) -> np.ndarray:
-        self.counters.grad_evals += 1
-        g = np.asarray(self.problem.smooth_grad(y), dtype=float)
+    def _checked_grad(self, g) -> np.ndarray:
+        g = np.asarray(g, dtype=float)
         if g.shape != (self.problem.dim,) or not np.all(np.isfinite(g)):
             raise OracleError("smooth_grad returned a malformed gradient")
         return g

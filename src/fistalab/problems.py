@@ -72,6 +72,11 @@ class QuadraticInstance:
     def grad(self, y: np.ndarray) -> np.ndarray:
         return self.Q @ y + self.b
 
+    def value_grad(self, y: np.ndarray) -> tuple[float, np.ndarray]:
+        """(f(y), grad(y)) bit for bit, from one product Q @ y."""
+        Qy = self.Q @ y
+        return 0.5 * float(y @ Qy) + float(self.b @ y), Qy + self.b
+
     def box(self) -> BoxSet:
         return BoxSet(self.lower, self.upper)
 
@@ -107,6 +112,11 @@ class LassoOnBallInstance:
 
     def grad(self, y: np.ndarray) -> np.ndarray:
         return self.A.T @ (self.A @ y - self.target)
+
+    def value_grad(self, y: np.ndarray) -> tuple[float, np.ndarray]:
+        """(f(y), grad(y)) bit for bit, from one residual A @ y - target."""
+        r = self.A @ y - self.target
+        return 0.5 * float(r @ r), self.A.T @ r
 
     def regularizer(self) -> L1OnBall:
         return L1OnBall(self.weight, BallSet(np.zeros(self.dim), self.radius))
@@ -239,6 +249,7 @@ def to_problem(inst) -> CompositeProblem:
             h_value=box.h_value,
             h_prox=lambda z, t: prox_box_indicator(box, z, t),
             lipschitz_L=inst.lipschitz_L,
+            smooth_value_grad=inst.value_grad,
         )
     if isinstance(inst, LassoOnBallInstance):
         reg = inst.regularizer()
@@ -249,6 +260,7 @@ def to_problem(inst) -> CompositeProblem:
             h_value=reg.h_value,
             h_prox=lambda z, t: prox_l1_on_ball(reg, z, t),
             lipschitz_L=inst.lipschitz_L,
+            smooth_value_grad=inst.value_grad,
         )
     raise TypeError(f"unknown instance type {type(inst).__name__}")
 

@@ -189,8 +189,10 @@ def _iterate(p: CompositeProblem, cfg: SolverConfig, y0: np.ndarray, step: float
     the curvature estimate, which is re-estimated from the linearization gap
     at x_{k+1}; without it the curvature terms are skipped, not multiplied by
     zero (that would flip signed zeros in v), and f(y_k) is evaluated only
-    for the trace.  `inv_step` comes separately from `step` so that each
-    solver keeps its own rounding of 1/step.
+    for the trace.  Wherever both f and its gradient are needed at one point
+    they come from one `value_grad` call, which shares the work when the
+    problem has a fused oracle.  `inv_step` comes separately from `step` so
+    that each solver keeps its own rounding of 1/step.
     """
     cp = CountedProblem(p)
     y0 = as_vector(y0, p.dim)
@@ -210,6 +212,7 @@ def _iterate(p: CompositeProblem, cfg: SolverConfig, y0: np.ndarray, step: float
     except OracleError as e:
         raise OracleError(f"iteration 1: {e}") from e
 
+    need_f = trace is not None or track_curvature
     v = np.zeros(p.dim)
     status = "max_iters_reached"
     k = 0
@@ -217,7 +220,10 @@ def _iterate(p: CompositeProblem, cfg: SolverConfig, y0: np.ndarray, step: float
         try:
             model_grad = grad_x + curvature * (x - y_prev) if track_curvature else grad_x
             y = cp.prox(x - step * model_grad, step)
-            grad_y = cp.grad(y)
+            if need_f:
+                fy, grad_y = cp.value_grad(y)
+            else:
+                fy, grad_y = math.nan, cp.grad(y)
             # v is in grad f(y) + subdiff h(y) by the prox optimality condition
             if track_curvature:
                 v = grad_y - grad_x + curvature * (y_prev - x) + inv_step * (x - y)
@@ -231,7 +237,6 @@ def _iterate(p: CompositeProblem, cfg: SolverConfig, y0: np.ndarray, step: float
             else:
                 x_next = y
             vn = float(np.linalg.norm(v))
-            fy = cp.f(y) if trace is not None or track_curvature else math.nan
             if trace is not None:
                 trace.append(k, a_cur, curvature, vn, _record_phi(cp, y, fy, k),
                              float(np.linalg.norm(y - x)), float(np.linalg.norm(y - y_prev)),
@@ -239,14 +244,13 @@ def _iterate(p: CompositeProblem, cfg: SolverConfig, y0: np.ndarray, step: float
             if vn <= cfg.epsilon:
                 status = "converged"
                 break
-            grad_xn = cp.grad(x_next) if momentum else grad_y
             if track_curvature:
+                fxn, grad_xn = cp.value_grad(x_next)
                 # 2 * gap / ||y - x_{k+1}||^2, where gap is how far the
                 # linearization of f at x_{k+1} overshoots f(y_k); positive
                 # values witness nonconvexity between the two points
                 d = y - x_next
                 gd = float(grad_xn @ d)
-                fxn = cp.f(x_next)
                 gap = fxn + gd - fy
                 d2 = float(d @ d)
                 thr = 1e-14 * (1.0 + float(np.linalg.norm(y)))
@@ -256,6 +260,8 @@ def _iterate(p: CompositeProblem, cfg: SolverConfig, y0: np.ndarray, step: float
                     est = 2.0 * gap / d2
                     if est > clamp:
                         curvature = est
+            else:
+                grad_xn = cp.grad(x_next) if momentum else grad_y
         except OracleError as e:
             raise OracleError(f"iteration {k}: {e}") from e
         y_prev, x, a_prev, grad_x = y, x_next, a_cur, grad_xn
@@ -267,7 +273,9 @@ def run_mfista(p: CompositeProblem, cfg: SolverConfig, y0: np.ndarray) -> SolveR
     """Main solver: step 1/(4L), online curvature shift, projected extrapolation.
 
     Cost per full iteration: one prox, two gradients (at y_k and x_{k+1}),
-    two f values.
+    two f values at the same two points.  With a fused `smooth_value_grad`
+    each point is one oracle call: one product with Q for the generated
+    quadratics, one with A and one with A' for the lasso.
     """
     L = p.lipschitz_L
     return _iterate(p, cfg, y0, 1.0 / (4.0 * L), 4.0 * L,

@@ -138,6 +138,44 @@ def test_check_full_trace_with_oracle(tmp_path, capsys):
     assert "CHECK function_value_bound PASS" in out
 
 
+def test_run_removes_another_runs_oracle_and_manifest(tmp_path, monkeypatch, capsys):
+    out = tmp_path / "r12"
+    common = ("run", "--problem", "convex-qp", "--n", "4", "--trace", "full", "--out", str(out))
+    assert run_cli(*common, "--seed", "1", "--with-oracle") == 0
+    assert (out / "oracle.json").exists()
+    assert run_cli(*common, "--seed", "2") == 0
+    # seed 1's optimum must not sit beside seed 2's trace, where check would
+    # hold the genuine trace to the wrong optimum and fail its gates
+    assert not (out / "oracle.json").exists()
+    assert json.loads((out / "manifest.json").read_text())["config"]["seed"] == 2
+
+    # a run that fails after writing its trace leaves no manifest to pair with it
+    def broken(cert, path):
+        raise OSError("disk full")
+    monkeypatch.setattr("fistalab.cli.save_certificate", broken)
+    assert run_cli(*common, "--seed", "3", "--with-oracle") == 1
+    assert (out / "trace.csv").exists()
+    assert not (out / "manifest.json").exists() and not (out / "oracle.json").exists()
+    assert "disk full" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("solver", ["mfista", "fista"])
+def test_manifest_records_oracle_counters(tmp_path, solver):
+    out = tmp_path / solver
+    assert run_cli("run", "--problem", "nonconvex-qp", "--n", "6", "--seed", "3",
+                   "--solver", solver, "--eps", "1e-7", "--out", str(out)) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    counters = manifest["counters"]
+    assert set(counters) == {"grad_evals", "prox_evals", "proj_evals", "f_evals"}
+    trace = read_trace_csv(out / "trace.csv")
+    iters = manifest["iterations"]
+    assert counters["prox_evals"] == iters == trace.proxevals[-1]
+    assert counters["grad_evals"] == trace.gradevals[-1]
+    assert counters["proj_evals"] == 0  # the generated problems have no omega_project
+    # a converged run evaluates f at y_k every iteration; mfista also at x_{k+1}
+    assert counters["f_evals"] == (2 * iters - 1 if solver == "mfista" else iters)
+
+
 def test_check_missing_trace(capsys):
     assert run_cli("check", "/nonexistent/trace.csv") == 1
     assert "no such trace" in capsys.readouterr().err

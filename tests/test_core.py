@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -43,6 +44,10 @@ def half_sq_norm(dim):
     return quad_problem(dim, lambda y: 0.5 * float(y @ y), lambda y: y.copy(), 1.0)
 
 
+def fused(p, value_grad):
+    return dataclasses.replace(p, smooth_value_grad=value_grad)
+
+
 @pytest.mark.parametrize("maker,kwargs", [
     (make_convex_qp, {}),
     (make_nonconvex_qp, {"negfrac": 0.3}),
@@ -78,6 +83,13 @@ def test_counted_problem_counts_and_validates():
     assert cp.counters.f_evals == 1
     assert cp.counters.grad_evals == 1
     assert cp.counters.prox_evals == 1
+    # a value-and-gradient call counts as one of each, fused or not
+    for q in (p, fused(p, lambda y: (0.5 * float(y @ y), y.copy()))):
+        cq = CountedProblem(q)
+        val, g = cq.value_grad(y)
+        assert val == 0.03125 and isinstance(val, float)
+        np.testing.assert_array_equal(g, y)
+        assert (cq.counters.f_evals, cq.counters.grad_evals) == (1, 1)
     # identity projection is free: no oracle, no count
     out = cp.project(y)
     assert out is y
@@ -96,6 +108,17 @@ def test_counted_problem_flags_bad_oracles():
         cp.f(np.zeros(1))
     with pytest.raises(OracleError):
         cp.grad(np.zeros(1))
+    with pytest.raises(OracleError):
+        cp.value_grad(np.zeros(1))  # no fused oracle: the separate ones are checked
+
+    good = half_sq_norm(2)
+    for value_grad, match in (
+            (lambda y: (float("nan"), y.copy()), "smooth_value returned non-finite"),
+            (lambda y: (0.0, np.array([np.inf, 0.0])), "smooth_grad returned a malformed"),
+            (lambda y: (0.0, np.zeros(3)), "smooth_grad returned a malformed"),
+            (lambda y: (0.0, np.zeros((2, 1))), "smooth_grad returned a malformed")):
+        with pytest.raises(OracleError, match=match):
+            CountedProblem(fused(good, value_grad)).value_grad(np.zeros(2))
 
 
 def test_counted_projection_idempotent_and_counted():

@@ -93,6 +93,25 @@ def test_make_lasso_on_ball_properties():
 
 # --- optimality oracles ------------------------------------------------------
 
+@pytest.mark.parametrize("make", [
+    lambda seed: make_convex_qp(12, seed),
+    lambda seed: make_nonconvex_qp(12, seed),
+    lambda seed: make_lasso_on_ball(12, 9, seed),
+    lambda seed: make_lasso_on_ball(7, 20, seed),
+], ids=["convex-qp", "nonconvex-qp", "lasso-wide", "lasso-tall"])
+def test_fused_value_grad_is_bit_identical(make, rng):
+    # the solver takes f and grad f from the fused oracle, so any difference
+    # in the last bit would move every trace
+    for seed in range(4):
+        p, inst = make(seed)
+        assert p.smooth_value_grad == inst.value_grad
+        for y in rng.uniform(-3.0, 3.0, (6, inst.dim)):
+            val, g = inst.value_grad(y)
+            assert type(val) is float
+            assert np.float64(val).tobytes() == np.float64(inst.f(y)).tobytes()
+            assert g.shape == (inst.dim,) and g.tobytes() == inst.grad(y).tobytes()
+
+
 def test_brute_force_hand_examples():
     cert = brute_force_optimum(None, qp([[1.0]], [-0.3]))
     assert abs(cert.y_star[0] - 0.3) < 1e-14

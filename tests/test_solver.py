@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -23,6 +24,7 @@ from fistalab import (
 )
 
 from conftest import grid_min_1d_vec
+from fistalab.cli import write_trace_csv
 
 
 def box_problem(dim, f, grad, L, lo=-1.0, hi=1.0):
@@ -244,6 +246,95 @@ def test_oracle_failure_carries_iteration_index():
     p = box_problem(1, lambda y: 0.5 * float((y[0] - 0.3) ** 2), flaky_grad, 1.0)
     with pytest.raises(OracleError, match="iteration"):
         run_mfista(p, SolverConfig(epsilon=1e-12, max_iters=50), np.zeros(1))
+
+
+@pytest.mark.parametrize("bad", ["value", "grad"])
+def test_fused_oracle_failure_carries_iteration_index(bad):
+    calls = {"n": 0}
+
+    def flaky_value_grad(y):
+        calls["n"] += 1
+        val, g = 0.5 * float((y[0] - 0.3) ** 2), y - 0.3
+        if calls["n"] > 3:
+            return (math.nan, g) if bad == "value" else (val, np.array([math.inf]))
+        return val, g
+
+    p = dataclasses.replace(convex_1d(), smooth_value_grad=flaky_value_grad)
+    # fused calls at y_1, x_2, y_2, then x_3 fails within iteration 2
+    what = "smooth_value returned non-finite" if bad == "value" else "smooth_grad returned"
+    with pytest.raises(OracleError, match=f"^iteration 2: {what}"):
+        run_mfista(p, SolverConfig(epsilon=1e-12, max_iters=50), np.zeros(1))
+
+
+def counting(fn, counts, name):
+    def counted(*args):
+        counts[name] += 1
+        return fn(*args)
+    return counted
+
+
+@pytest.mark.parametrize("make", [lambda s: make_convex_qp(16, s),
+                                  lambda s: make_lasso_on_ball(16, 12, s)], ids=["qp", "lasso"])
+@pytest.mark.parametrize("eps,max_iters,status", [(1e-6, 5000, "converged"),
+                                                  (1e-300, 60, "max_iters_reached")],
+                         ids=["converged", "max-iters"])
+def test_mfista_takes_the_fused_oracle(make, eps, max_iters, status):
+    # f and grad f at y_k and at x_{k+1} come from one fused call per point;
+    # separate calls would leave every trace unchanged and double the
+    # products per iteration, so only call counts can tell
+    for seed in (1, 2):
+        _, inst = make(seed)
+        counts = {"value_grad": 0, "f": 0, "grad": 0}
+        for name in counts:
+            setattr(inst, name, counting(getattr(inst, name), counts, name))
+        p = to_problem(inst)
+        res = run_mfista(p, SolverConfig(epsilon=eps, max_iters=max_iters), np.zeros(inst.dim))
+        assert res.status == status and res.trace is not None
+        # the last iteration of a converged run stops before x_{k+1}
+        fused_calls = 2 * res.iterations - (status == "converged")
+        assert counts == {"value_grad": fused_calls, "f": 0, "grad": 1}  # grad at y0 only
+        assert res.counters.grad_evals == 1 + fused_calls
+        assert res.counters.f_evals == fused_calls
+
+
+@pytest.mark.parametrize("make", [lambda: make_convex_qp(12, 3), lambda: make_nonconvex_qp(12, 3),
+                                  lambda: make_lasso_on_ball(12, 8, 3)],
+                         ids=["convex-qp", "nonconvex-qp", "lasso"])
+@pytest.mark.parametrize("solver", ["mfista", "fista", "fista-quarter", "proxgrad"])
+@pytest.mark.parametrize("trace", ["off", "norms", "full"])
+def test_fused_and_separate_oracles_give_identical_runs(make, solver, trace, tmp_path):
+    fused_p, _ = make()
+    separate_p = dataclasses.replace(fused_p, smooth_value_grad=None)
+    cfg = SolverConfig(epsilon=1e-7, max_iters=400, record_trace=trace != "off",
+                       trace_vectors=trace == "full")
+    y0 = np.zeros(fused_p.dim)
+    L = fused_p.lipschitz_L
+    runs = []
+    for p in (fused_p, separate_p):
+        if solver == "mfista":
+            res = run_mfista(p, cfg, y0)
+        elif solver == "fista":
+            res = run_fista_baseline(p, cfg, y0, 1.0 / L)
+        elif solver == "fista-quarter":
+            res = run_fista_baseline(p, cfg, y0, 1.0 / (4.0 * L), project_extrapolation=True)
+        else:
+            res = run_proxgrad_baseline(p, cfg, y0)
+        runs.append(res)
+    a, b = runs
+    assert (a.status, a.iterations, a.counters) == (b.status, b.iterations, b.counters)
+    assert a.y.tobytes() == b.y.tobytes() and a.v.tobytes() == b.v.tobytes()
+    if trace == "off":
+        assert a.trace is None and b.trace is None
+        return
+    csv = []
+    for i, res in enumerate(runs):
+        write_trace_csv(res.trace, tmp_path / f"{i}.csv")
+        csv.append((tmp_path / f"{i}.csv").read_bytes())
+    assert csv[0] == csv[1]
+    if trace == "full":
+        assert len(a.trace.ys) == len(b.trace.ys) == a.iterations
+        for va, vb in zip(a.trace.ys + a.trace.vs, b.trace.ys + b.trace.vs):
+            assert va.tobytes() == vb.tobytes()
 
 
 # --- baselines ------------------------------------------------------------

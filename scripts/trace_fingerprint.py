@@ -1,0 +1,89 @@
+#!/usr/bin/env python3
+"""One digest over everything a battery of solves leaves behind.
+
+Runs every solver on generated instances and hashes, per solve, the status,
+the final (y, v), the oracle counters, every trace column and the stored
+iterate and residual vectors.  A speed-up that must keep traces bit-identical
+must print the same digest before and after the change:
+
+    PYTHONPATH=src python scripts/trace_fingerprint.py
+
+The default matrix is n in {4, 8, 32, 64} x 12 seeds x {convex QP,
+nonconvex QP, lasso-ball} x {mfista, fista 1/L, projected fista 1/(4L),
+proxgrad} x {untraced, norms, full}: 1728 solves, about a minute and a half
+on one core.
+"""
+
+import hashlib
+
+import numpy as np
+
+from fistalab import (
+    SolverConfig,
+    Trace,
+    make_convex_qp,
+    make_lasso_on_ball,
+    make_nonconvex_qp,
+    run_fista_baseline,
+    run_mfista,
+    run_proxgrad_baseline,
+)
+
+DIMS = (4, 8, 32, 64)
+SEEDS = tuple(range(1, 13))
+EPSILON = 1e-8
+MAX_ITERS = 2000
+
+PROBLEMS = {
+    "convex-qp": lambda n, s: make_convex_qp(n, s)[0],
+    "nonconvex-qp": lambda n, s: make_nonconvex_qp(n, s)[0],
+    "lasso-ball": lambda n, s: make_lasso_on_ball(n, max(1, 3 * n // 4), s)[0],
+}
+
+SOLVERS = {
+    "mfista": lambda p, cfg, y0: run_mfista(p, cfg, y0),
+    "fista": lambda p, cfg, y0: run_fista_baseline(p, cfg, y0, 1.0 / p.lipschitz_L),
+    "fista-quarter": lambda p, cfg, y0: run_fista_baseline(
+        p, cfg, y0, 1.0 / (4.0 * p.lipschitz_L), project_extrapolation=True),
+    "proxgrad": lambda p, cfg, y0: run_proxgrad_baseline(p, cfg, y0),
+}
+
+TRACES = {"off": (False, False), "norms": (True, False), "full": (True, True)}
+
+
+def _hash_result(h, res) -> None:
+    c = res.counters
+    h.update(repr((res.status, res.iterations, c.grad_evals, c.f_evals, c.prox_evals,
+                   c.proj_evals)).encode())
+    h.update(res.y.tobytes())
+    h.update(res.v.tobytes())
+    if res.trace is None:
+        return
+    for name in Trace.COLUMNS:
+        h.update(name.encode())
+        h.update(res.trace.column(name).tobytes())
+    if res.trace.ys is not None:
+        for vec in res.trace.ys + res.trace.vs:
+            h.update(vec.tobytes())
+
+
+def trace_fingerprint(dims=DIMS, seeds=SEEDS, epsilon: float = EPSILON) -> str:
+    """sha256 prefix over every solve of dims x seeds x problems x solvers x traces."""
+    h = hashlib.sha256()
+    for n in dims:
+        for seed in seeds:
+            for pname, make in PROBLEMS.items():
+                p = make(n, seed)
+                # the prox of the origin is a feasible start for every family
+                y0 = p.h_prox(np.zeros(n), 1.0)
+                for sname, solve in SOLVERS.items():
+                    for tname, (record, vectors) in TRACES.items():
+                        cfg = SolverConfig(epsilon=epsilon, max_iters=MAX_ITERS,
+                                           record_trace=record, trace_vectors=vectors)
+                        h.update(f"{n} {seed} {pname} {sname} {tname}".encode())
+                        _hash_result(h, solve(p, cfg, y0))
+    return h.hexdigest()[:16]
+
+
+if __name__ == "__main__":
+    print(trace_fingerprint())

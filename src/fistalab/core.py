@@ -39,7 +39,7 @@ def as_vector(x, dim: Optional[int] = None) -> np.ndarray:
         v = v.reshape(1)
     if v.ndim != 1 or v.size < 1:
         raise ValueError(f"expected a 1-D vector, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise ValueError("vector entries must be finite")
     if dim is not None and v.size != dim:
         raise ValueError(f"dimension mismatch: expected {dim}, got {v.size}")
@@ -132,7 +132,7 @@ class CountedProblem:
 
     def _checked_grad(self, g) -> np.ndarray:
         g = np.asarray(g, dtype=float)
-        if g.shape != (self.problem.dim,) or not np.all(np.isfinite(g)):
+        if g.shape != (self.problem.dim,) or not np.isfinite(g).all():
             raise OracleError("smooth_grad returned a malformed gradient")
         return g
 
@@ -148,7 +148,7 @@ class CountedProblem:
             raise ValueError("prox step t must be positive")
         self.counters.prox_evals += 1
         y = np.asarray(self.problem.h_prox(z, t), dtype=float)
-        if y.shape != (self.problem.dim,) or not np.all(np.isfinite(y)):
+        if y.shape != (self.problem.dim,) or not np.isfinite(y).all():
             raise OracleError("h_prox returned a malformed point")
         return y
 
@@ -157,6 +157,6 @@ class CountedProblem:
             return x
         self.counters.proj_evals += 1
         px = np.asarray(self.problem.omega_project(x), dtype=float)
-        if px.shape != (self.problem.dim,) or not np.all(np.isfinite(px)):
+        if px.shape != (self.problem.dim,) or not np.isfinite(px).all():
             raise OracleError("omega_project returned a malformed point")
         return px

@@ -52,14 +52,17 @@ class BoxSet:
             raise ValueError("box requires lower <= upper coordinatewise")
         object.__setattr__(self, "lower", lo)
         object.__setattr__(self, "upper", hi)
+        # the membership band is fixed with the bounds, so compute it once
+        slack = _FEAS_RTOL * (1.0 + np.maximum(np.abs(lo), np.abs(hi)))
+        object.__setattr__(self, "_band_lower", lo - slack)
+        object.__setattr__(self, "_band_upper", hi + slack)
 
     @property
     def dim(self) -> int:
         return self.lower.size
 
     def contains(self, z: np.ndarray) -> bool:
-        slack = _FEAS_RTOL * (1.0 + np.maximum(np.abs(self.lower), np.abs(self.upper)))
-        return bool(np.all(z >= self.lower - slack) and np.all(z <= self.upper + slack))
+        return bool((z >= self._band_lower).all() and (z <= self._band_upper).all())
 
     def h_value(self, z: np.ndarray) -> float:
         return 0.0 if self.contains(z) else math.inf
@@ -82,7 +85,8 @@ class BallSet:
         return self.center.size
 
     def contains(self, z: np.ndarray) -> bool:
-        return float(np.linalg.norm(z - self.center)) <= self.radius * (1.0 + _FEAS_RTOL)
+        d = z - self.center
+        return math.sqrt(d.dot(d)) <= self.radius * (1.0 + _FEAS_RTOL)
 
     def h_value(self, z: np.ndarray) -> float:
         return 0.0 if self.contains(z) else math.inf
@@ -109,7 +113,7 @@ class L1OnBall:
     def h_value(self, z: np.ndarray) -> float:
         if not self.ball.contains(z):
             return math.inf
-        return self.weight * float(np.sum(np.abs(z)))
+        return self.weight * float(np.abs(z).sum())
 
 
 def soft_threshold(z: np.ndarray, tau: float) -> np.ndarray:
@@ -119,13 +123,13 @@ def soft_threshold(z: np.ndarray, tau: float) -> np.ndarray:
 
 def project_box(b: BoxSet, z: np.ndarray) -> np.ndarray:
     z = as_vector(z, b.dim)
-    return np.clip(z, b.lower, b.upper)
+    return z.clip(b.lower, b.upper)
 
 
 def project_ball(s: BallSet, z: np.ndarray) -> np.ndarray:
     z = as_vector(z, s.dim)
     d = z - s.center
-    nd = float(np.linalg.norm(d))
+    nd = math.sqrt(d.dot(d))
     if nd <= s.radius:
         return z
     return s.center + (s.radius / nd) * d
@@ -147,7 +151,9 @@ def prox_l1_on_ball(h: L1OnBall, z: np.ndarray, t: float) -> np.ndarray:
     """
     if not t > 0:
         raise ValueError("t must be positive")
-    if float(np.linalg.norm(h.ball.center)) != 0.0:
+    c = h.ball.center
+    # c.dot(c) is zero exactly when ||c|| is, underflow included
+    if c.dot(c) != 0.0:
         raise UnsupportedConfigError(
             "soft-threshold-then-project is exact only for origin-centered balls"
         )

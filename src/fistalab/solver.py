@@ -167,6 +167,17 @@ def momentum_sequence(count: int) -> np.ndarray:
     return out
 
 
+def _norm(d: np.ndarray) -> float:
+    """np.linalg.norm(d) for a 1-D float64 array, without numpy's Python-level dispatch.
+
+    Same arithmetic: the square root of d.dot(d), after making a strided view
+    contiguous as norm does (BLAS sums a strided dot product in another order).
+    """
+    if not d.flags.c_contiguous:
+        d = d.ravel("K")
+    return math.sqrt(d.dot(d))
+
+
 def _record_phi(cp: CountedProblem, y: np.ndarray, fy: float, k: int) -> float:
     hy = cp.h(y)
     if math.isinf(hy):
@@ -236,10 +247,10 @@ def _iterate(p: CompositeProblem, cfg: SolverConfig, y0: np.ndarray, step: float
                     x_next = cp.project(x_next)
             else:
                 x_next = y
-            vn = float(np.linalg.norm(v))
+            vn = _norm(v)
             if trace is not None:
                 trace.append(k, a_cur, curvature, vn, _record_phi(cp, y, fy, k),
-                             float(np.linalg.norm(y - x)), float(np.linalg.norm(y - y_prev)),
+                             _norm(y - x), _norm(y - y_prev),
                              cp.counters.grad_evals, cp.counters.prox_evals, y, v)
             if vn <= cfg.epsilon:
                 status = "converged"
@@ -253,7 +264,7 @@ def _iterate(p: CompositeProblem, cfg: SolverConfig, y0: np.ndarray, step: float
                 gd = float(grad_xn @ d)
                 gap = fxn + gd - fy
                 d2 = float(d @ d)
-                thr = 1e-14 * (1.0 + float(np.linalg.norm(y)))
+                thr = 1e-14 * (1.0 + _norm(y))
                 curvature = 0.0
                 if d2 > thr * thr and abs(gap) > _CURVATURE_SIG_RTOL * (
                         1.0 + abs(fy) + abs(fxn) + abs(gd)):

@@ -176,6 +176,18 @@ def test_manifest_records_oracle_counters(tmp_path, solver):
     assert counters["f_evals"] == (2 * iters - 1 if solver == "mfista" else iters)
 
 
+@pytest.mark.parametrize("problem", ["convex-qp", "nonconvex-qp", "lasso-ball"])
+@pytest.mark.parametrize("solver", ["mfista", "fista", "proxgrad"])
+def test_manifest_final_vnorm_is_the_traced_one(tmp_path, problem, solver):
+    # sweep's summary and readers pairing a manifest with its trace rely on
+    # the two residual norms being the same float, not merely close
+    out = tmp_path / "r"
+    assert run_cli("run", "--problem", problem, "--n", "6", "--seed", "4", "--solver", solver,
+                   "--eps", "1e-7", "--max-iters", "3000", "--out", str(out)) in (0, 2)
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["final_vnorm"] == read_trace_csv(out / "trace.csv").vnorm[-1]
+
+
 def test_check_missing_trace(capsys):
     assert run_cli("check", "/nonexistent/trace.csv") == 1
     assert "no such trace" in capsys.readouterr().err

@@ -48,6 +48,39 @@ def test_box_h_value_and_bound():
     assert box.h_value(np.array([1.5])) == math.inf
 
 
+def test_box_membership_band():
+    # each coordinate is accepted within 1e-9 * (1 + max(|lower|, |upper|))
+    # of its bounds, the larger bound setting the band on both sides
+    lower, upper = np.array([-2.0, -5.0]), np.array([3.0, 1.0])
+    box = BoxSet(lower, upper)
+    slack = 1e-9 * (1.0 + np.maximum(np.abs(lower), np.abs(upper)))
+    mid = 0.5 * (lower + upper)
+    for i in range(2):
+        for value, expected in ((upper[i] + 0.5 * slack[i], 0.0),
+                                (lower[i] - 0.5 * slack[i], 0.0),
+                                (upper[i] + 2.0 * slack[i], math.inf),
+                                (lower[i] - 2.0 * slack[i], math.inf),
+                                (math.nan, math.inf)):
+            z = mid.copy()
+            z[i] = value
+            assert box.h_value(z) == expected, (i, value)
+
+
+def test_ball_membership_band():
+    ball = BallSet(np.array([1.0, -2.0, 0.5]), 3.0)
+    unit = np.array([2.0, -1.0, 2.0]) / 3.0
+    assert ball.h_value(ball.center + 3.0 * (1.0 + 0.5e-9) * unit) == 0.0
+    assert ball.h_value(ball.center + 3.0 * (1.0 + 2e-9) * unit) == math.inf
+    assert ball.h_value(np.array([1.0, math.nan, 0.5])) == math.inf
+
+
+def test_l1_on_ball_value_is_weighted_l1_norm(rng):
+    h = L1OnBall(0.7, BallSet(np.zeros(5), 10.0))
+    for _ in range(20):
+        z = rng.uniform(-4.0, 4.0, 5)
+        assert h.h_value(z) == 0.7 * float(np.sum(np.abs(z)))
+
+
 # --- projections ---------------------------------------------------------
 
 def test_project_box_examples():
@@ -151,6 +184,12 @@ def test_prox_l1_on_ball_rejects_off_center():
     h0 = L1OnBall(1.0, BallSet(np.zeros(2), 1.0))
     with pytest.raises(ValueError):
         prox_l1_on_ball(h0, np.zeros(2), -1.0)
+    # the origin test is ||center|| == 0, so a center whose norm underflows
+    # to zero is taken as the origin
+    tiny = L1OnBall(1.0, BallSet(np.array([1e-200, 0.0]), 1.0))
+    np.testing.assert_array_equal(prox_l1_on_ball(tiny, np.array([0.5, -2.0]), 1.0), [0.0, -1.0])
+    with pytest.raises(UnsupportedConfigError):
+        prox_l1_on_ball(L1OnBall(1.0, BallSet(np.array([1e-100, 0.0]), 1.0)), np.zeros(2), 1.0)
 
 
 @given(z=vec(3, -20, 20), t=st.floats(0.01, 10.0), u=vec(3, -1, 1))

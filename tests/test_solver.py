@@ -24,6 +24,7 @@ from fistalab import (
 )
 
 from conftest import grid_min_1d_vec
+from fistalab import solver as solver_mod
 from fistalab.cli import write_trace_csv
 
 
@@ -266,6 +267,44 @@ def test_fused_oracle_failure_carries_iteration_index(bad):
         run_mfista(p, SolverConfig(epsilon=1e-12, max_iters=50), np.zeros(1))
 
 
+def fail_on_call(fn, bad_call, bad_value):
+    calls = {"n": 0}
+
+    def flaky(*args):
+        calls["n"] += 1
+        return bad_value if calls["n"] == bad_call else fn(*args)
+    return flaky
+
+
+@pytest.mark.parametrize("field,bad_call,what", [
+    ("h_prox", 3, "h_prox returned a malformed point"),
+    ("omega_project", 2, "omega_project returned a malformed point"),
+])
+def test_prox_and_projection_failures_carry_iteration_index(field, bad_call, what):
+    # one prox and (with omega_project) one projection per iteration, so the
+    # n-th call fails within iteration n
+    p = dataclasses.replace(convex_1d(), omega_project=lambda x: np.clip(x, -1.0, 1.0))
+    bad = np.array([math.nan]) if field == "h_prox" else np.array([math.inf])
+    p = dataclasses.replace(p, **{field: fail_on_call(getattr(p, field), bad_call, bad)})
+    with pytest.raises(OracleError, match=f"^iteration {bad_call}: {what}"):
+        run_mfista(p, SolverConfig(epsilon=1e-12, max_iters=50), np.zeros(1))
+
+
+def test_norm_helper_matches_numpy(rng):
+    # the loop's norms must be np.linalg.norm's values bit for bit, strided
+    # views (a custom h_prox may return one), overflow, inf and NaN included
+    with np.errstate(over="ignore"):  # 1e200 overflows to inf in both
+        for n in (1, 2, 7, 32, 33, 1000):
+            for scale in (1e-200, 1e-3, 1.0, 1e150, 1e200):
+                base = scale * rng.standard_normal(2 * n)
+                for d in (base[:n], base[::2], base[::-2]):
+                    assert solver_mod._norm(d) == float(np.linalg.norm(d))
+    for special in (math.inf, -math.inf):
+        d = np.array([1.0, special, 2.0])
+        assert solver_mod._norm(d) == math.inf
+    assert math.isnan(solver_mod._norm(np.array([1.0, math.nan])))
+
+
 def counting(fn, counts, name):
     def counted(*args):
         counts[name] += 1
@@ -295,6 +334,27 @@ def test_mfista_takes_the_fused_oracle(make, eps, max_iters, status):
         assert counts == {"value_grad": fused_calls, "f": 0, "grad": 1}  # grad at y0 only
         assert res.counters.grad_evals == 1 + fused_calls
         assert res.counters.f_evals == fused_calls
+
+
+@pytest.mark.parametrize("make", [lambda s: make_convex_qp(16, s),
+                                  lambda s: make_lasso_on_ball(16, 12, s)], ids=["qp", "lasso"])
+def test_loop_avoids_numpy_python_level_wrappers(make, monkeypatch):
+    # np.all and np.linalg.norm cost more in Python-level dispatch than their
+    # n=32 work; going back to them would leave every trace unchanged, so
+    # only call counts can tell
+    problems = [make(seed)[0] for seed in (1, 2)]  # the generators may call them
+    counts = {"all": 0, "norm": 0}
+    monkeypatch.setattr(np, "all", counting(np.all, counts, "all"))
+    monkeypatch.setattr(np.linalg, "norm", counting(np.linalg.norm, counts, "norm"))
+    for p in problems:
+        y0 = np.zeros(p.dim)
+        L = p.lipschitz_L
+        for vectors in (False, True):
+            cfg = SolverConfig(epsilon=1e-6, max_iters=500, trace_vectors=vectors)
+            for res in (run_mfista(p, cfg, y0), run_fista_baseline(p, cfg, y0, 1.0 / L),
+                        run_proxgrad_baseline(p, cfg, y0)):
+                assert res.trace is not None and res.iterations > 1
+                assert counts == {"all": 0, "norm": 0}
 
 
 @pytest.mark.parametrize("make", [lambda: make_convex_qp(12, 3), lambda: make_nonconvex_qp(12, 3),

@@ -43,7 +43,7 @@ def main():
 
     failed = 0
     for label, (p, inst), with_oracle in battery:
-        cert = brute_force_optimum(p, inst) if with_oracle else None
+        cert = brute_force_optimum(inst) if with_oracle else None
         for solver_name, runner in solvers_for(p):
             cfg = SolverConfig(epsilon=1e-11, max_iters=3000, trace_vectors=with_oracle)
             res = runner(cfg, p.h_prox(np.zeros(p.dim), 1.0))

@@ -21,7 +21,6 @@ from .solver import Trace
 __all__ = [
     "UnsupportedTraceError",
     "TraceCheckReport",
-    "LyapunovRow",
     "RateFit",
     "best_residual_curve",
     "iterates_settled",
@@ -59,12 +58,6 @@ class TraceCheckReport:
         return f"{line} -- {self.note}" if self.note else line
 
 
-@dataclass(frozen=True)
-class LyapunovRow:
-    k: int
-    energy: float
-
-
 @dataclass
 class RateFit:
     """Least-squares fit of log(best residual) against log(iteration count)."""
@@ -98,8 +91,9 @@ def _momentum_before(trace: Trace, n: int) -> float:
     return 1.0 if n == 1 else float(trace.a_k[n - 2])
 
 
-def lyapunov_sequence(trace: Trace, certificate: OracleCertificate) -> list[LyapunovRow]:
-    """Energy E_k = a_{k-1}^2 (phi_k - phi*) + 2L || a_{k-1}(y_k - y_{k-1}) + y_{k-1} - y* ||^2.
+def lyapunov_sequence(trace: Trace, certificate: OracleCertificate) -> np.ndarray:
+    """Energies E_k = a_{k-1}^2 (phi_k - phi*) + 2L || a_{k-1}(y_k - y_{k-1}) + y_{k-1} - y* ||^2,
+    one per trace row (k = 1, 2, ...).
 
     Needs a full-vector trace; raises UnsupportedTraceError otherwise.
     """
@@ -107,16 +101,14 @@ def lyapunov_sequence(trace: Trace, certificate: OracleCertificate) -> list[Lyap
         raise UnsupportedTraceError("energy sequence needs a full-vector trace")
     L = trace.lipschitz_L
     y_star = np.asarray(certificate.y_star, dtype=float)
-    rows = []
+    energies = np.empty(len(trace))
     for i in range(len(trace)):
-        k = i + 1
-        a = _momentum_before(trace, k)
+        a = _momentum_before(trace, i + 1)
         y_k = trace.ys[i]
         y_prev = trace.y0 if i == 0 else trace.ys[i - 1]
         drift = a * (y_k - y_prev) + y_prev - y_star
-        energy = a * a * (trace.phi[i] - certificate.phi_star) + 2.0 * L * float(drift @ drift)
-        rows.append(LyapunovRow(k, energy))
-    return rows
+        energies[i] = a * a * (trace.phi[i] - certificate.phi_star) + 2.0 * L * float(drift @ drift)
+    return energies
 
 
 def check_lyapunov_monotone(trace: Trace, certificate: OracleCertificate) -> TraceCheckReport:
@@ -135,7 +127,7 @@ def check_lyapunov_monotone(trace: Trace, certificate: OracleCertificate) -> Tra
         return TraceCheckReport(name, NOT_APPLICABLE, note="nonconvex run (L_k > 0 observed)")
     if len(trace) == 1:
         return TraceCheckReport(name, PASS, 0.0, trace.k[0], note="single row, vacuous")
-    energies = np.array([row.energy for row in lyapunov_sequence(trace, certificate)])
+    energies = lyapunov_sequence(trace, certificate)
     tol = 1e-8 * (1.0 + abs(energies[1]))
     rises = np.diff(energies)
     worst_idx = int(np.argmax(rises))
@@ -192,6 +184,16 @@ def check_function_value_bound(trace: Trace, certificate: OracleCertificate,
     return TraceCheckReport(name, status, worst, trace.k[worst_idx])
 
 
+def _line_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
+    """Least-squares line y = slope * x + intercept: (slope, intercept, r^2)."""
+    design = np.vstack([x, np.ones_like(x)]).T
+    coef, *_ = np.linalg.lstsq(design, y, rcond=None)
+    ss_res = float(np.sum((y - design @ coef) ** 2))
+    ss_tot = float(np.sum((y - np.mean(y)) ** 2))
+    r_squared = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
+    return float(coef[0]), float(coef[1]), r_squared
+
+
 def fit_rate(trace: Trace | np.ndarray, n_grid) -> RateFit:
     """Slope of the best-residual curve on the given iteration grid.
 
@@ -218,15 +220,8 @@ def fit_rate(trace: Trace | np.ndarray, n_grid) -> RateFit:
         grid, residuals = grid[:cut], residuals[:cut]
     if grid.size < 4:
         raise ValueError("fewer than 4 grid points before the residual hit zero")
-    x = np.log(grid.astype(float))
-    y = np.log(residuals)
-    design = np.vstack([x, np.ones_like(x)]).T
-    coef, *_ = np.linalg.lstsq(design, y, rcond=None)
-    fitted = design @ coef
-    ss_res = float(np.sum((y - fitted) ** 2))
-    ss_tot = float(np.sum((y - np.mean(y)) ** 2))
-    r_squared = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
-    return RateFit(grid, residuals, float(coef[0]), float(coef[1]), r_squared)
+    slope, intercept, r_squared = _line_fit(np.log(grid.astype(float)), np.log(residuals))
+    return RateFit(grid, residuals, slope, intercept, r_squared)
 
 
 def check_scaled_trend(trace: Trace | np.ndarray, exponent: float, n_grid,
@@ -251,9 +246,7 @@ def check_scaled_trend(trace: Trace | np.ndarray, exponent: float, n_grid,
     if np.any(scaled[half:] <= 0.0):
         return TraceCheckReport(name, NOT_APPLICABLE, note="residual hit zero in the window")
     x = np.log(grid[half:].astype(float))
-    y = np.log(scaled[half:])
-    design = np.vstack([x, np.ones_like(x)]).T
-    coef, *_ = np.linalg.lstsq(design, y, rcond=None)
-    net_change = float(math.exp(coef[0] * (x[-1] - x[0])))
+    slope = _line_fit(x, np.log(scaled[half:]))[0]
+    net_change = math.exp(slope * (x[-1] - x[0]))
     status = PASS if net_change <= 1.0 + slack else FAIL
     return TraceCheckReport(name, status, net_change, int(grid[-1]))

@@ -264,9 +264,9 @@ def cmd_run(cfg: RunConfig) -> int:
     write_trace_csv(result.trace, outdir / "trace.csv")
     if cfg.with_oracle:
         if isinstance(inst, QuadraticInstance):
-            cert = brute_force_optimum(p, inst)
+            cert = brute_force_optimum(inst)
         else:
-            cert = lasso_optimum(p, inst)
+            cert = lasso_optimum(inst)
         save_certificate(cert, outdir / "oracle.json")
     write_manifest(outdir / "manifest.json", cfg, result, p.lipschitz_L, wall)
     print(f"{result.status} after {result.iterations} iterations, "
@@ -385,13 +385,10 @@ def cmd_sweep(args) -> int:
             with open(Path(cfg.out) / "manifest.json", encoding="ascii") as fh:
                 manifest = json.load(fh)
             trace = read_trace_csv(Path(cfg.out) / "trace.csv", manifest["lipschitz_L"])
-            slope = math.nan
-            grid = _default_grid(len(trace))
-            if grid.size >= 4 and math.log10(grid[-1] / grid[0]) >= 1.5:
-                try:
-                    slope = fit_rate(trace, grid).slope
-                except ValueError:
-                    pass
+            try:
+                slope = fit_rate(trace, _default_grid(len(trace))).slope
+            except ValueError:  # too short for the grid, or the residual hit zero
+                slope = math.nan
             rows.append((label, cfg.solver, cfg.eps, manifest["iterations"],
                          manifest["final_vnorm"], slope, manifest["status"]))
         except Exception as e:  # record the failure, keep sweeping

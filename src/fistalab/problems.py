@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from .core import CompositeProblem
-from .prox import BallSet, BoxSet, L1OnBall, prox_box_indicator, prox_l1_on_ball, sample_ball, sample_box
+from .prox import BallSet, BoxSet, L1OnBall, prox_box_indicator, prox_l1_on_ball, soft_threshold
 
 __all__ = [
     "QuadraticInstance",
@@ -31,10 +31,7 @@ __all__ = [
     "make_lasso_on_ball",
     "to_problem",
     "brute_force_optimum",
-    "fine_grid_optimum",
     "lasso_optimum",
-    "estimate_lipschitz_power",
-    "sample_feasible",
     "save_instance",
     "load_instance",
     "save_certificate",
@@ -42,7 +39,6 @@ __all__ = [
 ]
 
 MAX_ENUM_DIM = 4   # active-set enumeration is 3^n reduced solves
-MAX_GRID_DIM = 2
 
 
 @dataclass
@@ -61,10 +57,6 @@ class QuadraticInstance:
     @property
     def dim(self) -> int:
         return self.b.size
-
-    @property
-    def convex(self) -> bool:
-        return self.known_m == 0.0
 
     def f(self, y: np.ndarray) -> float:
         return 0.5 * float(y @ (self.Q @ y)) + float(self.b @ y)
@@ -102,10 +94,6 @@ class LassoOnBallInstance:
     def dim(self) -> int:
         return self.A.shape[1]
 
-    @property
-    def convex(self) -> bool:
-        return True
-
     def f(self, y: np.ndarray) -> float:
         r = self.A @ y - self.target
         return 0.5 * float(r @ r)
@@ -129,7 +117,7 @@ class OracleCertificate:
     y_star: np.ndarray
     phi_star: float
     kkt_residual: float
-    method: str              # active-set-enumeration | fine-grid | projected-gradient-highacc
+    method: str              # active-set-enumeration | projected-gradient-highacc
 
 
 def _spectrum_to_qp(eigenvalues: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -174,13 +162,12 @@ def make_convex_qp(n: int, seed: int,
     return to_problem(inst), inst
 
 
-def make_nonconvex_qp(n: int, seed: int, negfrac: float = 0.25,
-                      scale_min: float = 1e-2
+def make_nonconvex_qp(n: int, seed: int, negfrac: float = 0.25
                       ) -> tuple[CompositeProblem, QuadraticInstance]:
     """Indefinite quadratic over the box [-1, 1]^n.
 
     A `negfrac` fraction of the eigenvalues (at least one) is negative, with
-    magnitudes in [scale_min, 1]; L is the largest magnitude and the
+    magnitudes in [0.01, 1]; L is the largest magnitude and the
     weak-convexity modulus is the most negative eigenvalue's magnitude.
     """
     if not 1 <= n <= 64:
@@ -189,8 +176,8 @@ def make_nonconvex_qp(n: int, seed: int, negfrac: float = 0.25,
         raise ValueError("negfrac must be strictly between 0 and 1")
     rng = np.random.default_rng(seed)
     n_neg = min(n, max(1, int(round(negfrac * n))))
-    mags_pos = rng.uniform(scale_min, 1.0, n - n_neg)
-    mags_neg = rng.uniform(scale_min, 1.0, n_neg)
+    mags_pos = rng.uniform(1e-2, 1.0, n - n_neg)
+    mags_neg = rng.uniform(1e-2, 1.0, n_neg)
     eigenvalues = np.concatenate([mags_pos, -mags_neg])
     rng.shuffle(eigenvalues)
     Q = _spectrum_to_qp(eigenvalues, rng)
@@ -265,22 +252,13 @@ def to_problem(inst) -> CompositeProblem:
     raise TypeError(f"unknown instance type {type(inst).__name__}")
 
 
-def sample_feasible(inst, rng: np.random.Generator, count: int = 1) -> np.ndarray:
-    """Points from dom h of the instance, shape (count, dim)."""
-    if isinstance(inst, QuadraticInstance):
-        return sample_box(inst.box(), rng, count)
-    if isinstance(inst, LassoOnBallInstance):
-        return sample_ball(BallSet(np.zeros(inst.dim), inst.radius), rng, count)
-    raise TypeError(f"unknown instance type {type(inst).__name__}")
-
-
 def _box_kkt_residual(inst: QuadraticInstance, y: np.ndarray) -> float:
     """Projected-gradient fixed-point residual ||P_box(y - grad) - y||."""
     g = inst.grad(y)
     return float(np.linalg.norm(np.clip(y - g, inst.lower, inst.upper) - y))
 
 
-def brute_force_optimum(p: CompositeProblem, inst: QuadraticInstance) -> OracleCertificate:
+def brute_force_optimum(inst: QuadraticInstance) -> OracleCertificate:
     """Global box-QP optimum by enumerating all 3^n active sets.
 
     Every face's stationary point is a candidate (coordinates free, at the
@@ -333,29 +311,7 @@ def brute_force_optimum(p: CompositeProblem, inst: QuadraticInstance) -> OracleC
                              "active-set-enumeration")
 
 
-def fine_grid_optimum(inst: QuadraticInstance, points_per_dim: int = 801,
-                      refinements: int = 8) -> OracleCertificate:
-    """Grid-search fallback for n <= 2, refined around the best cell."""
-    n = inst.dim
-    if n > MAX_GRID_DIM:
-        raise ValueError(f"fine grid supports n <= {MAX_GRID_DIM}")
-    lo = inst.lower.copy()
-    hi = inst.upper.copy()
-    best_y = None
-    for _ in range(refinements):
-        axes = [np.linspace(lo[i], hi[i], points_per_dim) for i in range(n)]
-        mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n)
-        vals = 0.5 * np.einsum("ij,jk,ik->i", mesh, inst.Q, mesh) + mesh @ inst.b
-        best_y = mesh[int(np.argmin(vals))]
-        span = (hi - lo) / (points_per_dim - 1)
-        lo = np.maximum(inst.lower, best_y - 2 * span)
-        hi = np.minimum(inst.upper, best_y + 2 * span)
-    return OracleCertificate(best_y, inst.f(best_y), _box_kkt_residual(inst, best_y),
-                             "fine-grid")
-
-
-def lasso_optimum(p: CompositeProblem, inst: LassoOnBallInstance,
-                  max_iters: int = 200_000) -> OracleCertificate:
+def lasso_optimum(inst: LassoOnBallInstance) -> OracleCertificate:
     """High-accuracy l1 optimum: accelerated prox-gradient, then an exact
     solve on the identified support.
 
@@ -370,9 +326,7 @@ def lasso_optimum(p: CompositeProblem, inst: LassoOnBallInstance,
     y = np.zeros(inst.dim)
     x = y.copy()
     a_prev = 1.0
-    from .prox import soft_threshold  # local import keeps module load light
-
-    for _ in range(max_iters):
+    for _ in range(200_000):
         g = A.T @ (A @ x - target)
         y_new = soft_threshold(x - t * g, t * lam)
         a_cur = (1.0 + math.sqrt(1.0 + 4.0 * a_prev * a_prev)) / 2.0
@@ -403,31 +357,6 @@ def lasso_optimum(p: CompositeProblem, inst: LassoOnBallInstance,
     kkt = L * float(np.linalg.norm(soft_threshold(y - t * g, t * lam) - y))
     phi = inst.f(y) + lam * float(np.sum(np.abs(y)))
     return OracleCertificate(y, phi, kkt, "projected-gradient-highacc")
-
-
-def estimate_lipschitz_power(Q: np.ndarray, iters: int = 100) -> float:
-    """Power-iteration estimate of the spectral radius of symmetric Q,
-    inflated by 1% as an upper-bound surrogate.  Returns 0 for Q = 0."""
-    Q = np.asarray(Q, dtype=float)
-    if Q.ndim != 2 or Q.shape[0] != Q.shape[1]:
-        raise ValueError("Q must be square")
-    if not np.allclose(Q, Q.T, atol=1e-12 * (1.0 + np.max(np.abs(Q)))):
-        raise ValueError("Q must be symmetric")
-    n = Q.shape[0]
-    if not np.any(Q):
-        return 0.0
-    rng = np.random.default_rng(0)
-    v = rng.standard_normal(n)
-    v /= np.linalg.norm(v)
-    lam = 0.0
-    for _ in range(iters):
-        w = Q @ v
-        nw = float(np.linalg.norm(w))
-        if nw == 0.0:
-            break
-        v = w / nw
-        lam = abs(float(v @ (Q @ v)))
-    return 1.01 * lam
 
 
 # ---------------------------------------------------------------------------

@@ -25,8 +25,6 @@ __all__ = [
     "project_ball",
     "prox_box_indicator",
     "prox_l1_on_ball",
-    "sample_box",
-    "sample_ball",
 ]
 
 # membership slack for indicator evaluation; projections land on boundaries
@@ -160,15 +158,3 @@ def prox_l1_on_ball(h: L1OnBall, z: np.ndarray, t: float) -> np.ndarray:
     z = as_vector(z, h.dim)
     return project_ball(h.ball, soft_threshold(z, t * h.weight))
 
-
-def sample_box(b: BoxSet, rng: np.random.Generator, count: int = 1) -> np.ndarray:
-    """Uniform samples from the box, shape (count, dim)."""
-    return rng.uniform(b.lower, b.upper, size=(count, b.dim))
-
-
-def sample_ball(s: BallSet, rng: np.random.Generator, count: int = 1) -> np.ndarray:
-    """Uniform samples from the ball, shape (count, dim)."""
-    g = rng.standard_normal((count, s.dim))
-    g /= np.maximum(np.linalg.norm(g, axis=1, keepdims=True), 1e-300)
-    radii = s.radius * rng.uniform(0.0, 1.0, (count, 1)) ** (1.0 / s.dim)
-    return s.center + radii * g

@@ -21,13 +21,14 @@ from fistalab import (
     make_convex_qp,
     make_lasso_on_ball,
     make_nonconvex_qp,
-    momentum_sequence,
     run_fista_baseline,
     run_mfista,
     run_proxgrad_baseline,
-    sample_feasible,
 )
 from fistalab.cli import main as cli_main, read_trace_csv
+from fistalab.solver import momentum_sequence
+
+from conftest import sample_feasible
 
 
 def report(num, name, ok, detail=""):
@@ -230,7 +231,7 @@ def small_convex_runs():
                                      interior_opt=True)
             cfg = SolverConfig(epsilon=1e-300, max_iters=600, trace_vectors=True)
             res = run_mfista(p, cfg, np.zeros(n))
-            cert = brute_force_optimum(p, inst)
+            cert = brute_force_optimum(inst)
             runs.append((p, res, cert))
         _cache["small_convex"] = runs
     return _cache["small_convex"]

@@ -7,7 +7,6 @@ from fistalab import (
     SolverConfig,
     Trace,
     UnsupportedTraceError,
-    best_residual_curve,
     brute_force_optimum,
     check_function_value_bound,
     check_lyapunov_monotone,
@@ -15,11 +14,11 @@ from fistalab import (
     check_scaled_trend,
     fit_rate,
     iterates_settled,
-    lyapunov_sequence,
     make_convex_qp,
     make_nonconvex_qp,
     run_mfista,
 )
+from fistalab.analysis import best_residual_curve, lyapunov_sequence
 
 
 def synthetic_trace(vnorm, dxy=None, dyy=None, L_k=None, L=1.0):
@@ -38,7 +37,7 @@ def convex_run(n=2, seed=0, iters=600, eigs=(1e-5, 1.0)):
     p, inst = make_convex_qp(n, seed, eigenvalues=np.geomspace(eigs[0], eigs[1], n))
     cfg = SolverConfig(epsilon=1e-300, max_iters=iters, trace_vectors=True)
     res = run_mfista(p, cfg, np.zeros(n))
-    cert = brute_force_optimum(p, inst)
+    cert = brute_force_optimum(inst)
     return p, inst, res, cert
 
 
@@ -117,7 +116,7 @@ def test_lyapunov_monotone_on_convex_runs():
         p, inst, res, cert = convex_run(n=n, seed=seed, iters=250)
         rep = check_lyapunov_monotone(res.trace, cert)
         assert rep.status == "PASS"
-        energies = np.array([row.energy for row in lyapunov_sequence(res.trace, cert)])
+        energies = lyapunov_sequence(res.trace, cert)
         assert energies.min() >= -1e-9  # true optimum keeps the energy nonnegative
 
 
@@ -126,7 +125,7 @@ def test_lyapunov_monotone_skips_nonconvex():
     cfg = SolverConfig(epsilon=1e-12, max_iters=300, trace_vectors=True)
     res = run_mfista(p, cfg, p.h_prox(np.zeros(3), 1.0))
     assert res.trace.column("L_k").max() > 0
-    cert = brute_force_optimum(p, inst)
+    cert = brute_force_optimum(inst)
     rep = check_lyapunov_monotone(res.trace, cert)
     assert rep.status == "N/A"
 
@@ -141,7 +140,7 @@ def test_lyapunov_constant_at_optimum():
     res = run_mfista(p, cfg, np.clip(cert.y_star + 1e-13, -1.0, 1.0))
     rep = check_lyapunov_monotone(res.trace, cert)
     assert rep.status == "PASS"
-    energies = [row.energy for row in lyapunov_sequence(res.trace, cert)]
+    energies = lyapunov_sequence(res.trace, cert)
     assert max(energies) <= 1e-9
 
 
@@ -174,7 +173,7 @@ def test_function_value_bound_nonconvex_is_na():
     p, inst = make_nonconvex_qp(3, 7)
     cfg = SolverConfig(epsilon=1e-12, max_iters=300, trace_vectors=True)
     res = run_mfista(p, cfg, p.h_prox(np.zeros(3), 1.0))
-    cert = brute_force_optimum(p, inst)
+    cert = brute_force_optimum(inst)
     assert check_function_value_bound(res.trace, cert, p.lipschitz_L).status == "N/A"
 
 

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -215,6 +216,19 @@ def test_sweep_summary(tmp_path, capsys):
     statuses = [ln.split(",")[-1] for ln in lines[1:]]
     assert all(s in ("converged", "max_iters_reached") for s in statuses)
     float(lines[1].split(",")[5])  # slope column parses (may be nan)
+
+
+def test_sweep_slope_is_nan_on_short_traces(tmp_path):
+    # a trace too short for fit_rate's grid gets slope nan, a long one a number
+    config = {"instances": [{"kind": "convex-qp", "n": 4, "seed": 2}],
+              "solvers": ["mfista"], "epsilons": [1e-1, 1e-10]}
+    cfg_path = tmp_path / "sweep.json"
+    cfg_path.write_text(json.dumps(config))
+    assert run_cli("sweep", str(cfg_path), "--out", str(tmp_path / "sw")) == 0
+    rows = [ln.split(",") for ln in
+            (tmp_path / "sw" / "summary.csv").read_text().splitlines()[1:]]
+    assert int(rows[0][3]) < 10 and rows[0][5] == "nan"
+    assert int(rows[1][3]) >= 400 and math.isfinite(float(rows[1][5]))
 
 
 def test_run_config_file_with_flag_override(tmp_path):

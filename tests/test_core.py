@@ -4,14 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from fistalab import (
-    CompositeProblem,
-    CountedProblem,
-    make_convex_qp,
-    make_nonconvex_qp,
-    sample_feasible,
-)
-from fistalab.core import as_vector
+from fistalab import CompositeProblem, make_convex_qp, make_nonconvex_qp
+from fistalab.core import CountedProblem, as_vector
+
+from conftest import sample_feasible
 
 
 def quad_problem(dim, f, grad, L, h_value=None, h_prox=None):

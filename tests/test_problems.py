@@ -6,17 +6,15 @@ import pytest
 from fistalab import (
     QuadraticInstance,
     brute_force_optimum,
-    estimate_lipschitz_power,
-    fine_grid_optimum,
-    lasso_optimum,
     load_instance,
     make_convex_qp,
     make_lasso_on_ball,
     make_nonconvex_qp,
-    sample_feasible,
-    save_instance,
     to_problem,
 )
+from fistalab.problems import lasso_optimum, save_instance
+
+from conftest import grid_min_2d, sample_feasible
 
 
 def qp(Q, b, lo=None, hi=None, m=None):
@@ -38,7 +36,6 @@ def test_make_convex_qp_constants():
     for seed in (0, 1, 7):
         p, inst = make_convex_qp(5, seed)
         assert inst.known_m == 0.0
-        assert inst.convex
         ev = np.linalg.eigvalsh(inst.Q)
         assert math.isclose(inst.lipschitz_L, float(np.max(np.abs(ev))), rel_tol=1e-12)
         assert ev.min() >= -1e-10
@@ -61,7 +58,6 @@ def test_make_nonconvex_qp_constants():
     for seed in (0, 4):
         p, inst = make_nonconvex_qp(6, seed, negfrac=0.3)
         assert 0.0 < inst.known_m <= inst.lipschitz_L
-        assert not inst.convex
         ev = np.linalg.eigvalsh(inst.Q)
         assert math.isclose(inst.known_m, -float(ev[0]), rel_tol=1e-12)
     with pytest.raises(ValueError):
@@ -87,7 +83,7 @@ def test_make_lasso_on_ball_properties():
     AtA = inst.A.T @ inst.A
     assert math.isclose(inst.lipschitz_L, float(np.max(np.linalg.eigvalsh(AtA))), rel_tol=1e-12)
     # the ball is padding: the penalized optimum is strictly interior
-    cert = lasso_optimum(p, inst)
+    cert = lasso_optimum(inst)
     assert np.linalg.norm(cert.y_star) < 0.5 * inst.radius
 
 
@@ -113,25 +109,25 @@ def test_fused_value_grad_is_bit_identical(make, rng):
 
 
 def test_brute_force_hand_examples():
-    cert = brute_force_optimum(None, qp([[1.0]], [-0.3]))
+    cert = brute_force_optimum(qp([[1.0]], [-0.3]))
     assert abs(cert.y_star[0] - 0.3) < 1e-14
     assert abs(cert.phi_star - (-0.045)) < 1e-15  # 0.5*0.09 - 0.09
     assert cert.kkt_residual <= 1e-10
     assert cert.method == "active-set-enumeration"
 
-    cert = brute_force_optimum(None, qp(np.eye(2), [-2.0, 0.0]))
+    cert = brute_force_optimum(qp(np.eye(2), [-2.0, 0.0]))
     np.testing.assert_allclose(cert.y_star, [1.0, 0.0], atol=1e-14)
 
-    cert = brute_force_optimum(None, qp([[-1.0]], [0.0]))
+    cert = brute_force_optimum(qp([[-1.0]], [0.0]))
     assert abs(abs(cert.y_star[0]) - 1.0) < 1e-14
     assert abs(cert.phi_star - (-0.5)) < 1e-14
 
-    cert = brute_force_optimum(None, qp(np.eye(2), [0.0, 0.0]))
+    cert = brute_force_optimum(qp(np.eye(2), [0.0, 0.0]))
     np.testing.assert_allclose(cert.y_star, [0.0, 0.0], atol=1e-14)
     assert cert.phi_star == 0.0
 
     # saddle: minimum sits on the boundary of the concave coordinate
-    cert = brute_force_optimum(None, qp(np.diag([1.0, -1.0]), [0.0, 0.0]))
+    cert = brute_force_optimum(qp(np.diag([1.0, -1.0]), [0.0, 0.0]))
     assert abs(cert.y_star[0]) < 1e-14
     assert abs(abs(cert.y_star[1]) - 1.0) < 1e-14
     assert abs(cert.phi_star - (-0.5)) < 1e-14
@@ -139,24 +135,24 @@ def test_brute_force_hand_examples():
 
 def test_brute_force_dimension_cap():
     with pytest.raises(ValueError):
-        brute_force_optimum(None, qp(np.eye(5), np.zeros(5)))
+        brute_force_optimum(qp(np.eye(5), np.zeros(5)))
 
 
 def test_brute_force_agrees_with_fine_grid(rng):
     for seed in range(6):
         _, inst = make_nonconvex_qp(2, seed, negfrac=0.5)
-        enum_cert = brute_force_optimum(None, inst)
-        grid_cert = fine_grid_optimum(inst)
-        assert grid_cert.method == "fine-grid"
-        assert abs(enum_cert.phi_star - grid_cert.phi_star) <= 1e-8
-        assert enum_cert.phi_star <= grid_cert.phi_star + 1e-12
+        enum_cert = brute_force_optimum(inst)
+        quad = lambda mesh: 0.5 * np.einsum("ij,jk,ik->i", mesh, inst.Q, mesh) + mesh @ inst.b
+        grid_phi = inst.f(grid_min_2d(quad, inst.lower, inst.upper, points=801, rounds=8))
+        assert abs(enum_cert.phi_star - grid_phi) <= 1e-8
+        assert enum_cert.phi_star <= grid_phi + 1e-12
 
 
 def test_certificates_pass_kkt(rng):
     for seed in range(8):
         maker = make_convex_qp if seed % 2 else make_nonconvex_qp
         _, inst = maker(3, seed)
-        cert = brute_force_optimum(None, inst)
+        cert = brute_force_optimum(inst)
         assert cert.kkt_residual <= 1e-10
         # no feasible point sampled at random beats the certified optimum
         pts = sample_feasible(inst, rng, 200)
@@ -167,28 +163,9 @@ def test_certificates_pass_kkt(rng):
 def test_lasso_certificate_kkt():
     for seed in (0, 1, 2):
         p, inst = make_lasso_on_ball(8, 8, seed)
-        cert = lasso_optimum(p, inst)
+        cert = lasso_optimum(inst)
         assert cert.method == "projected-gradient-highacc"
         assert cert.kkt_residual <= 1e-10
-
-
-# --- power iteration --------------------------------------------------------
-
-def test_estimate_lipschitz_power_examples():
-    assert math.isclose(estimate_lipschitz_power(np.diag([3.0, 1.0])), 3.03, rel_tol=1e-9)
-    assert estimate_lipschitz_power(np.zeros((3, 3))) == 0.0
-    assert math.isclose(estimate_lipschitz_power(np.eye(4)), 1.01, rel_tol=1e-12)
-    with pytest.raises(ValueError):
-        estimate_lipschitz_power(np.array([[0.0, 1.0], [0.0, 0.0]]))
-    with pytest.raises(ValueError):
-        estimate_lipschitz_power(np.zeros((2, 3)))
-
-
-def test_estimate_lipschitz_power_upper_bounds_spectrum(rng):
-    for seed in range(5):
-        _, inst = make_nonconvex_qp(6, seed)
-        est = estimate_lipschitz_power(inst.Q)
-        assert est >= inst.lipschitz_L * (1.0 - 1e-6)
 
 
 # --- serialization -----------------------------------------------------------

@@ -5,20 +5,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from fistalab import (
+from fistalab import UnsupportedConfigError
+from fistalab.prox import (
     BallSet,
     BoxSet,
     L1OnBall,
-    UnsupportedConfigError,
     project_ball,
     project_box,
     prox_box_indicator,
     prox_l1_on_ball,
     soft_threshold,
 )
-from fistalab.prox import sample_ball, sample_box
 
-from conftest import grid_min_1d_vec, grid_min_2d
+from conftest import grid_min_1d_vec, grid_min_2d, sample_ball, sample_box
 
 
 def vec(n, lo=-50.0, hi=50.0):

@@ -10,21 +10,19 @@ from fistalab import (
     InvalidStartError,
     OracleError,
     SolverConfig,
-    lasso_optimum,
     make_convex_qp,
     make_lasso_on_ball,
     make_nonconvex_qp,
-    momentum_sequence,
-    next_momentum,
     run_fista_baseline,
     run_mfista,
     run_proxgrad_baseline,
-    sample_feasible,
     to_problem,
 )
 
-from conftest import grid_min_1d_vec
+from conftest import grid_min_1d_vec, sample_feasible
 from fistalab import solver as solver_mod
+from fistalab.problems import lasso_optimum
+from fistalab.solver import momentum_sequence, next_momentum
 from fistalab.cli import write_trace_csv
 
 
@@ -428,7 +426,7 @@ def test_fista_step_validation():
 
 def test_fista_lasso_gap_shrinks():
     p, inst = make_lasso_on_ball(8, 8, 2)
-    cert = lasso_optimum(p, inst)
+    cert = lasso_optimum(inst)
     res = run_fista_baseline(p, SolverConfig(epsilon=1e-300, max_iters=400),
                              np.zeros(8), 1.0 / p.lipschitz_L)
     gaps = res.trace.column("phi") - cert.phi_star

@@ -205,11 +205,15 @@ def read_trace_csv(path, lipschitz_L: float = math.nan) -> Trace:
         trace.proxevals.append(int(row[8]))
     sidecar = _vectors_sidecar(path)
     if sidecar.exists():
-        data = np.load(sidecar)
-        if len(data["ys"]) == len(trace):  # else the sidecar belongs to another run
-            trace.y0 = data["y0"]
-            trace.ys = list(data["ys"])
-            trace.vs = list(data["vs"])
+        # np.load reads each member lazily, on every access, from a file it
+        # leaves open; read each one once and close the file here
+        with open(sidecar, "rb") as fh:
+            data = np.load(fh)
+            ys = data["ys"]
+            if len(ys) == len(trace):  # else the sidecar belongs to another run
+                trace.y0 = data["y0"]
+                trace.ys = list(ys)
+                trace.vs = list(data["vs"])
     return trace
 
 

@@ -32,6 +32,17 @@ class OracleError(RuntimeError):
     """A user-supplied oracle returned something unusable (wrong shape, NaN, ...)."""
 
 
+def _all_finite(a: np.ndarray) -> bool:
+    """np.isfinite(a).all() for a 1-D float64 array, in one dot product.
+
+    Exact: a NaN or infinite entry makes a.dot(a) non-finite, so only a
+    vector whose squares overflow falls through to the full test, which then
+    accepts it (numpy reports that overflow as it does for any dot product:
+    a RuntimeWarning by default).
+    """
+    return math.isfinite(a.dot(a)) or bool(np.isfinite(a).all())
+
+
 def as_vector(x, dim: Optional[int] = None) -> np.ndarray:
     """Coerce `x` to a finite 1-D float64 array, optionally checking its length."""
     v = np.asarray(x, dtype=float)
@@ -39,7 +50,7 @@ def as_vector(x, dim: Optional[int] = None) -> np.ndarray:
         v = v.reshape(1)
     if v.ndim != 1 or v.size < 1:
         raise ValueError(f"expected a 1-D vector, got shape {v.shape}")
-    if not np.isfinite(v).all():
+    if not _all_finite(v):
         raise ValueError("vector entries must be finite")
     if dim is not None and v.size != dim:
         raise ValueError(f"dimension mismatch: expected {dim}, got {v.size}")
@@ -132,7 +143,7 @@ class CountedProblem:
 
     def _checked_grad(self, g) -> np.ndarray:
         g = np.asarray(g, dtype=float)
-        if g.shape != (self.problem.dim,) or not np.isfinite(g).all():
+        if g.shape != (self.problem.dim,) or not _all_finite(g):
             raise OracleError("smooth_grad returned a malformed gradient")
         return g
 
@@ -148,7 +159,7 @@ class CountedProblem:
             raise ValueError("prox step t must be positive")
         self.counters.prox_evals += 1
         y = np.asarray(self.problem.h_prox(z, t), dtype=float)
-        if y.shape != (self.problem.dim,) or not np.isfinite(y).all():
+        if y.shape != (self.problem.dim,) or not _all_finite(y):
             raise OracleError("h_prox returned a malformed point")
         return y
 
@@ -157,6 +168,6 @@ class CountedProblem:
             return x
         self.counters.proj_evals += 1
         px = np.asarray(self.problem.omega_project(x), dtype=float)
-        if px.shape != (self.problem.dim,) or not np.isfinite(px).all():
+        if px.shape != (self.problem.dim,) or not _all_finite(px):
             raise OracleError("omega_project returned a malformed point")
         return px

@@ -59,15 +59,15 @@ class QuadraticInstance:
         return self.b.size
 
     def f(self, y: np.ndarray) -> float:
-        return 0.5 * float(y @ (self.Q @ y)) + float(self.b @ y)
+        return 0.5 * float(y.dot(self.Q.dot(y))) + float(self.b.dot(y))
 
     def grad(self, y: np.ndarray) -> np.ndarray:
-        return self.Q @ y + self.b
+        return self.Q.dot(y) + self.b
 
     def value_grad(self, y: np.ndarray) -> tuple[float, np.ndarray]:
-        """(f(y), grad(y)) bit for bit, from one product Q @ y."""
-        Qy = self.Q @ y
-        return 0.5 * float(y @ Qy) + float(self.b @ y), Qy + self.b
+        """(f(y), grad(y)) bit for bit, from one product Q y."""
+        Qy = self.Q.dot(y)
+        return 0.5 * float(y.dot(Qy)) + float(self.b.dot(y)), Qy + self.b
 
     def box(self) -> BoxSet:
         return BoxSet(self.lower, self.upper)
@@ -95,16 +95,16 @@ class LassoOnBallInstance:
         return self.A.shape[1]
 
     def f(self, y: np.ndarray) -> float:
-        r = self.A @ y - self.target
-        return 0.5 * float(r @ r)
+        r = self.A.dot(y) - self.target
+        return 0.5 * float(r.dot(r))
 
     def grad(self, y: np.ndarray) -> np.ndarray:
-        return self.A.T @ (self.A @ y - self.target)
+        return self.A.T.dot(self.A.dot(y) - self.target)
 
     def value_grad(self, y: np.ndarray) -> tuple[float, np.ndarray]:
-        """(f(y), grad(y)) bit for bit, from one residual A @ y - target."""
-        r = self.A @ y - self.target
-        return 0.5 * float(r @ r), self.A.T @ r
+        """(f(y), grad(y)) bit for bit, from one residual A y - target."""
+        r = self.A.dot(y) - self.target
+        return 0.5 * float(r.dot(r)), self.A.T.dot(r)
 
     def regularizer(self) -> L1OnBall:
         return L1OnBall(self.weight, BallSet(np.zeros(self.dim), self.radius))

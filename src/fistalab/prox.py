@@ -60,7 +60,14 @@ class BoxSet:
         return self.lower.size
 
     def contains(self, z: np.ndarray) -> bool:
-        return bool((z >= self._band_lower).all() and (z <= self._band_upper).all())
+        # count_nonzero costs less per call than .all(); the size is the
+        # comparison's, not z's, so a z that broadcasts is judged entry by
+        # entry against both bounds; a NaN coordinate fails both tests
+        b = z >= self._band_lower
+        if np.count_nonzero(b) != b.size:
+            return False
+        b = z <= self._band_upper
+        return bool(np.count_nonzero(b) == b.size)
 
     def h_value(self, z: np.ndarray) -> float:
         return 0.0 if self.contains(z) else math.inf
@@ -125,7 +132,11 @@ def project_box(b: BoxSet, z: np.ndarray) -> np.ndarray:
 
 
 def project_ball(s: BallSet, z: np.ndarray) -> np.ndarray:
-    z = as_vector(z, s.dim)
+    return _project_ball(s, as_vector(z, s.dim))
+
+
+def _project_ball(s: BallSet, z: np.ndarray) -> np.ndarray:
+    """project_ball for a `z` already validated by as_vector."""
     d = z - s.center
     nd = math.sqrt(d.dot(d))
     if nd <= s.radius:
@@ -156,5 +167,6 @@ def prox_l1_on_ball(h: L1OnBall, z: np.ndarray, t: float) -> np.ndarray:
             "soft-threshold-then-project is exact only for origin-centered balls"
         )
     z = as_vector(z, h.dim)
-    return project_ball(h.ball, soft_threshold(z, t * h.weight))
+    # a finite z thresholded by a positive tau stays finite and keeps its shape
+    return _project_ball(h.ball, soft_threshold(z, t * h.weight))
 

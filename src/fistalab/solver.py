@@ -224,6 +224,7 @@ def _iterate(p: CompositeProblem, cfg: SolverConfig, y0: np.ndarray, step: float
         raise OracleError(f"iteration 1: {e}") from e
 
     need_f = trace is not None or track_curvature
+    need_dy = trace is not None or momentum
     v = np.zeros(p.dim)
     status = "max_iters_reached"
     k = 0
@@ -235,14 +236,17 @@ def _iterate(p: CompositeProblem, cfg: SolverConfig, y0: np.ndarray, step: float
                 fy, grad_y = cp.value_grad(y)
             else:
                 fy, grad_y = math.nan, cp.grad(y)
+            # x - y serves v and, as the norm ignores its sign, dxy
+            dx = x - y
+            dy = y - y_prev if need_dy else None
             # v is in grad f(y) + subdiff h(y) by the prox optimality condition
             if track_curvature:
-                v = grad_y - grad_x + curvature * (y_prev - x) + inv_step * (x - y)
+                v = grad_y - grad_x + curvature * (y_prev - x) + inv_step * dx
             else:
-                v = grad_y - grad_x + inv_step * (x - y)
+                v = grad_y - grad_x + inv_step * dx
             if momentum:
                 a_cur = next_momentum(a_prev)
-                x_next = y + ((a_prev - 1.0) / a_cur) * (y - y_prev)
+                x_next = y + ((a_prev - 1.0) / a_cur) * dy
                 if project:
                     x_next = cp.project(x_next)
             else:
@@ -250,7 +254,7 @@ def _iterate(p: CompositeProblem, cfg: SolverConfig, y0: np.ndarray, step: float
             vn = _norm(v)
             if trace is not None:
                 trace.append(k, a_cur, curvature, vn, _record_phi(cp, y, fy, k),
-                             _norm(y - x), _norm(y - y_prev),
+                             _norm(dx), _norm(dy),
                              cp.counters.grad_evals, cp.counters.prox_evals, y, v)
             if vn <= cfg.epsilon:
                 status = "converged"
@@ -261,9 +265,9 @@ def _iterate(p: CompositeProblem, cfg: SolverConfig, y0: np.ndarray, step: float
                 # linearization of f at x_{k+1} overshoots f(y_k); positive
                 # values witness nonconvexity between the two points
                 d = y - x_next
-                gd = float(grad_xn @ d)
+                gd = float(grad_xn.dot(d))
                 gap = fxn + gd - fy
-                d2 = float(d @ d)
+                d2 = float(d.dot(d))
                 thr = 1e-14 * (1.0 + _norm(y))
                 curvature = 0.0
                 if d2 > thr * thr and abs(gap) > _CURVATURE_SIG_RTOL * (

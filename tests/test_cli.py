@@ -345,6 +345,35 @@ def test_stale_vector_sidecar_is_not_paired(tmp_path):
     assert back.ys is None and back.vs is None and back.y0 is None
 
 
+def test_sidecar_members_read_once_and_file_closed(tmp_path, monkeypatch):
+    out = tmp_path / "r12"
+    run_cli("run", "--problem", "convex-qp", "--n", "4", "--seed", "3", "--eps", "1e-9",
+            "--trace", "full", "--out", str(out))
+    reads, handles = [], []
+    npz_file = np.lib.npyio.NpzFile
+    getitem, load = npz_file.__getitem__, np.load
+
+    def counted_getitem(self, key):
+        reads.append(key)
+        return getitem(self, key)
+
+    def recorded_load(file, *args, **kwargs):
+        data = load(file, *args, **kwargs)
+        # the file np.load read from: the caller's, or one it opened itself.
+        # Keeping `data` alive here means the file must be closed by the
+        # reader, not by the NpzFile's garbage collection.
+        handles.append((file if hasattr(file, "read") else data.fid, data))
+        return data
+
+    monkeypatch.setattr(npz_file, "__getitem__", counted_getitem)
+    monkeypatch.setattr(np, "load", recorded_load)
+    back = read_trace_csv(out / "trace.csv")
+    assert back.has_vectors and len(back.ys) == len(back) == len(back.vs)
+    # each member is decompressed on every access, so one read apiece
+    assert sorted(reads) == ["vs", "y0", "ys"]
+    assert len(handles) == 1 and handles[0][0].closed
+
+
 def test_check_trend_not_applicable_to_baselines(tmp_path, capsys):
     # a FISTA trace has L_k == 0 on every row whatever the problem, so it
     # says nothing about convexity: the trend is run_mfista's only

@@ -117,6 +117,52 @@ def test_counted_problem_flags_bad_oracles():
             CountedProblem(fused(good, value_grad)).value_grad(np.zeros(2))
 
 
+def laid_out(layout, *entries):
+    """`entries` as a contiguous vector or as a stride-2 view of a larger one."""
+    base = np.full(2 * len(entries), 7.0)
+    base[::2] = entries
+    return base[::2] if layout == "strided" else base[::2].copy()
+
+
+def constant_oracles(out):
+    """A 2-D problem whose gradient, prox and projection all return `out`."""
+    return CompositeProblem(dim=2, smooth_value=lambda y: 0.0, smooth_grad=lambda y: out,
+                            h_value=lambda y: 0.0, h_prox=lambda z, t: out,
+                            lipschitz_L=1.0, omega_project=lambda x: out)
+
+
+@pytest.mark.parametrize("layout", ["contiguous", "strided"])
+def test_finiteness_checks_accept_overflowing_squares(layout):
+    # 1e200 is finite, but its square overflows: the checks' one dot product
+    # is then not finite, and the exact test behind it must still accept
+    big = laid_out(layout, 1e200, -1e200)
+    with np.errstate(over="ignore"):
+        assert as_vector(big, 2).tobytes() == big.tobytes()
+        cp = CountedProblem(constant_oracles(big))
+        for out in (cp.grad(np.zeros(2)), cp.prox(np.zeros(2), 1.0), cp.project(np.zeros(2)),
+                    CountedProblem(fused(constant_oracles(big), lambda y: (0.0, big)))
+                    .value_grad(np.zeros(2))[1]):
+            assert out.tobytes() == big.tobytes()
+
+
+@pytest.mark.parametrize("layout", ["contiguous", "strided"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_finiteness_checks_reject_non_finite(bad, layout):
+    from fistalab import OracleError
+
+    out = laid_out(layout, 1.0, bad)
+    with pytest.raises(ValueError, match="^vector entries must be finite$"):
+        as_vector(out)
+    cp = CountedProblem(constant_oracles(out))
+    for call, what in ((lambda: cp.grad(np.zeros(2)), "smooth_grad returned a malformed gradient"),
+                       (lambda: cp.prox(np.zeros(2), 1.0), "h_prox returned a malformed point"),
+                       (lambda: cp.project(np.zeros(2)), "omega_project returned a malformed point"),
+                       (lambda: CountedProblem(fused(constant_oracles(out), lambda y: (0.0, out)))
+                        .value_grad(np.zeros(2)), "smooth_grad returned a malformed gradient")):
+        with pytest.raises(OracleError, match=f"^{what}$"):
+            call()
+
+
 def test_counted_projection_idempotent_and_counted():
     box_proj = lambda x: np.clip(x, -1.0, 1.0)
     p = quad_problem(2, lambda y: 0.0, lambda y: np.zeros(2), 1.0)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from fistalab import (
+    LassoOnBallInstance,
     QuadraticInstance,
     brute_force_optimum,
     load_instance,
@@ -106,6 +107,40 @@ def test_fused_value_grad_is_bit_identical(make, rng):
             assert type(val) is float
             assert np.float64(val).tobytes() == np.float64(inst.f(y)).tobytes()
             assert g.shape == (inst.dim,) and g.tobytes() == inst.grad(y).tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 4, 32, 2048])
+def test_oracles_equal_matmul_expressions_bit_for_bit(n):
+    # the oracles call ndarray.dot, which is cheaper per call than @; both
+    # must reach the same BLAS arithmetic, up to the n=2048 dense QP and the
+    # 1024 x 2048 lasso of the large benchmark runs, which the trace
+    # fingerprint (n <= 64) does not reach
+    rng = np.random.default_rng(n)
+    M = rng.standard_normal((n, n))
+    Q = M.T @ M / n
+    b = rng.uniform(-0.5, 0.5, n)
+    qp_inst = QuadraticInstance("convex-qp", Q, b, -np.ones(n), np.ones(n), 1.0, 0.0, 0)
+    rows = max(1, n // 2)
+    A = rng.standard_normal((rows, n)) / math.sqrt(rows)
+    target = rng.standard_normal(rows)
+    lasso_inst = LassoOnBallInstance("lasso-ball", A, target, 0.1, 10.0, 1.0, 0)
+
+    def qp_old(y):
+        Qy = Q @ y
+        return (0.5 * float(y @ (Q @ y)) + float(b @ y), Q @ y + b,
+                0.5 * float(y @ Qy) + float(b @ y), Qy + b)
+
+    def lasso_old(y):
+        r = A @ y - target
+        return 0.5 * float(r @ r), A.T @ (A @ y - target), 0.5 * float(r @ r), A.T @ r
+
+    wide = rng.uniform(-1.0, 1.0, 2 * n)
+    for y in (rng.uniform(-1.0, 1.0, n), rng.standard_normal(n) * 1e3, wide[::2]):
+        for inst, old in ((qp_inst, qp_old), (lasso_inst, lasso_old)):
+            val, g = inst.value_grad(y)
+            new = (inst.f(y), inst.grad(y), val, g)
+            for got, want in zip(new, old(y)):
+                assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), (inst.kind, n)
 
 
 def test_brute_force_hand_examples():

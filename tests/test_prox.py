@@ -63,6 +63,30 @@ def test_box_membership_band():
             z = mid.copy()
             z[i] = value
             assert box.h_value(z) == expected, (i, value)
+            assert box.contains(z) is (expected == 0.0), (i, value)
+    # a single coordinate broadcasts against the bounds; another length raises
+    assert box.contains(np.array([0.5])) is True
+    assert box.contains(np.array([2.0])) is False
+    with pytest.raises(ValueError):
+        box.contains(np.zeros(3))
+    with pytest.raises(ValueError):
+        box.h_value(np.zeros(3))
+
+
+@pytest.mark.parametrize("t", [0.01, 0.5, 40.0])
+def test_prox_l1_on_ball_is_threshold_then_project(t, rng):
+    # the prox validates z once and projects the thresholded point without
+    # a second check; the result must be the composition's, signed zeros included
+    h = L1OnBall(0.3, BallSet(np.zeros(6), 2.0))
+    cases = [rng.uniform(-1.0, 1.0, 6),                     # inside the ball
+             rng.uniform(-30.0, 30.0, 6),                   # projected onto it
+             np.array([-0.0, 0.0, -0.0, 5.0, -7.0, 0.1]),   # zeros of both signs
+             np.array([-0.0, -0.0, -0.0, -0.0, -0.0, -0.0]),
+             rng.uniform(-3.0, 3.0, 12)[::2]]               # strided view
+    for z in cases:
+        got = prox_l1_on_ball(h, z, t)
+        want = project_ball(h.ball, soft_threshold(z, t * h.weight))
+        assert got.tobytes() == want.tobytes(), (z, t)
 
 
 def test_ball_membership_band():

@@ -288,6 +288,22 @@ def test_prox_and_projection_failures_carry_iteration_index(field, bad_call, wha
         run_mfista(p, SolverConfig(epsilon=1e-12, max_iters=50), np.zeros(1))
 
 
+@pytest.mark.parametrize("field,bad_call,iteration,what", [
+    ("smooth_grad", 4, 2, "smooth_grad returned a malformed gradient"),
+    ("h_prox", 3, 3, "h_prox returned a malformed point"),
+    ("omega_project", 2, 2, "omega_project returned a malformed point"),
+], ids=["grad", "prox", "project"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_non_finite_oracle_output_names_its_iteration(field, bad_call, iteration, what, bad):
+    # gradients: the start point's, then y_1's and x_2's in iteration 1, so
+    # the 4th is y_2's; one prox and one projection per iteration
+    p = dataclasses.replace(convex_1d(), omega_project=lambda x: np.clip(x, -1.0, 1.0))
+    p = dataclasses.replace(p, **{field: fail_on_call(getattr(p, field), bad_call,
+                                                      np.array([bad]))})
+    with pytest.raises(OracleError, match=f"^iteration {iteration}: {what}$"):
+        run_mfista(p, SolverConfig(epsilon=1e-12, max_iters=50), np.zeros(1))
+
+
 def test_norm_helper_matches_numpy(rng):
     # the loop's norms must be np.linalg.norm's values bit for bit, strided
     # views (a custom h_prox may return one), overflow, inf and NaN included
@@ -337,13 +353,15 @@ def test_mfista_takes_the_fused_oracle(make, eps, max_iters, status):
 @pytest.mark.parametrize("make", [lambda s: make_convex_qp(16, s),
                                   lambda s: make_lasso_on_ball(16, 12, s)], ids=["qp", "lasso"])
 def test_loop_avoids_numpy_python_level_wrappers(make, monkeypatch):
-    # np.all and np.linalg.norm cost more in Python-level dispatch than their
-    # n=32 work; going back to them would leave every trace unchanged, so
-    # only call counts can tell
+    # np.all, np.linalg.norm and np.isfinite cost more in per-call dispatch
+    # than their n=32 work; going back to them would leave every trace
+    # unchanged, so only call counts can tell.  np.isfinite stays only for
+    # vectors whose squares overflow, which these runs never see.
     problems = [make(seed)[0] for seed in (1, 2)]  # the generators may call them
-    counts = {"all": 0, "norm": 0}
+    counts = {"all": 0, "norm": 0, "isfinite": 0}
     monkeypatch.setattr(np, "all", counting(np.all, counts, "all"))
     monkeypatch.setattr(np.linalg, "norm", counting(np.linalg.norm, counts, "norm"))
+    monkeypatch.setattr(np, "isfinite", counting(np.isfinite, counts, "isfinite"))
     for p in problems:
         y0 = np.zeros(p.dim)
         L = p.lipschitz_L
@@ -352,7 +370,7 @@ def test_loop_avoids_numpy_python_level_wrappers(make, monkeypatch):
             for res in (run_mfista(p, cfg, y0), run_fista_baseline(p, cfg, y0, 1.0 / L),
                         run_proxgrad_baseline(p, cfg, y0)):
                 assert res.trace is not None and res.iterations > 1
-                assert counts == {"all": 0, "norm": 0}
+                assert counts == {"all": 0, "norm": 0, "isfinite": 0}
 
 
 @pytest.mark.parametrize("make", [lambda: make_convex_qp(12, 3), lambda: make_nonconvex_qp(12, 3),

@@ -24,6 +24,7 @@ __all__ = [
     "RateFit",
     "best_residual_curve",
     "iterates_settled",
+    "observed_convex",
     "lyapunov_sequence",
     "check_lyapunov_monotone",
     "check_residual_bound",
@@ -74,21 +75,20 @@ def best_residual_curve(vnorm: np.ndarray) -> np.ndarray:
     return np.minimum.accumulate(np.asarray(vnorm, dtype=float))
 
 
-def iterates_settled(trace: Trace, tail: int = 100, tol: float = 1e-10) -> bool:
-    """True when the last `tail` steps moved less than `tol` each."""
+def iterates_settled(trace: Trace) -> bool:
+    """True when each of the last 100 steps moved less than 1e-10."""
     dyy = trace.column("dyy")
-    if dyy.size < tail:
-        return False
-    return bool(np.all(dyy[-tail:] < tol))
+    return dyy.size >= 100 and bool(np.all(dyy[-100:] < 1e-10))
 
 
-def _observed_convex(trace: Trace) -> bool:
+def observed_convex(trace: Trace) -> bool:
+    """True when the curvature shift never switched on: L_k == 0 on every row."""
     return bool(np.all(trace.column("L_k") == 0.0))
 
 
-def _momentum_before(trace: Trace, n: int) -> float:
-    """Coefficient in force when iteration n started (1 at the first)."""
-    return 1.0 if n == 1 else float(trace.a_k[n - 2])
+def _momentum_before(trace: Trace) -> np.ndarray:
+    """Per row, the coefficient in force when its iteration started (1 at the first)."""
+    return np.concatenate(([1.0], trace.column("a_k")))[:-1]
 
 
 def lyapunov_sequence(trace: Trace, certificate: OracleCertificate) -> np.ndarray:
@@ -102,8 +102,7 @@ def lyapunov_sequence(trace: Trace, certificate: OracleCertificate) -> np.ndarra
     L = trace.lipschitz_L
     y_star = np.asarray(certificate.y_star, dtype=float)
     energies = np.empty(len(trace))
-    for i in range(len(trace)):
-        a = _momentum_before(trace, i + 1)
+    for i, a in enumerate(_momentum_before(trace)):
         y_k = trace.ys[i]
         y_prev = trace.y0 if i == 0 else trace.ys[i - 1]
         drift = a * (y_k - y_prev) + y_prev - y_star
@@ -123,7 +122,7 @@ def check_lyapunov_monotone(trace: Trace, certificate: OracleCertificate) -> Tra
         raise UnsupportedTraceError("lyapunov check needs a full-vector trace")
     if len(trace) == 0:
         return TraceCheckReport(name, NOT_APPLICABLE, note="empty trace")
-    if not _observed_convex(trace):
+    if not observed_convex(trace):
         return TraceCheckReport(name, NOT_APPLICABLE, note="nonconvex run (L_k > 0 observed)")
     if len(trace) == 1:
         return TraceCheckReport(name, PASS, 0.0, trace.k[0], note="single row, vacuous")
@@ -169,14 +168,13 @@ def check_function_value_bound(trace: Trace, certificate: OracleCertificate,
         raise UnsupportedTraceError("function-value check needs a full-vector trace")
     if len(trace) < 1:
         return TraceCheckReport(name, NOT_APPLICABLE, note="empty trace")
-    if not _observed_convex(trace):
+    if not observed_convex(trace):
         return TraceCheckReport(name, NOT_APPLICABLE, note="nonconvex run (L_k > 0 observed)")
     y_star = np.asarray(certificate.y_star, dtype=float)
     drift0 = 1.0 * (trace.ys[0] - trace.y0) + trace.y0 - y_star
     constant = (trace.phi[0] - certificate.phi_star) + 2.0 * L * float(drift0 @ drift0)
     phis = trace.column("phi")
-    a_before = np.array([_momentum_before(trace, i + 1) for i in range(len(trace))])
-    lhs = a_before ** 2 * (phis - certificate.phi_star)
+    lhs = _momentum_before(trace) ** 2 * (phis - certificate.phi_star)
     gap = lhs - (constant + 1e-8)
     worst_idx = int(np.argmax(gap))
     worst = float(lhs[worst_idx] - constant)
@@ -194,7 +192,7 @@ def _line_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
     return float(coef[0]), float(coef[1]), r_squared
 
 
-def fit_rate(trace: Trace | np.ndarray, n_grid) -> RateFit:
+def fit_rate(trace: Trace, n_grid) -> RateFit:
     """Slope of the best-residual curve on the given iteration grid.
 
     The grid must be increasing, lie within the trace, and carry at least 4
@@ -202,7 +200,7 @@ def fit_rate(trace: Trace | np.ndarray, n_grid) -> RateFit:
     residual are dropped (at least 4 must survive).  No pass/fail judgement
     here; callers compare the slope to whatever rate they expect.
     """
-    vnorm = trace.column("vnorm") if isinstance(trace, Trace) else np.asarray(trace, dtype=float)
+    vnorm = trace.column("vnorm")
     grid = np.asarray(n_grid, dtype=int)
     if grid.size < 4:
         raise ValueError("need at least 4 grid points")
@@ -224,8 +222,7 @@ def fit_rate(trace: Trace | np.ndarray, n_grid) -> RateFit:
     return RateFit(grid, residuals, slope, intercept, r_squared)
 
 
-def check_scaled_trend(trace: Trace | np.ndarray, exponent: float, n_grid,
-                       slack: float = 0.10) -> TraceCheckReport:
+def check_scaled_trend(trace: Trace, exponent: float, n_grid) -> TraceCheckReport:
     """Advisory decay-trend check: n^exponent * best_residual(n) should not
     drift upward over the last half of the grid.
 
@@ -233,10 +230,10 @@ def check_scaled_trend(trace: Trace | np.ndarray, exponent: float, n_grid,
     improvements; pointwise ratios on a log grid would flag those plateaus
     spuriously.  The check therefore fits a line to the scaled curve over
     the last half of the grid and compares the fitted net change against
-    1 + slack.
+    1.1, a 10% slack.
     """
     name = f"scaled_trend_{exponent:g}"
-    vnorm = trace.column("vnorm") if isinstance(trace, Trace) else np.asarray(trace, dtype=float)
+    vnorm = trace.column("vnorm")
     grid = np.asarray(n_grid, dtype=int)
     if grid.size < 8 or grid[-1] > vnorm.size:
         return TraceCheckReport(name, NOT_APPLICABLE, note="grid too short for a trend")
@@ -248,5 +245,5 @@ def check_scaled_trend(trace: Trace | np.ndarray, exponent: float, n_grid,
     x = np.log(grid[half:].astype(float))
     slope = _line_fit(x, np.log(scaled[half:]))[0]
     net_change = math.exp(slope * (x[-1] - x[0]))
-    status = PASS if net_change <= 1.0 + slack else FAIL
+    status = PASS if net_change <= 1.1 else FAIL
     return TraceCheckReport(name, status, net_change, int(grid[-1]))

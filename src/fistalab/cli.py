@@ -37,6 +37,7 @@ from .analysis import (
     check_scaled_trend,
     fit_rate,
     iterates_settled,
+    observed_convex,
 )
 from .core import CompositeProblem
 from .problems import (
@@ -166,10 +167,8 @@ def write_trace_csv(trace: Trace, path) -> None:
     path = Path(path)
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write(",".join(Trace.COLUMNS) + "\n")
-        for i in range(len(trace)):
-            fh.write(f"{trace.k[i]},{trace.a_k[i]!r},{trace.L_k[i]!r},{trace.vnorm[i]!r},"
-                     f"{trace.phi[i]!r},{trace.dxy[i]!r},{trace.dyy[i]!r},"
-                     f"{trace.gradevals[i]},{trace.proxevals[i]}\n")
+        for row in zip(*(getattr(trace, name) for name in Trace.COLUMNS)):
+            fh.write(",".join(map(repr, row)) + "\n")
     sidecar = _vectors_sidecar(path)
     if trace.has_vectors:
         np.savez(sidecar, y0=trace.y0, ys=np.asarray(trace.ys), vs=np.asarray(trace.vs))
@@ -189,20 +188,13 @@ def read_trace_csv(path, lipschitz_L: float = math.nan) -> Trace:
             raise ValueError(f"unexpected trace header: {header!r}")
         rows = [(lineno, line.strip().split(","))
                 for lineno, line in enumerate(fh, start=2) if line.strip()]
-    trace = Trace(lipschitz_L)
     for lineno, row in rows:
         if len(row) != len(Trace.COLUMNS):
             raise ValueError(f"line {lineno}: expected {len(Trace.COLUMNS)} fields, "
                              f"got {len(row)}")
-        trace.k.append(int(row[0]))
-        trace.a_k.append(float(row[1]))
-        trace.L_k.append(float(row[2]))
-        trace.vnorm.append(float(row[3]))
-        trace.phi.append(float(row[4]))
-        trace.dxy.append(float(row[5]))
-        trace.dyy.append(float(row[6]))
-        trace.gradevals.append(int(row[7]))
-        trace.proxevals.append(int(row[8]))
+    trace = Trace(lipschitz_L)
+    for name, conv, col in zip(Trace.COLUMNS, Trace.COLUMN_TYPES, zip(*(r for _, r in rows))):
+        setattr(trace, name, list(map(conv, col)))
     sidecar = _vectors_sidecar(path)
     if sidecar.exists():
         # np.load reads each member lazily, on every access, from a file it
@@ -239,13 +231,13 @@ def write_manifest(path, cfg: RunConfig, result: SolveResult, L: float,
 # ---------------------------------------------------------------------------
 # subcommands
 
-def cmd_run(cfg: RunConfig) -> int:
+def _run(cfg: RunConfig) -> SolveResult:
+    """Solve one config and write its files; a refused config raises ValueError."""
     cfg.validate()
     inst = _instance_from_config(cfg)
     if cfg.with_oracle and isinstance(inst, QuadraticInstance) and inst.dim > MAX_ENUM_DIM:
         # checked before solving, so that a failed run leaves no trace behind
-        print(f"error: oracle needs n <= {MAX_ENUM_DIM} for quadratics", file=sys.stderr)
-        return EXIT_ERROR
+        raise ValueError(f"oracle needs n <= {MAX_ENUM_DIM} for quadratics")
     p = to_problem(inst)
     if cfg.out is not None:
         outdir = Path(cfg.out)
@@ -275,15 +267,16 @@ def cmd_run(cfg: RunConfig) -> int:
     write_manifest(outdir / "manifest.json", cfg, result, p.lipschitz_L, wall)
     print(f"{result.status} after {result.iterations} iterations, "
           f"final residual {np.linalg.norm(result.v):.3e}, trace in {outdir}")
-    return EXIT_OK if result.converged else EXIT_NOT_CONVERGED
+    return result
+
+
+def cmd_run(cfg: RunConfig) -> int:
+    return EXIT_OK if _run(cfg).converged else EXIT_NOT_CONVERGED
 
 
 def cmd_gen(args) -> int:
     cfg = RunConfig(problem=args.kind, n=args.n, seed=args.seed, rows=args.rows,
                     negfrac=args.negfrac, cond=args.cond, instance=None)
-    if cfg.problem not in PROBLEM_KINDS:
-        print(f"error: unknown kind {cfg.problem!r}", file=sys.stderr)
-        return EXIT_ERROR
     inst = _instance_from_config(cfg)
     save_instance(inst, args.out)
     print(f"wrote {args.out}")
@@ -336,7 +329,7 @@ def cmd_check(args) -> int:
     trend = None
     if solver != "mfista":
         trend = TraceCheckReport("scaled_trend", NOT_APPLICABLE, note=mfista_only)
-    elif np.all(trace.column("L_k") == 0.0):  # the curvature shift never switched on
+    elif observed_convex(trace):  # the curvature shift never switched on
         trend = check_scaled_trend(trace, 1.5, _default_grid(len(trace)))
     elif iterates_settled(trace):
         trend = check_scaled_trend(trace, 0.5, _default_grid(len(trace)))
@@ -384,21 +377,21 @@ def cmd_sweep(args) -> int:
     rows = []
     worst = EXIT_OK
     for label, cfg in cells:
+        # the row is this run's result, never files an older run left in cfg.out
         try:
-            code = cmd_run(cfg)
-            with open(Path(cfg.out) / "manifest.json", encoding="ascii") as fh:
-                manifest = json.load(fh)
-            trace = read_trace_csv(Path(cfg.out) / "trace.csv", manifest["lipschitz_L"])
-            try:
-                slope = fit_rate(trace, _default_grid(len(trace))).slope
-            except ValueError:  # too short for the grid, or the residual hit zero
-                slope = math.nan
-            rows.append((label, cfg.solver, cfg.eps, manifest["iterations"],
-                         manifest["final_vnorm"], slope, manifest["status"]))
+            result = _run(cfg)
         except Exception as e:  # record the failure, keep sweeping
-            code = EXIT_ERROR
+            print(f"error: {e}", file=sys.stderr)
+            worst = EXIT_ERROR
             rows.append((label, cfg.solver, cfg.eps, -1, math.nan, math.nan, f"error: {e}"))
-        worst = max(worst, code)
+            continue
+        try:
+            slope = fit_rate(result.trace, _default_grid(len(result.trace))).slope
+        except ValueError:  # too short for the grid, or the residual hit zero
+            slope = math.nan
+        rows.append((label, cfg.solver, cfg.eps, result.iterations,
+                     float(np.linalg.norm(result.v)), slope, result.status))
+        worst = max(worst, EXIT_OK if result.converged else EXIT_NOT_CONVERGED)
 
     summary = outdir / "summary.csv"
     with open(summary, "w", encoding="ascii", newline="\n") as fh:

@@ -404,8 +404,8 @@ def load_instance(path):
         lines = [ln.strip() for ln in fh if ln.strip()]
     kind, hdr = _parse_header(lines[0])
     n = int(hdr["n"])
+    body = [np.array([float(v) for v in ln.split()]) for ln in lines[1:]]
     if kind in ("convex-qp", "nonconvex-qp"):
-        body = [np.array([float(v) for v in ln.split()]) for ln in lines[1:]]
         if len(body) != n + 3:
             raise ValueError(f"expected {n + 3} payload lines, got {len(body)}")
         Q = np.vstack(body[:n])
@@ -413,7 +413,6 @@ def load_instance(path):
                                  float(hdr["L"]), float(hdr["m"]), int(hdr["seed"]))
     if kind == "lasso-ball":
         rows = int(hdr["rows"])
-        body = [np.array([float(v) for v in ln.split()]) for ln in lines[1:]]
         if len(body) != rows + 1:
             raise ValueError(f"expected {rows + 1} payload lines, got {len(body)}")
         A = np.vstack(body[:rows])

@@ -80,6 +80,7 @@ class Trace:
     """
 
     COLUMNS = ("k", "a_k", "L_k", "vnorm", "phi", "dxy", "dyy", "gradevals", "proxevals")
+    COLUMN_TYPES = (int, float, float, float, float, float, float, int, int)
 
     def __init__(self, lipschitz_L: float, y0: Optional[np.ndarray] = None,
                  keep_vectors: bool = False):
@@ -178,13 +179,6 @@ def _norm(d: np.ndarray) -> float:
     return math.sqrt(d.dot(d))
 
 
-def _record_phi(cp: CountedProblem, y: np.ndarray, fy: float, k: int) -> float:
-    hy = cp.h(y)
-    if math.isinf(hy):
-        raise OracleError(f"iteration {k}: iterate left dom h (h_value is +inf)")
-    return fy + hy
-
-
 def _iterate(p: CompositeProblem, cfg: SolverConfig, y0: np.ndarray, step: float,
              inv_step: float, track_curvature: bool, momentum: bool,
              project: bool) -> SolveResult:
@@ -253,8 +247,10 @@ def _iterate(p: CompositeProblem, cfg: SolverConfig, y0: np.ndarray, step: float
                 x_next = y
             vn = _norm(v)
             if trace is not None:
-                trace.append(k, a_cur, curvature, vn, _record_phi(cp, y, fy, k),
-                             _norm(dx), _norm(dy),
+                hy = cp.h(y)
+                if math.isinf(hy):
+                    raise OracleError("iterate left dom h (h_value is +inf)")
+                trace.append(k, a_cur, curvature, vn, fy + hy, _norm(dx), _norm(dy),
                              cp.counters.grad_evals, cp.counters.prox_evals, y, v)
             if vn <= cfg.epsilon:
                 status = "converged"

@@ -84,6 +84,10 @@ def test_trace_csv_round_trip(tmp_path):
         np.testing.assert_array_equal(back.column(col), res.trace.column(col))
     assert back.has_vectors  # sidecar written and picked up
     np.testing.assert_array_equal(back.ys[-1], res.trace.ys[-1])
+    # write -> read -> write reproduces the file byte for byte
+    again = tmp_path / "again.csv"
+    write_trace_csv(back, again)
+    assert again.read_bytes() == path.read_bytes()
 
 
 def test_equivalence_mode_matches_mfista(tmp_path):
@@ -229,6 +233,23 @@ def test_sweep_slope_is_nan_on_short_traces(tmp_path):
             (tmp_path / "sw" / "summary.csv").read_text().splitlines()[1:]]
     assert int(rows[0][3]) < 10 and rows[0][5] == "nan"
     assert int(rows[1][3]) >= 400 and math.isfinite(float(rows[1][5]))
+
+
+def test_sweep_cell_reports_its_own_run_not_older_files(tmp_path, capsys):
+    # the second sweep's cell fails before writing anything, so the first
+    # sweep's manifest and trace are still in its directory; its row must be
+    # the failure, not those files
+    out, cfg_path = tmp_path / "sw", tmp_path / "sweep.json"
+    for seed, extra, expected_code in ((1, {}, 0), (2, {"with_oracle": True}, 1)):
+        cfg_path.write_text(json.dumps({
+            "instances": [{"kind": "convex-qp", "n": 8, "seed": seed, **extra}],
+            "solvers": ["mfista"], "epsilons": [1e-6]}))
+        assert run_cli("sweep", str(cfg_path), "--out", str(out)) == expected_code
+    assert (out / "cell-001" / "manifest.json").exists()  # the first sweep's
+    rows = (out / "summary.csv").read_text().splitlines()[1:]
+    assert rows == ["convex-qp-n8-seed2,mfista,1e-06,-1,nan,nan,"
+                    "error: oracle needs n <= 4 for quadratics"]
+    assert "oracle needs n <= 4" in capsys.readouterr().err
 
 
 def test_run_config_file_with_flag_override(tmp_path):

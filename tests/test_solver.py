@@ -304,6 +304,22 @@ def test_non_finite_oracle_output_names_its_iteration(field, bad_call, iteration
         run_mfista(p, SolverConfig(epsilon=1e-12, max_iters=50), np.zeros(1))
 
 
+@pytest.mark.parametrize("solve", [
+    lambda p, cfg, y0: run_mfista(p, cfg, y0),
+    lambda p, cfg, y0: run_fista_baseline(p, cfg, y0, 1.0 / p.lipschitz_L),
+    lambda p, cfg, y0: run_proxgrad_baseline(p, cfg, y0),
+], ids=["mfista", "fista", "proxgrad"])
+def test_iterate_outside_dom_h_names_its_iteration_once(solve):
+    # a finite prox output outside the box passes the oracle checks and is
+    # caught when the trace evaluates h at it, in the 3rd iteration; with L
+    # above the curvature no solver converges before that
+    p = dataclasses.replace(convex_1d(), lipschitz_L=4.0)
+    p = dataclasses.replace(p, h_prox=fail_on_call(p.h_prox, 3, np.array([5.0])))
+    with pytest.raises(OracleError) as info:
+        solve(p, SolverConfig(epsilon=1e-12, max_iters=50), np.zeros(1))
+    assert str(info.value) == "iteration 3: iterate left dom h (h_value is +inf)"
+
+
 def test_norm_helper_matches_numpy(rng):
     # the loop's norms must be np.linalg.norm's values bit for bit, strided
     # views (a custom h_prox may return one), overflow, inf and NaN included

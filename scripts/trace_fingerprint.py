@@ -4,16 +4,21 @@
 Runs every solver on generated instances and hashes, per solve, the status,
 the final (y, v), the oracle counters, every trace column and the stored
 iterate and residual vectors.  A speed-up that must keep traces bit-identical
-must print the same digest before and after the change:
+must print the same digests before and after the change:
 
     PYTHONPATH=src python scripts/trace_fingerprint.py
 
 The default matrix is n in {4, 8, 32, 64} x 12 seeds x {convex QP,
 nonconvex QP, lasso-ball} x {mfista, fista 1/L, projected fista 1/(4L),
-proxgrad} x {untraced, norms, full}: 1728 solves, about a minute and a half
-on one core.
+proxgrad} x {untraced, norms, full}: 1728 solves.  It is run twice: once on
+the problems as generated, which declare `smooth_is_quadratic` so that the
+accelerated solvers derive the gradient at x_{k+1}, and once with that
+declaration forced off, so that every gradient comes from the oracle.  Each
+digest is printed on its own line; together they take about two minutes on
+one core.
 """
 
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -67,13 +72,19 @@ def _hash_result(h, res) -> None:
             h.update(vec.tobytes())
 
 
-def trace_fingerprint(dims=DIMS, seeds=SEEDS, epsilon: float = EPSILON) -> str:
-    """sha256 prefix over every solve of dims x seeds x problems x solvers x traces."""
+def trace_fingerprint(dims=DIMS, seeds=SEEDS, epsilon: float = EPSILON,
+                      quadratic: bool = True) -> str:
+    """sha256 prefix over every solve of dims x seeds x problems x solvers x traces.
+
+    With `quadratic` False the problems' `smooth_is_quadratic` is forced off.
+    """
     h = hashlib.sha256()
     for n in dims:
         for seed in seeds:
             for pname, make in PROBLEMS.items():
                 p = make(n, seed)
+                if not quadratic:
+                    p = dataclasses.replace(p, smooth_is_quadratic=False)
                 # the prox of the origin is a feasible start for every family
                 y0 = p.h_prox(np.zeros(n), 1.0)
                 for sname, solve in SOLVERS.items():
@@ -86,4 +97,6 @@ def trace_fingerprint(dims=DIMS, seeds=SEEDS, epsilon: float = EPSILON) -> str:
 
 
 if __name__ == "__main__":
-    print(trace_fingerprint())
+    print(f"{trace_fingerprint()} as generated (gradient at x_{{k+1}} derived)")
+    print(f"{trace_fingerprint(quadratic=False)} smooth_is_quadratic forced off "
+          "(every gradient from the oracle)")

@@ -194,7 +194,15 @@ def read_trace_csv(path, lipschitz_L: float = math.nan) -> Trace:
                              f"got {len(row)}")
     trace = Trace(lipschitz_L)
     for name, conv, col in zip(Trace.COLUMNS, Trace.COLUMN_TYPES, zip(*(r for _, r in rows))):
-        setattr(trace, name, list(map(conv, col)))
+        try:
+            setattr(trace, name, list(map(conv, col)))
+        except ValueError as e:
+            # column by column is the fast path; find the line only on failure
+            for (lineno, _), field in zip(rows, col):
+                try:
+                    conv(field)
+                except ValueError:
+                    raise ValueError(f"line {lineno}: {name}: {e}") from None
     sidecar = _vectors_sidecar(path)
     if sidecar.exists():
         # np.load reads each member lazily, on every access, from a file it

@@ -71,6 +71,15 @@ class CompositeProblem:
     computation; None means the two are called separately.  Oracles must be
     defined everywhere; only their restriction to that set matters.
 
+    `smooth_is_quadratic` declares that smooth_grad is affine (f is
+    quadratic), so that the gradient at an affine combination of points is
+    that combination of their gradients.  The accelerated solvers then
+    derive the gradient at the extrapolated point from the two they already
+    hold instead of calling the oracle there, when there is no
+    `omega_project`.  A wrong declaration costs accuracy of that step and of
+    the curvature estimate, never the certificate: the residual v is built
+    around a fresh oracle gradient at y.
+
     All oracles must be safe for concurrent read-only use; counting state
     lives in per-run CountedProblem wrappers, never here.
     """
@@ -83,6 +92,7 @@ class CompositeProblem:
     lipschitz_L: float
     omega_project: Optional[Callable[[np.ndarray], np.ndarray]] = None
     smooth_value_grad: Optional[Callable[[np.ndarray], tuple[float, np.ndarray]]] = None
+    smooth_is_quadratic: bool = False
 
     def __post_init__(self):
         if self.dim < 1:

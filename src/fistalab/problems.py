@@ -237,6 +237,7 @@ def to_problem(inst) -> CompositeProblem:
             h_prox=lambda z, t: prox_box_indicator(box, z, t),
             lipschitz_L=inst.lipschitz_L,
             smooth_value_grad=inst.value_grad,
+            smooth_is_quadratic=True,
         )
     if isinstance(inst, LassoOnBallInstance):
         reg = inst.regularizer()
@@ -248,6 +249,7 @@ def to_problem(inst) -> CompositeProblem:
             h_prox=lambda z, t: prox_l1_on_ball(reg, z, t),
             lipschitz_L=inst.lipschitz_L,
             smooth_value_grad=inst.value_grad,
+            smooth_is_quadratic=True,
         )
     raise TypeError(f"unknown instance type {type(inst).__name__}")
 
@@ -402,6 +404,8 @@ def _parse_header(line: str) -> tuple[str, dict]:
 def load_instance(path):
     with open(path, encoding="ascii") as fh:
         lines = [ln.strip() for ln in fh if ln.strip()]
+    if not lines:
+        raise ValueError(f"{path}: no instance header (the file is empty)")
     kind, hdr = _parse_header(lines[0])
     n = int(hdr["n"])
     body = [np.array([float(v) for v in ln.split()]) for ln in lines[1:]]

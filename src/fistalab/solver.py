@@ -29,7 +29,8 @@ from typing import Optional
 
 import numpy as np
 
-from .core import CompositeProblem, CountedProblem, EvalCounters, OracleError, as_vector
+from .core import (CompositeProblem, CountedProblem, EvalCounters, OracleError, _all_finite,
+                   as_vector)
 
 __all__ = [
     "InvalidStartError",
@@ -196,8 +197,13 @@ def _iterate(p: CompositeProblem, cfg: SolverConfig, y0: np.ndarray, step: float
     zero (that would flip signed zeros in v), and f(y_k) is evaluated only
     for the trace.  Wherever both f and its gradient are needed at one point
     they come from one `value_grad` call, which shares the work when the
-    problem has a fused oracle.  `inv_step` comes separately from `step` so
-    that each solver keeps its own rounding of 1/step.
+    problem has a fused oracle.  When the problem declares
+    `smooth_is_quadratic` and has no `omega_project`, the gradient at the
+    unprojected x_{k+1} = y_k + beta (y_k - y_{k-1}) is derived as
+    grad f(y_k) + beta (grad f(y_k) - grad f(y_{k-1})), so an accelerated
+    iteration calls the gradient oracle once, at y_k, and never evaluates
+    f at x_{k+1}.  `inv_step` comes separately from `step` so that each
+    solver keeps its own rounding of 1/step.
     """
     cp = CountedProblem(p)
     y0 = as_vector(y0, p.dim)
@@ -216,6 +222,8 @@ def _iterate(p: CompositeProblem, cfg: SolverConfig, y0: np.ndarray, step: float
         grad_x = cp.grad(x)
     except OracleError as e:
         raise OracleError(f"iteration 1: {e}") from e
+    derive = p.smooth_is_quadratic and momentum and p.omega_project is None
+    grad_yprev = grad_x  # grad f(y_{k-1}); y_0 is the start point x_1
 
     need_f = trace is not None or track_curvature
     need_dy = trace is not None or momentum
@@ -240,7 +248,8 @@ def _iterate(p: CompositeProblem, cfg: SolverConfig, y0: np.ndarray, step: float
                 v = grad_y - grad_x + inv_step * dx
             if momentum:
                 a_cur = next_momentum(a_prev)
-                x_next = y + ((a_prev - 1.0) / a_cur) * dy
+                beta = (a_prev - 1.0) / a_cur
+                x_next = y + beta * dy
                 if project:
                     x_next = cp.project(x_next)
             else:
@@ -255,27 +264,40 @@ def _iterate(p: CompositeProblem, cfg: SolverConfig, y0: np.ndarray, step: float
             if vn <= cfg.epsilon:
                 status = "converged"
                 break
-            if track_curvature:
+            if derive:
+                dgrad = beta * (grad_y - grad_yprev)
+                grad_xn = grad_y + dgrad
+                if not _all_finite(grad_xn):
+                    raise OracleError("derived gradient at x_{k+1} is not finite")
+            elif track_curvature:
                 fxn, grad_xn = cp.value_grad(x_next)
+            else:
+                grad_xn = cp.grad(x_next) if momentum else grad_y
+            if track_curvature:
                 # 2 * gap / ||y - x_{k+1}||^2, where gap is how far the
                 # linearization of f at x_{k+1} overshoots f(y_k); positive
                 # values witness nonconvexity between the two points
                 d = y - x_next
                 gd = float(grad_xn.dot(d))
-                gap = fxn + gd - fy
+                if derive:
+                    # exact for quadratic f: gap = d'(grad f(x_{k+1}) - grad f(y_k)) / 2,
+                    # and |f(y_k)| + |gd| bounds |f(x_{k+1})| up to |gap|
+                    gap = 0.5 * float(d.dot(dgrad))
+                    fxn_abs = abs(fy) + abs(gd)
+                else:
+                    gap = fxn + gd - fy
+                    fxn_abs = abs(fxn)
                 d2 = float(d.dot(d))
                 thr = 1e-14 * (1.0 + _norm(y))
                 curvature = 0.0
                 if d2 > thr * thr and abs(gap) > _CURVATURE_SIG_RTOL * (
-                        1.0 + abs(fy) + abs(fxn) + abs(gd)):
+                        1.0 + abs(fy) + fxn_abs + abs(gd)):
                     est = 2.0 * gap / d2
                     if est > clamp:
                         curvature = est
-            else:
-                grad_xn = cp.grad(x_next) if momentum else grad_y
         except OracleError as e:
             raise OracleError(f"iteration {k}: {e}") from e
-        y_prev, x, a_prev, grad_x = y, x_next, a_cur, grad_xn
+        y_prev, x, a_prev, grad_x, grad_yprev = y, x_next, a_cur, grad_xn, grad_y
 
     return SolveResult(status, y, v, k, trace, cp.counters)
 
@@ -286,7 +308,11 @@ def run_mfista(p: CompositeProblem, cfg: SolverConfig, y0: np.ndarray) -> SolveR
     Cost per full iteration: one prox, two gradients (at y_k and x_{k+1}),
     two f values at the same two points.  With a fused `smooth_value_grad`
     each point is one oracle call: one product with Q for the generated
-    quadratics, one with A and one with A' for the lasso.
+    quadratics, one with A and one with A' for the lasso.  A problem that
+    declares `smooth_is_quadratic` and has no `omega_project`, as the
+    generated ones do, needs the oracle at y_k only: the gradient at x_{k+1}
+    is the affine combination of those at y_k and y_{k-1}, and the curvature
+    estimate takes its gap from them, so an iteration is one fused call.
     """
     L = p.lipschitz_L
     return _iterate(p, cfg, y0, 1.0 / (4.0 * L), 4.0 * L,

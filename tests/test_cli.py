@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 
 from fistalab.cli import main, read_trace_csv, write_trace_csv
-from fistalab import SolverConfig, make_convex_qp, run_mfista
+from fistalab import SolverConfig, make_convex_qp, run_mfista, to_problem
 
 
 @pytest.fixture(autouse=True)
@@ -165,20 +166,31 @@ def test_run_removes_another_runs_oracle_and_manifest(tmp_path, monkeypatch, cap
 
 
 @pytest.mark.parametrize("solver", ["mfista", "fista"])
-def test_manifest_records_oracle_counters(tmp_path, solver):
-    out = tmp_path / solver
-    assert run_cli("run", "--problem", "nonconvex-qp", "--n", "6", "--seed", "3",
-                   "--solver", solver, "--eps", "1e-7", "--out", str(out)) == 0
-    manifest = json.loads((out / "manifest.json").read_text())
-    counters = manifest["counters"]
-    assert set(counters) == {"grad_evals", "prox_evals", "proj_evals", "f_evals"}
-    trace = read_trace_csv(out / "trace.csv")
-    iters = manifest["iterations"]
-    assert counters["prox_evals"] == iters == trace.proxevals[-1]
-    assert counters["grad_evals"] == trace.gradevals[-1]
-    assert counters["proj_evals"] == 0  # the generated problems have no omega_project
-    # a converged run evaluates f at y_k every iteration; mfista also at x_{k+1}
-    assert counters["f_evals"] == (2 * iters - 1 if solver == "mfista" else iters)
+def test_manifest_records_oracle_counters(tmp_path, solver, monkeypatch):
+    for quadratic in (True, False):
+        out = tmp_path / f"{solver}-{quadratic}"
+        # generated problems declare smooth_is_quadratic; a run without the
+        # declaration calls the gradient oracle at x_{k+1} too
+        monkeypatch.setattr("fistalab.cli.to_problem", lambda inst, q=quadratic: (
+            dataclasses.replace(to_problem(inst), smooth_is_quadratic=q)))
+        assert run_cli("run", "--problem", "nonconvex-qp", "--n", "6", "--seed", "3",
+                       "--solver", solver, "--eps", "1e-7", "--out", str(out)) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        counters = manifest["counters"]
+        assert set(counters) == {"grad_evals", "prox_evals", "proj_evals", "f_evals"}
+        trace = read_trace_csv(out / "trace.csv")
+        iters = manifest["iterations"]
+        assert counters["prox_evals"] == iters == trace.proxevals[-1]
+        assert counters["grad_evals"] == trace.gradevals[-1]
+        assert counters["proj_evals"] == 0  # the generated problems have no omega_project
+        if quadratic:
+            # one gradient at the start, then one per iteration, at y_k
+            assert counters["grad_evals"] == 1 + iters
+            assert counters["f_evals"] == iters
+        else:
+            # a converged run evaluates f at y_k every iteration; mfista also at x_{k+1}
+            assert counters["grad_evals"] == 2 * iters
+            assert counters["f_evals"] == (2 * iters - 1 if solver == "mfista" else iters)
 
 
 @pytest.mark.parametrize("problem", ["convex-qp", "nonconvex-qp", "lasso-ball"])
@@ -329,6 +341,32 @@ def test_check_short_trace_row(tmp_path, capsys):
     capsys.readouterr()
     assert run_cli("check", str(rundir / "trace.csv")) == 1
     assert "unreadable trace: line 3" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("row,field,bad,lineno", [(0, 0, "x", 2), (2, 4, "1.0.0", 4)],
+                         ids=["int-field", "float-field"])
+def test_check_unparsable_trace_field_names_its_line(tmp_path, capsys, row, field, bad, lineno):
+    rundir = tmp_path / "r10"
+    run_cli("run", "--problem", "convex-qp", "--n", "3", "--seed", "1", "--eps", "1e-7",
+            "--out", str(rundir))
+    (rundir / "manifest.json").unlink()
+    lines = (rundir / "trace.csv").read_text().splitlines()
+    fields = lines[1 + row].split(",")
+    fields[field] = bad
+    lines[1 + row] = ",".join(fields)
+    (rundir / "trace.csv").write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=f"^line {lineno}: "):
+        read_trace_csv(rundir / "trace.csv")
+    capsys.readouterr()
+    assert run_cli("check", "--lipschitz", "1", str(rundir / "trace.csv")) == 1
+    assert f"error: unreadable trace: line {lineno}: " in capsys.readouterr().err
+
+
+def test_run_empty_instance_file_names_it(tmp_path, capsys):
+    path = tmp_path / "empty.txt"
+    path.write_text("")
+    assert run_cli("run", "--instance", str(path), "--out", str(tmp_path / "r")) == 1
+    assert f"error: {path}: no instance header" in capsys.readouterr().err
 
 
 def test_check_advisory_trend_does_not_set_exit_code(tmp_path, capsys):

@@ -7,7 +7,10 @@ The reference keeps the library's operation order, because bit equality
 depends on it, but shares none of its code: it calls the raw oracles of the
 CompositeProblem and counts the calls itself.  Three switches select the
 method: curvature tracking (the paper's online shift), momentum and the
-projection of the extrapolated point.
+projection of the extrapolated point.  A problem that declares
+`smooth_is_quadratic` and has no projection gets the gradient at the
+extrapolated point from the update rule of an affine gradient instead of
+from the oracle; the guard runs every case both ways.
 """
 
 from __future__ import annotations
@@ -58,11 +61,12 @@ def reference_run(p, epsilon, max_iters, y0, step, inv_step, curvature_on, momen
 
     L = p.lipschitz_L
     clamp = 1e-12 * L
+    derive = p.smooth_is_quadratic and momentum and p.omega_project is None
     rows, ys, vs = [], [], []
     y_prev = x = y = np.asarray(y0, dtype=float)
     a_prev = a = 1.0
     L_k = 0.0
-    g_x = grad(x)
+    g_x = g_yprev = grad(x)
     v = np.zeros(p.dim)
     status = "max_iters_reached"
     k = 0
@@ -99,22 +103,35 @@ def reference_run(p, epsilon, max_iters, y0, step, inv_step, curvature_on, momen
         if vn <= epsilon:
             status = "converged"
             break
-        g_xn = grad(x_next) if momentum else g_y
+        if derive:
+            # an affine gradient takes x_next = y + beta (y - y_prev) to
+            # g_y + beta (g_y - g_yprev)
+            dg = ((a_prev - 1.0) / a) * (g_y - g_yprev)
+            g_xn = g_y + dg
+        else:
+            g_xn = grad(x_next) if momentum else g_y
         if curvature_on:
             # negative-curvature witness from the linearization gap at x_next
             d = y - x_next
             gd = float(g_xn @ d)
-            fxn = f(x_next)
-            gap = fxn + gd - fy
+            if derive:
+                # f(x_next) + gd - fy for a quadratic f; f(x_next) is within
+                # gap of fy - gd, so |fy| + |gd| stands in for |f(x_next)|
+                gap = 0.5 * float(d @ dg)
+                fxn_size = abs(fy) + abs(gd)
+            else:
+                fxn = f(x_next)
+                gap = fxn + gd - fy
+                fxn_size = abs(fxn)
             d2 = float(d @ d)
             thr = 1e-14 * (1.0 + float(np.linalg.norm(y)))
             est = 0.0
-            if d2 > thr * thr and abs(gap) > 1e-10 * (1.0 + abs(fy) + abs(fxn) + abs(gd)):
+            if d2 > thr * thr and abs(gap) > 1e-10 * (1.0 + abs(fy) + fxn_size + abs(gd)):
                 est = 2.0 * gap / d2
             L_k = max(0.0, est)
             if L_k <= clamp:
                 L_k = 0.0
-        y_prev, x, a_prev, g_x = y, x_next, a, g_xn
+        y_prev, x, a_prev, g_x, g_yprev = y, x_next, a, g_xn, g_y
     return status, y, v, k, rows, ys, vs, counts
 
 
@@ -155,11 +172,7 @@ def _bits(a):
     return np.asarray(a, dtype=float).tobytes()
 
 
-@pytest.mark.parametrize("solver", ["mfista", "fista", "fista-quarter", "proxgrad"])
-@pytest.mark.parametrize("kind", sorted(INSTANCES))
-@pytest.mark.parametrize("seed", [0, 3])
-def test_solver_matches_reference_loop(kind, solver, seed, tmp_path):
-    p = INSTANCES[kind](seed)
+def check_against_reference(p, solver, tmp_path):
     y0 = p.h_prox(np.zeros(p.dim), 1.0)
     run, switches = _solvers(p)[solver]
     for epsilon, max_iters in ((1e-7, 400), (1e-300, 60)):
@@ -183,6 +196,26 @@ def test_solver_matches_reference_loop(kind, solver, seed, tmp_path):
             assert path.read_text().splitlines()[1:] == rows
             assert [_bits(a) for a in res.trace.ys] == [_bits(a) for a in ys]
             assert [_bits(a) for a in res.trace.vs] == [_bits(a) for a in vs]
+
+
+@pytest.mark.parametrize("solver", ["mfista", "fista", "fista-quarter", "proxgrad"])
+@pytest.mark.parametrize("kind", sorted(INSTANCES))
+@pytest.mark.parametrize("seed", [0, 3])
+def test_solver_matches_reference_loop(kind, solver, seed, tmp_path):
+    # every gradient from the oracle
+    p = dataclasses.replace(INSTANCES[kind](seed), smooth_is_quadratic=False)
+    check_against_reference(p, solver, tmp_path)
+
+
+@pytest.mark.parametrize("solver", ["mfista", "fista", "fista-quarter", "proxgrad"])
+@pytest.mark.parametrize("kind", sorted(INSTANCES))
+@pytest.mark.parametrize("seed", [0, 3])
+def test_quadratic_solver_matches_reference_loop(kind, solver, seed, tmp_path):
+    # the generated problems declare smooth_is_quadratic; the accelerated
+    # solvers derive the gradient at x_{k+1} except under omega_project
+    p = INSTANCES[kind](seed)
+    assert p.smooth_is_quadratic
+    check_against_reference(p, solver, tmp_path)
 
 
 def test_quarter_step_fista_follows_mfista_exactly():

@@ -251,6 +251,14 @@ def test_load_rejects_malformed(tmp_path):
         load_instance(path)
 
 
+@pytest.mark.parametrize("content", ["", "\n  \n"], ids=["empty", "blank-lines"])
+def test_load_rejects_file_without_header(tmp_path, content):
+    path = tmp_path / "empty.txt"
+    path.write_text(content)
+    with pytest.raises(ValueError, match=f"^{path}: no instance header"):
+        load_instance(path)
+
+
 def test_sample_feasible_in_domain(rng):
     p, inst = make_lasso_on_ball(5, 5, 1)
     pts = sample_feasible(inst, rng, 100)

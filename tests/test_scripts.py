@@ -20,6 +20,7 @@ def test_trace_fingerprint_repeats_and_sees_epsilon():
     assert len(digest) == 16
     assert fp.trace_fingerprint(dims=(4,), seeds=(1,)) == digest
     assert fp.trace_fingerprint(dims=(4,), seeds=(1,), epsilon=1e-6) != digest
+    assert fp.trace_fingerprint(dims=(4,), seeds=(1,), quadratic=False) != digest
 
 
 def test_rate_study_runs(monkeypatch, capsys):

@@ -350,20 +350,91 @@ def counting(fn, counts, name):
 def test_mfista_takes_the_fused_oracle(make, eps, max_iters, status):
     # f and grad f at y_k and at x_{k+1} come from one fused call per point;
     # separate calls would leave every trace unchanged and double the
-    # products per iteration, so only call counts can tell
+    # products per iteration, so only call counts can tell.  Declared
+    # quadratic, the problem gets no call at x_{k+1} at all.
     for seed in (1, 2):
-        _, inst = make(seed)
-        counts = {"value_grad": 0, "f": 0, "grad": 0}
-        for name in counts:
-            setattr(inst, name, counting(getattr(inst, name), counts, name))
-        p = to_problem(inst)
-        res = run_mfista(p, SolverConfig(epsilon=eps, max_iters=max_iters), np.zeros(inst.dim))
-        assert res.status == status and res.trace is not None
-        # the last iteration of a converged run stops before x_{k+1}
-        fused_calls = 2 * res.iterations - (status == "converged")
-        assert counts == {"value_grad": fused_calls, "f": 0, "grad": 1}  # grad at y0 only
-        assert res.counters.grad_evals == 1 + fused_calls
-        assert res.counters.f_evals == fused_calls
+        for quadratic in (False, True):
+            _, inst = make(seed)
+            counts = {"value_grad": 0, "f": 0, "grad": 0}
+            for name in counts:
+                setattr(inst, name, counting(getattr(inst, name), counts, name))
+            p = dataclasses.replace(to_problem(inst), smooth_is_quadratic=quadratic)
+            res = run_mfista(p, SolverConfig(epsilon=eps, max_iters=max_iters),
+                             np.zeros(inst.dim))
+            assert res.status == status and res.trace is not None
+            if quadratic:
+                fused_calls = res.iterations  # at y_k only
+            else:
+                # the last iteration of a converged run stops before x_{k+1}
+                fused_calls = 2 * res.iterations - (status == "converged")
+            assert counts == {"value_grad": fused_calls, "f": 0, "grad": 1}  # grad at y0 only
+            assert res.counters.grad_evals == 1 + fused_calls
+            assert res.counters.f_evals == fused_calls
+
+
+@pytest.mark.parametrize("solver", ["mfista", "fista-quarter"])
+def test_quadratic_problem_with_projection_calls_the_oracle_at_x_next(solver):
+    # the extrapolated point is projected, so its gradient is no affine
+    # combination of those in hand: the flag changes nothing, bit for bit
+    p, inst = make_nonconvex_qp(8, 4, negfrac=0.4)
+    p = dataclasses.replace(p, omega_project=lambda z: np.clip(z, inst.lower, inst.upper))
+    cfg = SolverConfig(epsilon=1e-7, max_iters=3000, trace_vectors=True)
+    y0 = np.zeros(8)
+    runs = []
+    for quadratic in (True, False):
+        q = dataclasses.replace(p, smooth_is_quadratic=quadratic)
+        runs.append(run_mfista(q, cfg, y0) if solver == "mfista" else run_fista_baseline(
+            q, cfg, y0, 1.0 / (4.0 * q.lipschitz_L), project_extrapolation=True))
+    flagged, plain = runs
+    assert flagged.converged and flagged.iterations > 10
+    # one gradient at the start, then at y_k and (but in the last) at x_{k+1}
+    assert flagged.counters.grad_evals == 2 * flagged.iterations
+    assert flagged.counters == plain.counters
+    assert flagged.trace.ys[-1].tobytes() == plain.trace.ys[-1].tobytes()
+    assert flagged.v.tobytes() == plain.v.tobytes()
+
+
+@pytest.mark.parametrize("solver", ["mfista", "fista"])
+def test_derived_gradient_overflow_carries_iteration_index(solver):
+    # gradients at y_1 and y_2 (calls 2 and 3) are finite, but the one
+    # derived at x_3 from them is not
+    p = convex_1d()
+    p = dataclasses.replace(p, smooth_is_quadratic=True,
+                            smooth_grad=fail_on_call(p.smooth_grad, 3, np.array([1.7e308])))
+    cfg = SolverConfig(epsilon=1e-12, max_iters=50)
+    with pytest.raises(OracleError, match="^iteration 2: derived gradient at x_{k\\+1} "
+                                          "is not finite"), np.errstate(over="ignore"):
+        if solver == "mfista":
+            run_mfista(p, cfg, np.zeros(1))
+        else:
+            run_fista_baseline(p, cfg, np.zeros(1), 0.25)
+
+
+def test_quadratic_flag_keeps_iterations_and_certificates(rng):
+    # 36 solves with the gradient at x_{k+1} derived, each against the same
+    # solve with it from the oracle: same stopping, and each converged v is a
+    # genuine member of grad f(y) + subdiff h(y) by a fresh gradient at y
+    cfg = SolverConfig(epsilon=1e-8, max_iters=20000, record_trace=False)
+    solves = 0
+    for n in (8, 32):
+        for seed in (1, 2, 3):
+            for p, inst in (make_convex_qp(n, seed), make_nonconvex_qp(n, seed),
+                            make_lasso_on_ball(n, 3 * n // 4, seed)):
+                zs = sample_feasible(inst, rng, 100)
+                h_zs = np.array([p.h_value(z) for z in zs])
+                y0 = p.h_prox(np.zeros(n), 1.0)
+                for solve in (run_mfista,
+                              lambda q, c, y: run_fista_baseline(q, c, y, 1.0 / q.lipschitz_L)):
+                    flagged = solve(p, cfg, y0)
+                    plain = solve(dataclasses.replace(p, smooth_is_quadratic=False), cfg, y0)
+                    solves += 1
+                    assert (flagged.status, flagged.iterations) == (plain.status, plain.iterations)
+                    assert flagged.counters.grad_evals == 1 + flagged.iterations
+                    if flagged.converged:
+                        xi = flagged.v - inst.grad(flagged.y)
+                        slack = h_zs - p.h_value(flagged.y) - (zs - flagged.y) @ xi
+                        assert slack.min() >= -1e-9
+    assert solves == 36
 
 
 @pytest.mark.parametrize("make", [lambda s: make_convex_qp(16, s),

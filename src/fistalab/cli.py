@@ -141,15 +141,10 @@ def _instance_from_config(cfg: RunConfig):
     return make_lasso_on_ball(cfg.n, rows, cfg.seed)[1]
 
 
-def initial_point(p: CompositeProblem) -> np.ndarray:
-    """Deterministic feasible start: prox of the origin."""
-    return p.h_prox(np.zeros(p.dim), 1.0)
-
-
 def dispatch_solver(p: CompositeProblem, cfg: RunConfig) -> SolveResult:
     scfg = SolverConfig(epsilon=cfg.eps, max_iters=cfg.max_iters,
                         record_trace=True, trace_vectors=(cfg.trace == "full"))
-    y0 = initial_point(p)
+    y0 = p.h_prox(np.zeros(p.dim), 1.0)  # deterministic feasible start: prox of the origin
     if cfg.solver == "mfista":
         return run_mfista(p, scfg, y0)
     if cfg.solver == "fista":

@@ -128,7 +128,7 @@ class CountedProblem:
 
     def grad(self, y: np.ndarray) -> np.ndarray:
         self.counters.grad_evals += 1
-        return self._checked_grad(self.problem.smooth_grad(y))
+        return self._checked_vector(self.problem.smooth_grad(y), "smooth_grad", "gradient")
 
     def value_grad(self, y: np.ndarray) -> tuple[float, np.ndarray]:
         """(f(y), grad f(y)), counted as one value plus one gradient.
@@ -143,7 +143,7 @@ class CountedProblem:
         self.counters.grad_evals += 1
         self.counters.f_evals += 1
         val, g = fused(y)
-        return self._checked_value(val), self._checked_grad(g)
+        return self._checked_value(val), self._checked_vector(g, "smooth_grad", "gradient")
 
     def _checked_value(self, val) -> float:
         val = float(val)
@@ -151,11 +151,12 @@ class CountedProblem:
             raise OracleError(f"smooth_value returned non-finite {val!r}")
         return val
 
-    def _checked_grad(self, g) -> np.ndarray:
-        g = np.asarray(g, dtype=float)
-        if g.shape != (self.problem.dim,) or not _all_finite(g):
-            raise OracleError("smooth_grad returned a malformed gradient")
-        return g
+    def _checked_vector(self, out, oracle: str, what: str) -> np.ndarray:
+        """`out` as a finite float array of shape (dim,), else an OracleError naming `oracle`."""
+        out = np.asarray(out, dtype=float)
+        if out.shape != (self.problem.dim,) or not _all_finite(out):
+            raise OracleError(f"{oracle} returned a malformed {what}")
+        return out
 
     def h(self, y: np.ndarray) -> float:
         # extended-real: +inf allowed, NaN is not
@@ -168,16 +169,10 @@ class CountedProblem:
         if not t > 0:
             raise ValueError("prox step t must be positive")
         self.counters.prox_evals += 1
-        y = np.asarray(self.problem.h_prox(z, t), dtype=float)
-        if y.shape != (self.problem.dim,) or not _all_finite(y):
-            raise OracleError("h_prox returned a malformed point")
-        return y
+        return self._checked_vector(self.problem.h_prox(z, t), "h_prox", "point")
 
     def project(self, x: np.ndarray) -> np.ndarray:
         if self.problem.omega_project is None:
             return x
         self.counters.proj_evals += 1
-        px = np.asarray(self.problem.omega_project(x), dtype=float)
-        if px.shape != (self.problem.dim,) or not _all_finite(px):
-            raise OracleError("omega_project returned a malformed point")
-        return px
+        return self._checked_vector(self.problem.omega_project(x), "omega_project", "point")

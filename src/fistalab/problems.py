@@ -228,30 +228,21 @@ def make_lasso_on_ball(n: int, rows: int, seed: int, weight_scale: float = 0.05,
 def to_problem(inst) -> CompositeProblem:
     """Assemble the oracle bundle for a generated instance."""
     if isinstance(inst, QuadraticInstance):
-        box = inst.box()
-        return CompositeProblem(
-            dim=inst.dim,
-            smooth_value=inst.f,
-            smooth_grad=inst.grad,
-            h_value=box.h_value,
-            h_prox=lambda z, t: prox_box_indicator(box, z, t),
-            lipschitz_L=inst.lipschitz_L,
-            smooth_value_grad=inst.value_grad,
-            smooth_is_quadratic=True,
-        )
-    if isinstance(inst, LassoOnBallInstance):
-        reg = inst.regularizer()
-        return CompositeProblem(
-            dim=inst.dim,
-            smooth_value=inst.f,
-            smooth_grad=inst.grad,
-            h_value=reg.h_value,
-            h_prox=lambda z, t: prox_l1_on_ball(reg, z, t),
-            lipschitz_L=inst.lipschitz_L,
-            smooth_value_grad=inst.value_grad,
-            smooth_is_quadratic=True,
-        )
-    raise TypeError(f"unknown instance type {type(inst).__name__}")
+        h, prox = inst.box(), prox_box_indicator
+    elif isinstance(inst, LassoOnBallInstance):
+        h, prox = inst.regularizer(), prox_l1_on_ball
+    else:
+        raise TypeError(f"unknown instance type {type(inst).__name__}")
+    return CompositeProblem(
+        dim=inst.dim,
+        smooth_value=inst.f,
+        smooth_grad=inst.grad,
+        h_value=h.h_value,
+        h_prox=lambda z, t: prox(h, z, t),
+        lipschitz_L=inst.lipschitz_L,
+        smooth_value_grad=inst.value_grad,
+        smooth_is_quadratic=True,
+    )
 
 
 def _box_kkt_residual(inst: QuadraticInstance, y: np.ndarray) -> float:

@@ -87,15 +87,8 @@ class Trace:
                  keep_vectors: bool = False):
         self.lipschitz_L = float(lipschitz_L)
         self.y0 = None if y0 is None else np.array(y0, dtype=float)
-        self.k: list[int] = []
-        self.a_k: list[float] = []
-        self.L_k: list[float] = []
-        self.vnorm: list[float] = []
-        self.phi: list[float] = []
-        self.dxy: list[float] = []
-        self.dyy: list[float] = []
-        self.gradevals: list[int] = []
-        self.proxevals: list[int] = []
+        for name in self.COLUMNS:
+            setattr(self, name, [])
         self.ys: Optional[list[np.ndarray]] = [] if keep_vectors else None
         self.vs: Optional[list[np.ndarray]] = [] if keep_vectors else None
 

@@ -53,6 +53,7 @@ from .problems import (
     save_instance,
     to_problem,
     MAX_ENUM_DIM,
+    _load_json_object,
 )
 from .solver import (
     SolverConfig,
@@ -246,7 +247,7 @@ def _run(cfg: RunConfig) -> SolveResult:
         outdir = Path(cfg.out)
     else:
         tag = cfg.problem if cfg.problem else Path(cfg.instance).stem
-        name = f"{tag}-n{inst.dim}-seed{cfg.seed}-{cfg.solver}"
+        name = f"{tag}-n{inst.dim}-seed{inst.seed}-{cfg.solver}"
         if cfg.solver == "fista":
             name += f"-{cfg.step_mode}"
         outdir = output_root() / name
@@ -299,8 +300,7 @@ def cmd_check(args) -> int:
     manifest_path = trace_path.with_name("manifest.json")
     manifest = None
     if manifest_path.exists():
-        with open(manifest_path, encoding="ascii") as fh:
-            manifest = json.load(fh)
+        manifest = _load_json_object(manifest_path, ("config", "lipschitz_L"))
     L = args.lipschitz
     if L is None and manifest is not None:
         L = manifest["lipschitz_L"]
@@ -371,8 +371,7 @@ def _sweep_cells(matrix: dict, outdir: Path) -> list[tuple[str, RunConfig]]:
 
 
 def cmd_sweep(args) -> int:
-    with open(args.config, encoding="ascii") as fh:
-        matrix = json.load(fh)
+    matrix = _load_json_object(args.config, SWEEP_AXES)
     outdir = Path(args.out) if args.out else output_root() / "sweep"
     cells = _sweep_cells(matrix, outdir)  # a bad matrix fails here, before any cell runs
     outdir.mkdir(parents=True, exist_ok=True)
@@ -463,8 +462,7 @@ def _apply_config(cfg: RunConfig, mapping: dict) -> RunConfig:
 def _run_config_from_args(args) -> RunConfig:
     cfg = RunConfig()
     if args.config:
-        with open(args.config, encoding="ascii") as fh:
-            _apply_config(cfg, json.load(fh))
+        _apply_config(cfg, _load_json_object(args.config))
     for key in RUN_CONFIG_KEYS:
         value = getattr(args, key)
         if value is not None:  # flags override the config file

@@ -382,38 +382,62 @@ def save_instance(inst, path) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def _parse_header(line: str) -> tuple[str, dict]:
-    parts = line.split()
-    kind = parts[0]
-    fields = {}
-    for tok in parts[1:]:
-        key, _, val = tok.partition("=")
-        fields[key] = val
-    return kind, fields
-
-
 def load_instance(path):
+    """Read a save_instance file; errors name the path and the bad field or line."""
     with open(path, encoding="ascii") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
+        lines = [(lineno, ln.split()) for lineno, ln in enumerate(fh, start=1) if ln.strip()]
     if not lines:
         raise ValueError(f"{path}: no instance header (the file is empty)")
-    kind, hdr = _parse_header(lines[0])
-    n = int(hdr["n"])
-    body = [np.array([float(v) for v in ln.split()]) for ln in lines[1:]]
+    kind, *tokens = lines[0][1]
+    hdr = dict(tok.partition("=")[::2] for tok in tokens)
+
+    def field(key, conv):
+        try:
+            return conv(hdr[key])
+        except KeyError:
+            raise ValueError(f"{path}: header has no {key}= field") from None
+        except ValueError as e:
+            raise ValueError(f"{path}: header field {key}={hdr[key]!r}: {e}") from None
+
+    # every payload line holds n numbers, except the lasso's target, which holds rows
+    n = field("n", int)
     if kind in ("convex-qp", "nonconvex-qp"):
-        if len(body) != n + 3:
-            raise ValueError(f"expected {n + 3} payload lines, got {len(body)}")
-        Q = np.vstack(body[:n])
-        return QuadraticInstance(kind, Q, body[n], body[n + 1], body[n + 2],
-                                 float(hdr["L"]), float(hdr["m"]), int(hdr["seed"]))
+        widths = [n] * (n + 3)
+    elif kind == "lasso-ball":
+        rows = field("rows", int)
+        widths = [n] * rows + [rows]
+    else:
+        raise ValueError(f"{path}: unknown instance kind {kind!r}")
+    if len(lines) - 1 != len(widths):
+        raise ValueError(f"{path}: expected {len(widths)} payload lines, got {len(lines) - 1}")
+    body = []
+    for (lineno, values), width in zip(lines[1:], widths):
+        if len(values) != width:
+            raise ValueError(f"{path}: line {lineno}: expected {width} numbers, got {len(values)}")
+        try:
+            body.append(np.array([float(v) for v in values]))
+        except ValueError as e:
+            raise ValueError(f"{path}: line {lineno}: {e}") from None
     if kind == "lasso-ball":
-        rows = int(hdr["rows"])
-        if len(body) != rows + 1:
-            raise ValueError(f"expected {rows + 1} payload lines, got {len(body)}")
-        A = np.vstack(body[:rows])
-        return LassoOnBallInstance(kind, A, body[rows], float(hdr["lam"]),
-                                   float(hdr["radius"]), float(hdr["L"]), int(hdr["seed"]))
-    raise ValueError(f"unknown instance kind {kind!r}")
+        return LassoOnBallInstance(kind, np.vstack(body[:rows]), body[rows], field("lam", float),
+                                   field("radius", float), field("L", float), field("seed", int))
+    return QuadraticInstance(kind, np.vstack(body[:n]), body[n], body[n + 1], body[n + 2],
+                             field("L", float), field("m", float), field("seed", int))
+
+
+def _load_json_object(path, keys=()) -> dict:
+    """The JSON object in `path`; errors name the file and the first missing key."""
+    with open(path, encoding="ascii") as fh:
+        try:
+            payload = json.load(fh)
+        except ValueError as e:  # malformed JSON, or bytes that are not ASCII
+            raise ValueError(f"{path}: {e}") from None
+    if not isinstance(payload, dict):
+        raise ValueError(f"{path}: expected a JSON object, got {type(payload).__name__}")
+    for key in keys:
+        if key not in payload:
+            raise ValueError(f"{path}: missing key {key!r}")
+    return payload
 
 
 def save_certificate(cert: OracleCertificate, path) -> None:
@@ -428,8 +452,7 @@ def save_certificate(cert: OracleCertificate, path) -> None:
 
 
 def load_certificate(path) -> OracleCertificate:
-    with open(path, encoding="ascii") as fh:
-        payload = json.load(fh)
+    payload = _load_json_object(path, ("y_star", "phi_star", "kkt_residual", "method"))
     return OracleCertificate(
         np.array([float(v) for v in payload["y_star"]]),
         float(payload["phi_star"]),

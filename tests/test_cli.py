@@ -130,18 +130,24 @@ def test_check_genuine_and_corrupted(tmp_path, capsys):
 
 
 def test_check_full_trace_with_oracle(tmp_path, capsys):
-    rundir = tmp_path / "r5"
-    code = run_cli("run", "--problem", "convex-qp", "--n", "3", "--seed", "4",
-                   "--eps", "1e-300", "--max-iters", "400", "--trace", "full",
-                   "--with-oracle", "--out", str(rundir))
-    assert code == 2  # epsilon unreachable, that is fine here
-    assert (rundir / "oracle.json").exists()
-    code = run_cli("check", str(rundir / "trace.csv"),
-                   "--oracle", str(rundir / "oracle.json"))
-    out = capsys.readouterr().out
-    assert code == 0
-    assert "CHECK lyapunov_monotone PASS" in out
-    assert "CHECK function_value_bound PASS" in out
+    for problem, expected_code in (
+            # epsilon unreachable, that is fine here
+            (("convex-qp", "--n", "3", "--seed", "4", "--eps", "1e-300", "--max-iters", "400"), 2),
+            # the lasso's certificate comes from lasso_optimum, not enumeration
+            (("lasso-ball", "--n", "6", "--rows", "8", "--seed", "1"), 0)):
+        rundir = tmp_path / problem[0]
+        code = run_cli("run", "--problem", *problem, "--trace", "full",
+                       "--with-oracle", "--out", str(rundir))
+        assert code == expected_code
+        assert (rundir / "oracle.json").exists()
+        capsys.readouterr()
+        code = run_cli("check", str(rundir / "trace.csv"),
+                       "--oracle", str(rundir / "oracle.json"))
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "CHECK residual_bound PASS" in out
+        assert "CHECK lyapunov_monotone PASS" in out
+        assert "CHECK function_value_bound PASS" in out
 
 
 def test_run_removes_another_runs_oracle_and_manifest(tmp_path, monkeypatch, capsys):
@@ -208,6 +214,27 @@ def test_manifest_final_vnorm_is_the_traced_one(tmp_path, problem, solver):
 def test_check_missing_trace(capsys):
     assert run_cli("check", "/nonexistent/trace.csv") == 1
     assert "no such trace" in capsys.readouterr().err
+
+
+def test_check_without_manifest_or_lipschitz_is_an_error(tmp_path, capsys):
+    rundir = tmp_path / "r"
+    run_cli("run", "--problem", "convex-qp", "--n", "3", "--seed", "1", "--out", str(rundir))
+    (rundir / "manifest.json").unlink()
+    capsys.readouterr()
+    assert run_cli("check", str(rundir / "trace.csv")) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: Lipschitz constant unavailable")
+    assert captured.out == ""
+
+
+def test_run_designed_spectrum_records_its_lipschitz_constant(tmp_path):
+    # --cond spreads the spectrum geometrically up to 1, so L is 1
+    out = tmp_path / "r"
+    assert run_cli("run", "--problem", "convex-qp", "--n", "4", "--cond", "100",
+                   "--seed", "1", "--out", str(out)) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["config"]["cond"] == 100.0
+    assert manifest["lipschitz_L"] == pytest.approx(1.0, rel=1e-12)
 
 
 def test_sweep_summary(tmp_path, capsys):
@@ -369,6 +396,68 @@ def test_run_empty_instance_file_names_it(tmp_path, capsys):
     assert f"error: {path}: no instance header" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("content,message", [
+    ("convex-qp seed=0 L=1.0 m=0.0\n1.0\n0.5\n-1.0\n1.0\n", "header has no n= field"),
+    ("convex-qp n=1 seed=0 L=1.0 m=0.0\n1.0\nx\n-1.0\n1.0\n",
+     "line 3: could not convert string to float: 'x'"),
+], ids=["header-field", "payload-line"])
+def test_run_malformed_instance_file_names_file_and_fault(tmp_path, capsys, content, message):
+    path = tmp_path / "bad.txt"
+    path.write_text(content)
+    assert run_cli("run", "--instance", str(path), "--out", str(tmp_path / "r")) == 1
+    assert capsys.readouterr().err == f"error: {path}: {message}\n"
+    assert not (tmp_path / "r").exists()
+
+
+def test_default_run_dir_names_the_instance_files_seed(tmp_path):
+    inst_file = tmp_path / "i2.txt"
+    assert run_cli("gen", "--kind", "convex-qp", "--n", "3", "--seed", "2",
+                   "--out", str(inst_file)) == 0
+    assert run_cli("run", "--instance", str(inst_file)) == 0
+    # under $FISTALAB_OUT, set for every test here
+    assert [d.name for d in (tmp_path / "out").iterdir()] == ["i2-n3-seed2-mfista"]
+
+
+def test_check_oracle_without_a_key_names_file_and_key(tmp_path, capsys):
+    rundir = tmp_path / "r"
+    assert run_cli("run", "--problem", "convex-qp", "--n", "3", "--seed", "4", "--trace", "full",
+                   "--with-oracle", "--out", str(rundir)) == 0
+    oracle = rundir / "oracle.json"
+    payload = json.loads(oracle.read_text())
+    del payload["phi_star"]
+    oracle.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert run_cli("check", str(rundir / "trace.csv"), "--oracle", str(oracle)) == 1
+    assert capsys.readouterr().err == f"error: {oracle}: missing key 'phi_star'\n"
+
+
+def test_check_corrupt_manifest_names_it(tmp_path, capsys):
+    rundir = tmp_path / "r"
+    run_cli("run", "--problem", "convex-qp", "--n", "3", "--seed", "1", "--out", str(rundir))
+    manifest = rundir / "manifest.json"
+    manifest.write_text(manifest.read_text()[:-10])
+    capsys.readouterr()
+    assert run_cli("check", str(rundir / "trace.csv")) == 1
+    assert capsys.readouterr().err.startswith(f"error: {manifest}: ")
+
+
+def test_sweep_config_without_an_axis_names_file_and_key(tmp_path, capsys):
+    cfg_path = tmp_path / "sweep.json"
+    cfg_path.write_text(json.dumps({"instances": [{"kind": "convex-qp", "n": 3}],
+                                    "epsilons": [1e-6]}))
+    assert run_cli("sweep", str(cfg_path), "--out", str(tmp_path / "sw")) == 1
+    assert capsys.readouterr().err == f"error: {cfg_path}: missing key 'solvers'\n"
+    assert not (tmp_path / "sw").exists()
+
+
+def test_run_config_file_must_hold_an_object(tmp_path, capsys):
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text("[1, 2]")
+    assert run_cli("run", "--config", str(cfg_path), "--out", str(tmp_path / "r")) == 1
+    assert capsys.readouterr().err == f"error: {cfg_path}: expected a JSON object, got list\n"
+    assert not (tmp_path / "r").exists()
+
+
 def test_check_advisory_trend_does_not_set_exit_code(tmp_path, capsys):
     # 50 iterations of a genuine convex run are too few for the n^{-3/2}
     # trend, which is advisory: its FAIL is printed, the gates decide the code
@@ -383,6 +472,20 @@ def test_check_advisory_trend_does_not_set_exit_code(tmp_path, capsys):
     assert trend.endswith(" -- advisory")
     assert code == 0
     assert lines[-1] == trend  # gates first, the advisory line last
+
+
+def test_check_settled_nonconvex_run_gets_the_half_power_trend(tmp_path, capsys):
+    # the curvature shift switches on, so the convex n^{-3/2} trend does not
+    # apply; the iterates settle, so the n^{-1/2} one does, as an advisory line
+    rundir = tmp_path / "r"
+    assert run_cli("run", "--problem", "nonconvex-qp", "--n", "4", "--seed", "1",
+                   "--eps", "1e-300", "--max-iters", "400", "--out", str(rundir)) == 2
+    capsys.readouterr()
+    assert run_cli("check", str(rundir / "trace.csv")) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1].startswith("CHECK scaled_trend_0.5 PASS worst=")
+    assert lines[-1].endswith(" -- advisory")
+    assert not any(ln.startswith("CHECK scaled_trend_1.5") for ln in lines)
 
 
 def test_stale_vector_sidecar_is_not_paired(tmp_path):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -241,14 +242,45 @@ def test_lasso_round_trip(tmp_path):
     assert p.smooth_value(y) == to_problem(inst).smooth_value(y)
 
 
+QP_1D = "convex-qp n=1 seed=0 L=1.0 m=0.0\n1.0\n0.5\n-1.0\n1.0\n"
+LASSO_2D = "lasso-ball n=2 rows=1 seed=0 L=1.0 m=0.0 lam=0.1 radius=10.0\n1.0 0.5\n0.3\n"
+QP_2D_HEADER = "convex-qp n=2 seed=0 L=1.0 m=0.0\n"
+
+
 def test_load_rejects_malformed(tmp_path):
     path = tmp_path / "bad.txt"
-    path.write_text("convex-qp n=2 seed=0 L=1.0 m=0.0\n1.0 0.0\n")
-    with pytest.raises(ValueError):
+    for good in (QP_1D, LASSO_2D):  # each case below breaks one thing in these
+        path.write_text(good)
         load_instance(path)
-    path.write_text("mystery n=1 seed=0 L=1.0 m=0.0\n1.0\n")
-    with pytest.raises(ValueError):
-        load_instance(path)
+    cases = [
+        (QP_2D_HEADER + "1.0 0.0\n", "expected 5 payload lines, got 1"),
+        ("mystery n=1 seed=0 L=1.0 m=0.0\n1.0\n", "unknown instance kind 'mystery'"),
+        # header fields: missing, or not a number of the right type
+        (QP_1D.replace(" n=1", ""), "header has no n= field"),
+        (QP_1D.replace("n=1", "n=abc"), "header field n='abc': invalid literal for int()"),
+        (QP_1D.replace(" L=1.0", ""), "header has no L= field"),
+        (QP_1D.replace(" m=0.0", ""), "header has no m= field"),
+        (QP_1D.replace("m=0.0", "m=zero"), "header field m='zero': could not convert"),
+        (QP_1D.replace(" seed=0", ""), "header has no seed= field"),
+        (QP_1D.replace("seed=0", "seed=1.5"), "header field seed='1.5': invalid literal"),
+        (LASSO_2D.replace(" rows=1", ""), "header has no rows= field"),
+        (LASSO_2D.replace("rows=1", "rows=one"), "header field rows='one': invalid literal"),
+        (LASSO_2D.replace(" lam=0.1", ""), "header has no lam= field"),
+        (LASSO_2D.replace("lam=0.1", "lam=x"), "header field lam='x': could not convert"),
+        (LASSO_2D.replace(" radius=10.0", ""), "header has no radius= field"),
+        (LASSO_2D.replace("radius=10.0", "radius=big"), "header field radius='big': could not"),
+        # payload lines: a token that is no number, or the wrong count of numbers
+        (QP_1D.replace("\n0.5\n", "\nx\n"), "line 3: could not convert string to float: 'x'"),
+        (QP_2D_HEADER + "1.0 0.0 0.0\n" * 5, "line 2: expected 2 numbers, got 3"),
+        (QP_2D_HEADER + "1.0 0.0\n1.0\n0.1 0.2\n-1.0 -1.0\n1.0 1.0\n",
+         "line 3: expected 2 numbers, got 1"),
+        (LASSO_2D.replace("\n0.3\n", "\n0.3 0.4\n"), "line 3: expected 1 numbers, got 2"),
+        (LASSO_2D.replace("1.0 0.5", "1.0"), "line 2: expected 2 numbers, got 1"),
+    ]
+    for content, message in cases:
+        path.write_text(content)
+        with pytest.raises(ValueError, match="^" + re.escape(f"{path}: {message}")):
+            load_instance(path)
 
 
 @pytest.mark.parametrize("content", ["", "\n  \n"], ids=["empty", "blank-lines"])

@@ -102,6 +102,7 @@ def test_l1_on_ball_value_is_weighted_l1_norm(rng):
     for _ in range(20):
         z = rng.uniform(-4.0, 4.0, 5)
         assert h.h_value(z) == 0.7 * float(np.sum(np.abs(z)))
+        assert h.h_value(z * (20.0 / np.linalg.norm(z))) == math.inf  # outside the ball
 
 
 # --- projections ---------------------------------------------------------

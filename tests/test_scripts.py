@@ -35,3 +35,9 @@ def test_rate_study_runs(monkeypatch, capsys):
     fitted = [ln for ln in lines if " slope " in ln]
     assert len(fitted) == 4
     assert all(ln.startswith("nonconvex-qp") and "trend[" in ln for ln in fitted)
+
+
+def test_inequality_audit_passes(capsys):
+    # the battery's own regression gate: every check on every run passes
+    assert load_script("inequality_audit").main() == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "all checks passed"

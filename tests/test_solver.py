@@ -289,10 +289,11 @@ def test_prox_and_projection_failures_carry_iteration_index(field, bad_call, wha
 
 
 @pytest.mark.parametrize("field,bad_call,iteration,what", [
+    ("smooth_grad", 1, 1, "smooth_grad returned a malformed gradient"),  # the start point's
     ("smooth_grad", 4, 2, "smooth_grad returned a malformed gradient"),
     ("h_prox", 3, 3, "h_prox returned a malformed point"),
     ("omega_project", 2, 2, "omega_project returned a malformed point"),
-], ids=["grad", "prox", "project"])
+], ids=["start-grad", "grad", "prox", "project"])
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
 def test_non_finite_oracle_output_names_its_iteration(field, bad_call, iteration, what, bad):
     # gradients: the start point's, then y_1's and x_2's in iteration 1, so
@@ -301,6 +302,14 @@ def test_non_finite_oracle_output_names_its_iteration(field, bad_call, iteration
     p = dataclasses.replace(p, **{field: fail_on_call(getattr(p, field), bad_call,
                                                       np.array([bad]))})
     with pytest.raises(OracleError, match=f"^iteration {iteration}: {what}$"):
+        run_mfista(p, SolverConfig(epsilon=1e-12, max_iters=50), np.zeros(1))
+
+
+def test_h_value_nan_names_its_iteration():
+    # h is evaluated once at the start point, then once per traced iteration
+    p = convex_1d()
+    p = dataclasses.replace(p, h_value=fail_on_call(p.h_value, 4, math.nan))
+    with pytest.raises(OracleError, match="^iteration 3: h_value returned NaN$"):
         run_mfista(p, SolverConfig(epsilon=1e-12, max_iters=50), np.zeros(1))
 
 

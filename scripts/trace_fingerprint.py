@@ -16,6 +16,12 @@ accelerated solvers derive the gradient at x_{k+1}, and once with that
 declaration forced off, so that every gradient comes from the oracle.  Each
 digest is printed on its own line; together they take about two minutes on
 one core.
+
+A third line digests the certificate oracles on the same battery:
+`lasso_optimum` on its 48 lassos and `brute_force_optimum` on its 24 n=4
+quadratics, over each certificate's y_star, phi_star, kkt_residual and
+method.  A change to either oracle that must keep certificates
+bit-identical must print the same third line before and after.
 """
 
 import dataclasses
@@ -26,6 +32,7 @@ import numpy as np
 from fistalab import (
     SolverConfig,
     Trace,
+    brute_force_optimum,
     make_convex_qp,
     make_lasso_on_ball,
     make_nonconvex_qp,
@@ -33,16 +40,18 @@ from fistalab import (
     run_mfista,
     run_proxgrad_baseline,
 )
+from fistalab.problems import MAX_ENUM_DIM, lasso_optimum
 
 DIMS = (4, 8, 32, 64)
 SEEDS = tuple(range(1, 13))
 EPSILON = 1e-8
 MAX_ITERS = 2000
 
+# each returns (problem, instance)
 PROBLEMS = {
-    "convex-qp": lambda n, s: make_convex_qp(n, s)[0],
-    "nonconvex-qp": lambda n, s: make_nonconvex_qp(n, s)[0],
-    "lasso-ball": lambda n, s: make_lasso_on_ball(n, max(1, 3 * n // 4), s)[0],
+    "convex-qp": make_convex_qp,
+    "nonconvex-qp": make_nonconvex_qp,
+    "lasso-ball": lambda n, s: make_lasso_on_ball(n, max(1, 3 * n // 4), s),
 }
 
 SOLVERS = {
@@ -82,7 +91,7 @@ def trace_fingerprint(dims=DIMS, seeds=SEEDS, epsilon: float = EPSILON,
     for n in dims:
         for seed in seeds:
             for pname, make in PROBLEMS.items():
-                p = make(n, seed)
+                p = make(n, seed)[0]
                 if not quadratic:
                     p = dataclasses.replace(p, smooth_is_quadratic=False)
                 # the prox of the origin is a feasible start for every family
@@ -96,7 +105,28 @@ def trace_fingerprint(dims=DIMS, seeds=SEEDS, epsilon: float = EPSILON,
     return h.hexdigest()[:16]
 
 
+def oracle_fingerprint(dims=DIMS, seeds=SEEDS) -> str:
+    """sha256 prefix over the oracle certificates of the battery's instances:
+    every lasso, and the quadratics small enough to enumerate."""
+    h = hashlib.sha256()
+    for n in dims:
+        for seed in seeds:
+            for pname, make in PROBLEMS.items():
+                if pname == "lasso-ball":
+                    cert = lasso_optimum(make(n, seed)[1])
+                elif n <= MAX_ENUM_DIM:
+                    cert = brute_force_optimum(make(n, seed)[1])
+                else:
+                    continue
+                h.update(f"{n} {seed} {pname} {cert.method}".encode())
+                h.update(cert.y_star.tobytes())
+                h.update(np.float64(cert.phi_star).tobytes())
+                h.update(np.float64(cert.kkt_residual).tobytes())
+    return h.hexdigest()[:16]
+
+
 if __name__ == "__main__":
     print(f"{trace_fingerprint()} as generated (gradient at x_{{k+1}} derived)")
     print(f"{trace_fingerprint(quadratic=False)} smooth_is_quadratic forced off "
           "(every gradient from the oracle)")
+    print(f"{oracle_fingerprint()} oracle certificates (lasso_optimum, brute_force_optimum)")

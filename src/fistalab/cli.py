@@ -16,6 +16,7 @@ one vector per CSV row.  Output directories default to $FISTALAB_OUT or
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -95,8 +96,7 @@ class RunConfig:
 
     def validate(self) -> None:
         # config files are JSON, so check the types before comparing values
-        for key, hint in get_type_hints(RunConfig).items():
-            allowed = get_args(hint) or (hint,)  # Optional[X] -> (X, NoneType)
+        for key, allowed in _run_config_types().items():
             value = getattr(self, key)
             if isinstance(value, bool):  # an int subclass, taken only by bool fields
                 ok = bool in allowed
@@ -122,6 +122,13 @@ class RunConfig:
 
 
 RUN_CONFIG_KEYS = tuple(f.name for f in fields(RunConfig))
+
+
+@functools.cache
+def _run_config_types() -> dict:
+    """RunConfig field -> the types its value may have; Optional[X] -> (X, NoneType).
+    Resolved on first use, not at import, and once per process."""
+    return {key: get_args(hint) or (hint,) for key, hint in get_type_hints(RunConfig).items()}
 
 
 def output_root() -> Path:
@@ -470,10 +477,15 @@ def _run_config_from_args(args) -> RunConfig:
     return cfg
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """build_parser(), built on the first command and reused by every later one."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as e:
         return EXIT_OK if e.code == 0 else EXIT_ERROR
     try:

@@ -44,7 +44,13 @@ def _all_finite(a: np.ndarray) -> bool:
 
 
 def as_vector(x, dim: Optional[int] = None) -> np.ndarray:
-    """Coerce `x` to a finite 1-D float64 array, optionally checking its length."""
+    """Coerce `x` to a finite 1-D float64 array, optionally checking its length.
+
+    The finiteness test squares the vector in one dot product (see
+    _all_finite).  A finite vector with entries above about 1.3e154 is
+    accepted, but numpy's overflow RuntimeWarning reaches the caller, and
+    where warnings are errors (`python -W error`) it raises instead.
+    """
     v = np.asarray(x, dtype=float)
     if v.ndim == 0:
         v = v.reshape(1)

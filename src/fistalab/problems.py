@@ -39,6 +39,7 @@ __all__ = [
 ]
 
 MAX_ENUM_DIM = 4   # active-set enumeration is 3^n reduced solves
+POLISH_EVERY = 50  # lasso_optimum's prox-gradient iterations between support polishes
 
 
 @dataclass
@@ -304,14 +305,42 @@ def brute_force_optimum(inst: QuadraticInstance) -> OracleCertificate:
                              "active-set-enumeration")
 
 
+def _support_polish(inst: LassoOnBallInstance, y: np.ndarray) -> Optional[np.ndarray]:
+    """The exact stationary point on y's support with y's signs fixed, or
+    None when it fails the sign test or the off-support dual bound."""
+    A, target, lam = inst.A, inst.target, inst.weight
+    support = np.flatnonzero(np.abs(y) > 1e-12)
+    if not support.size:
+        return None
+    signs = np.sign(y[support])
+    As = A[:, support]
+    try:
+        ys = np.linalg.solve(As.T @ As, As.T @ target - lam * signs)
+    except np.linalg.LinAlgError:
+        return None
+    if not np.all(np.sign(ys) == signs):
+        return None
+    resid = As @ ys - target
+    if not np.max(np.abs(A.T @ resid)) <= lam * (1.0 + 1e-9):
+        return None
+    polished = np.zeros(inst.dim)
+    polished[support] = ys
+    return polished
+
+
 def lasso_optimum(inst: LassoOnBallInstance) -> OracleCertificate:
     """High-accuracy l1 optimum: accelerated prox-gradient, then an exact
     solve on the identified support.
 
     The polish step solves the stationarity system restricted to the nonzero
     coordinates with their signs fixed, then verifies the off-support dual
-    bound and interiority of the ball.  kkt_residual is the prox fixed-point
-    residual at step 1/L, rescaled to gradient units.
+    bound; a point that passes is determined by the support and signs alone.
+    It is tried every POLISH_EVERY prox-gradient iterations, and the first
+    one that passes is returned.  If none does, the iterations run until no
+    coordinate moves by 1e-15 (or 200000 iterations) and the polish is tried
+    once more on the last iterate, which is kept if that fails too.  The
+    result must lie strictly inside the ball.  kkt_residual is the prox
+    fixed-point residual at step 1/L, rescaled to gradient units.
     """
     A, target, lam = inst.A, inst.target, inst.weight
     L = inst.lipschitz_L
@@ -319,7 +348,8 @@ def lasso_optimum(inst: LassoOnBallInstance) -> OracleCertificate:
     y = np.zeros(inst.dim)
     x = y.copy()
     a_prev = 1.0
-    for _ in range(200_000):
+    polished = None
+    for k in range(1, 200_001):
         g = A.T @ (A @ x - target)
         y_new = soft_threshold(x - t * g, t * lam)
         a_cur = (1.0 + math.sqrt(1.0 + 4.0 * a_prev * a_prev)) / 2.0
@@ -328,21 +358,14 @@ def lasso_optimum(inst: LassoOnBallInstance) -> OracleCertificate:
             y = y_new
             break
         y, a_prev = y_new, a_cur
-
-    # exact polish on the support
-    support = np.flatnonzero(np.abs(y) > 1e-12)
-    if support.size:
-        signs = np.sign(y[support])
-        As = A[:, support]
-        try:
-            ys = np.linalg.solve(As.T @ As, As.T @ target - lam * signs)
-            if np.all(np.sign(ys) == signs):
-                resid = As @ ys - target
-                if np.max(np.abs(A.T @ resid)) <= lam * (1.0 + 1e-9):
-                    y = np.zeros(inst.dim)
-                    y[support] = ys
-        except np.linalg.LinAlgError:
-            pass
+        if k % POLISH_EVERY == 0:
+            polished = _support_polish(inst, y)
+            if polished is not None:
+                break
+    if polished is None:
+        polished = _support_polish(inst, y)
+    if polished is not None:
+        y = polished
 
     if not np.linalg.norm(y) < inst.radius:
         raise RuntimeError("lasso optimum touched the padding ball; radius too small")
@@ -399,12 +422,18 @@ def load_instance(path):
         except ValueError as e:
             raise ValueError(f"{path}: header field {key}={hdr[key]!r}: {e}") from None
 
+    def positive_int(text):
+        value = int(text)
+        if value < 1:
+            raise ValueError("must be a positive integer")
+        return value
+
     # every payload line holds n numbers, except the lasso's target, which holds rows
-    n = field("n", int)
+    n = field("n", positive_int)
     if kind in ("convex-qp", "nonconvex-qp"):
         widths = [n] * (n + 3)
     elif kind == "lasso-ball":
-        rows = field("rows", int)
+        rows = field("rows", positive_int)
         widths = [n] * rows + [rows]
     else:
         raise ValueError(f"{path}: unknown instance kind {kind!r}")
@@ -452,10 +481,21 @@ def save_certificate(cert: OracleCertificate, path) -> None:
 
 
 def load_certificate(path) -> OracleCertificate:
+    """Read a save_certificate file; errors name the path and the bad key."""
     payload = _load_json_object(path, ("y_star", "phi_star", "kkt_residual", "method"))
+
+    def number(value, what):
+        try:
+            return float(value)
+        except (TypeError, ValueError) as e:
+            raise ValueError(f"{path}: {what}: {e}") from None
+
+    y_star = payload["y_star"]
+    if not isinstance(y_star, list):
+        raise ValueError(f"{path}: key 'y_star': expected a list, got {type(y_star).__name__}")
     return OracleCertificate(
-        np.array([float(v) for v in payload["y_star"]]),
-        float(payload["phi_star"]),
-        float(payload["kkt_residual"]),
+        np.array([number(v, f"key 'y_star' entry {i}") for i, v in enumerate(y_star)]),
+        number(payload["phi_star"], "key 'phi_star'"),
+        number(payload["kkt_residual"], "key 'kkt_residual'"),
         payload["method"],
     )

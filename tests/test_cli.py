@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from fistalab.cli import main, read_trace_csv, write_trace_csv
+import fistalab.cli as cli
+from fistalab.cli import build_parser, main, read_trace_csv, write_trace_csv
 from fistalab import SolverConfig, make_convex_qp, run_mfista, to_problem
 
 
@@ -429,6 +430,69 @@ def test_check_oracle_without_a_key_names_file_and_key(tmp_path, capsys):
     capsys.readouterr()
     assert run_cli("check", str(rundir / "trace.csv"), "--oracle", str(oracle)) == 1
     assert capsys.readouterr().err == f"error: {oracle}: missing key 'phi_star'\n"
+
+
+@pytest.mark.parametrize("key,value,message", [
+    ("phi_star", "abc", "key 'phi_star': could not convert string to float: 'abc'"),
+    ("kkt_residual", None, "key 'kkt_residual': float() argument must be a string or a real"),
+    ("y_star", ["0.5", "x", "0.0"], "key 'y_star' entry 1: could not convert string to float: 'x'"),
+    ("y_star", 0.5, "key 'y_star': expected a list, got float"),
+], ids=["phi_star", "kkt_residual", "y_star-entry", "y_star-scalar"])
+def test_check_oracle_with_a_bad_value_names_file_and_key(tmp_path, capsys, key, value, message):
+    rundir = tmp_path / "r"
+    assert run_cli("run", "--problem", "convex-qp", "--n", "3", "--seed", "4", "--trace", "full",
+                   "--with-oracle", "--out", str(rundir)) == 0
+    oracle = rundir / "oracle.json"
+    payload = json.loads(oracle.read_text())
+    payload[key] = value
+    oracle.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert run_cli("check", str(rundir / "trace.csv"), "--oracle", str(oracle)) == 1
+    assert capsys.readouterr().err.startswith(f"error: {oracle}: {message}")
+
+
+def test_main_builds_its_parser_once(tmp_path, monkeypatch, capsys):
+    built = []
+
+    def counting_build_parser():
+        built.append(1)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+
+    def pipeline(outdir, fresh):
+        outdir.mkdir()
+        inst, rundir = outdir / "inst.txt", outdir / "run"
+        commands = [
+            ("gen", "--kind", "lasso-ball", "--n", "5", "--rows", "7", "--seed", "3",
+             "--out", str(inst)),
+            ("run", "--no-such-flag"),
+            ("run", "--instance", str(inst), "--trace", "full", "--with-oracle",
+             "--out", str(rundir)),
+            ("check", "--no-such-flag"),
+            ("check", str(rundir / "trace.csv"), "--oracle", str(rundir / "oracle.json")),
+        ]
+        codes = []
+        for argv in commands:
+            if fresh:
+                cli._parser.cache_clear()
+            codes.append(run_cli(*argv))
+        files = [inst, rundir / "trace.csv", rundir / "trace_vectors.npz", rundir / "oracle.json"]
+        return codes, [path.read_bytes() for path in files], capsys.readouterr()
+
+    cli._parser.cache_clear()
+    try:
+        cached = pipeline(tmp_path / "cached", fresh=False)
+        assert len(built) == 1
+        fresh = pipeline(tmp_path / "fresh", fresh=True)
+        assert len(built) == 1 + 5
+    finally:
+        cli._parser.cache_clear()
+    assert cached[0] == fresh[0] == [0, 1, 0, 1, 0]
+    assert cached[1] == fresh[1]
+    # the same lines, up to the directory names in them
+    assert cached[2].out.replace("cached", "fresh") == fresh[2].out
+    assert cached[2].err == fresh[2].err
 
 
 def test_check_corrupt_manifest_names_it(tmp_path, capsys):

@@ -14,7 +14,8 @@ from fistalab import (
     make_nonconvex_qp,
     to_problem,
 )
-from fistalab.problems import lasso_optimum, save_instance
+from fistalab.problems import _support_polish, lasso_optimum, save_instance
+from fistalab.prox import soft_threshold
 
 from conftest import grid_min_2d, sample_feasible
 
@@ -204,6 +205,79 @@ def test_lasso_certificate_kkt():
         assert cert.kkt_residual <= 1e-10
 
 
+def lasso_optimum_full_loop(inst):
+    """lasso_optimum as it was before it tried the polish periodically:
+    iterate until no coordinate moves by 1e-15, then polish once."""
+    A, target, lam = inst.A, inst.target, inst.weight
+    L = inst.lipschitz_L
+    t = 1.0 / L
+    y = np.zeros(inst.dim)
+    x = y.copy()
+    a_prev = 1.0
+    for _ in range(200_000):
+        g = A.T @ (A @ x - target)
+        y_new = soft_threshold(x - t * g, t * lam)
+        a_cur = (1.0 + math.sqrt(1.0 + 4.0 * a_prev * a_prev)) / 2.0
+        x = y_new + ((a_prev - 1.0) / a_cur) * (y_new - y)
+        if np.max(np.abs(y_new - y)) < 1e-15:
+            y = y_new
+            break
+        y, a_prev = y_new, a_cur
+    support = np.flatnonzero(np.abs(y) > 1e-12)
+    if support.size:
+        signs = np.sign(y[support])
+        As = A[:, support]
+        try:
+            ys = np.linalg.solve(As.T @ As, As.T @ target - lam * signs)
+            if np.all(np.sign(ys) == signs):
+                resid = As @ ys - target
+                if np.max(np.abs(A.T @ resid)) <= lam * (1.0 + 1e-9):
+                    y = np.zeros(inst.dim)
+                    y[support] = ys
+        except np.linalg.LinAlgError:
+            pass
+    assert np.linalg.norm(y) < inst.radius
+    g = inst.grad(y)
+    kkt = L * float(np.linalg.norm(soft_threshold(y - t * g, t * lam) - y))
+    phi = inst.f(y) + lam * float(np.sum(np.abs(y)))
+    return y, phi, kkt
+
+
+def assert_same_certificate(cert, full_loop):
+    y, phi, kkt = full_loop
+    assert cert.y_star.tobytes() == y.tobytes()
+    assert np.float64(cert.phi_star).tobytes() == np.float64(phi).tobytes()
+    assert np.float64(cert.kkt_residual).tobytes() == np.float64(kkt).tobytes()
+    assert cert.method == "projected-gradient-highacc"
+
+
+@pytest.mark.parametrize("weight_scale", [0.01, 0.05, 0.3])
+@pytest.mark.parametrize("n,rows", [(12, 6), (6, 16), (8, 8)], ids=["wide", "tall", "square"])
+def test_lasso_early_polish_matches_the_full_loop(n, rows, weight_scale):
+    # the polished point depends only on the support and its signs, so
+    # stopping at the first polish that passes must not move a single bit
+    for seed in (3, 4):
+        _, inst = make_lasso_on_ball(n, rows, seed, weight_scale=weight_scale)
+        assert_same_certificate(lasso_optimum(inst), lasso_optimum_full_loop(inst))
+
+
+def test_lasso_polish_that_never_passes_keeps_the_full_loop():
+    # two equal columns: the support holds both, so its normal matrix As'As
+    # is singular and the exact solve on it fails
+    _, base = make_lasso_on_ball(6, 10, 1)
+    A = base.A.copy()
+    j = int(np.argmax(np.abs(A.T @ base.target)))  # a column the optimum uses
+    assert j != 1
+    A[:, 1] = A[:, j]
+    weight = 0.05 * float(np.max(np.abs(A.T @ base.target)))
+    L = float(np.max(np.linalg.eigvalsh(A.T @ A)))
+    inst = LassoOnBallInstance("lasso-ball", A, base.target, weight, 100.0, L, seed=-1)
+    cert = lasso_optimum(inst)
+    assert cert.y_star[j] != 0.0 and cert.y_star[1] != 0.0
+    assert _support_polish(inst, cert.y_star) is None
+    assert_same_certificate(cert, lasso_optimum_full_loop(inst))
+
+
 # --- serialization -----------------------------------------------------------
 
 def test_quadratic_round_trip(tmp_path):
@@ -265,6 +339,10 @@ def test_load_rejects_malformed(tmp_path):
         (QP_1D.replace("seed=0", "seed=1.5"), "header field seed='1.5': invalid literal"),
         (LASSO_2D.replace(" rows=1", ""), "header has no rows= field"),
         (LASSO_2D.replace("rows=1", "rows=one"), "header field rows='one': invalid literal"),
+        # sizes must be positive
+        (QP_1D.replace("n=1", "n=0"), "header field n='0': must be a positive integer"),
+        (QP_1D.replace("n=1", "n=-3"), "header field n='-3': must be a positive integer"),
+        (LASSO_2D.replace("rows=1", "rows=0"), "header field rows='0': must be a positive integer"),
         (LASSO_2D.replace(" lam=0.1", ""), "header has no lam= field"),
         (LASSO_2D.replace("lam=0.1", "lam=x"), "header field lam='x': could not convert"),
         (LASSO_2D.replace(" radius=10.0", ""), "header has no radius= field"),

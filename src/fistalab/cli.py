@@ -168,10 +168,10 @@ def dispatch_solver(p: CompositeProblem, cfg: RunConfig) -> SolveResult:
 
 def write_trace_csv(trace: Trace, path) -> None:
     path = Path(path)
+    columns = (map(repr, getattr(trace, name)) for name in Trace.COLUMNS)
+    lines = [",".join(Trace.COLUMNS), *map(",".join, zip(*columns))]
     with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(",".join(Trace.COLUMNS) + "\n")
-        for row in zip(*(getattr(trace, name) for name in Trace.COLUMNS)):
-            fh.write(",".join(map(repr, row)) + "\n")
+        fh.write("\n".join(lines) + "\n")
     sidecar = _vectors_sidecar(path)
     if trace.has_vectors:
         np.savez(sidecar, y0=trace.y0, ys=np.asarray(trace.ys), vs=np.asarray(trace.vs))

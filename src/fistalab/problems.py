@@ -444,7 +444,8 @@ def load_instance(path):
         if len(values) != width:
             raise ValueError(f"{path}: line {lineno}: expected {width} numbers, got {len(values)}")
         try:
-            body.append(np.array([float(v) for v in values]))
+            # numpy's str -> float64 cast parses and words its errors as float() does
+            body.append(np.array(values, dtype=float))
         except ValueError as e:
             raise ValueError(f"{path}: line {lineno}: {e}") from None
     if kind == "lasso-ball":

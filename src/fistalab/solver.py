@@ -6,19 +6,23 @@ smooth part is nonconvex by (a) taking the conservative step 1/(4L), and
 re-estimated from the last linearization gap each iteration and shifts the
 model whenever it is positive.  On convex problems the estimate stays at
 zero and the iteration reduces to plain FISTA with step 1/(4L) and projected
-extrapolation.  Termination is on the norm of an explicit stationarity
-residual v with v in grad f(y) + subdiff h(y), so a converged result is a
-near-stationarity certificate.  The method needs the Lipschitz constant L and
-nothing else: no curvature modulus, no domain bound, no tuning knob.
+extrapolation, at nearly FISTA's cost: an iteration whose estimate is zero
+skips the shift's terms and adds one subtraction and one dot product for the
+next gap, and the estimate's other dot products and its norm run only when
+that gap is positive.  Termination is on the norm of an explicit
+stationarity residual v with v in grad f(y) + subdiff h(y), so a converged
+result is a near-stationarity certificate.  The method needs the Lipschitz
+constant L and nothing else: no curvature modulus, no domain bound, no
+tuning knob.
 
 Two baselines share the trace format: classic FISTA with a configurable step
 and non-accelerated proximal gradient.  All three run one loop with three
 switches: classic FISTA is the main iteration with curvature tracking off,
 and proximal gradient is that again with momentum off.  FISTA with step
 1/(4L) and projected extrapolation therefore reproduces run_mfista's
-iterates exactly on convex problems.  That loop, `_iterate`, is the one place
-the prox step, the residual, the extrapolation and the curvature estimate are
-written.
+iterates byte for byte on convex problems, signed zeros included.  That
+loop, `_iterate`, is the one place the prox step, the residual, the
+extrapolation and the curvature estimate are written.
 """
 
 from __future__ import annotations
@@ -184,13 +188,19 @@ def _iterate(p: CompositeProblem, cfg: SolverConfig, y0: np.ndarray, step: float
     x_{k+1}: y_k extrapolated by momentum (then projected if `project`), or
     y_k itself without momentum, whose gradient is then already in hand.
     The test on ||v_k|| runs as soon as v_k exists, so a converged run spends
-    no gradient at x_{k+1}.  With `track_curvature` the model is shifted by
-    the curvature estimate, which is re-estimated from the linearization gap
-    at x_{k+1}; without it the curvature terms are skipped, not multiplied by
-    zero (that would flip signed zeros in v), and f(y_k) is evaluated only
-    for the trace.  Wherever both f and its gradient are needed at one point
-    they come from one `value_grad` call, which shares the work when the
-    problem has a fused oracle.  When the problem declares
+    no gradient at x_{k+1}.  With `track_curvature` the curvature estimate
+    is re-estimated from the linearization gap at x_{k+1}; without it f(y_k)
+    is evaluated only for the trace.  The shift's terms in the model gradient
+    and in v run only on iterations whose estimate is positive.  At zero
+    they are skipped, not multiplied by zero, so such an iteration does the
+    arithmetic of curvature-free FISTA plus one subtraction and one dot
+    product for the next gap.  Skipping also keeps a -0.0 gradient entry
+    -0.0, which adding 0.0 * w can turn into the equal +0.0.  The gap
+    is computed first; the estimate's other dot products and its norm run
+    only when the gap is positive, the only case in which the estimate can
+    exceed its clamp.  Wherever both f and its gradient are needed at one
+    point they come from one `value_grad` call, which shares the work when
+    the problem has a fused oracle.  When the problem declares
     `smooth_is_quadratic` and has no `omega_project`, the gradient at the
     unprojected x_{k+1} = y_k + beta (y_k - y_{k-1}) is derived as
     grad f(y_k) + beta (grad f(y_k) - grad f(y_{k-1})), so an accelerated
@@ -225,7 +235,7 @@ def _iterate(p: CompositeProblem, cfg: SolverConfig, y0: np.ndarray, step: float
     k = 0
     for k in range(1, cfg.max_iters + 1):
         try:
-            model_grad = grad_x + curvature * (x - y_prev) if track_curvature else grad_x
+            model_grad = grad_x + curvature * (x - y_prev) if curvature else grad_x
             y = cp.prox(x - step * model_grad, step)
             if need_f:
                 fy, grad_y = cp.value_grad(y)
@@ -235,7 +245,7 @@ def _iterate(p: CompositeProblem, cfg: SolverConfig, y0: np.ndarray, step: float
             dx = x - y
             dy = y - y_prev if need_dy else None
             # v is in grad f(y) + subdiff h(y) by the prox optimality condition
-            if track_curvature:
+            if curvature:
                 v = grad_y - grad_x + curvature * (y_prev - x) + inv_step * dx
             else:
                 v = grad_y - grad_x + inv_step * dx
@@ -271,23 +281,29 @@ def _iterate(p: CompositeProblem, cfg: SolverConfig, y0: np.ndarray, step: float
                 # linearization of f at x_{k+1} overshoots f(y_k); positive
                 # values witness nonconvexity between the two points
                 d = y - x_next
-                gd = float(grad_xn.dot(d))
                 if derive:
-                    # exact for quadratic f: gap = d'(grad f(x_{k+1}) - grad f(y_k)) / 2,
-                    # and |f(y_k)| + |gd| bounds |f(x_{k+1})| up to |gap|
+                    # exact for quadratic f: gap = d'(grad f(x_{k+1}) - grad f(y_k)) / 2
                     gap = 0.5 * float(d.dot(dgrad))
-                    fxn_abs = abs(fy) + abs(gd)
                 else:
+                    gd = float(grad_xn.dot(d))
                     gap = fxn + gd - fy
-                    fxn_abs = abs(fxn)
-                d2 = float(d.dot(d))
-                thr = 1e-14 * (1.0 + _norm(y))
                 curvature = 0.0
-                if d2 > thr * thr and abs(gap) > _CURVATURE_SIG_RTOL * (
-                        1.0 + abs(fy) + fxn_abs + abs(gd)):
-                    est = 2.0 * gap / d2
-                    if est > clamp:
-                        curvature = est
+                # a gap that is not positive (or NaN) gives an estimate that is
+                # not above clamp, so the rest is computed only for a positive one
+                if gap > 0.0:
+                    if derive:
+                        # |f(y_k)| + |gd| bounds |f(x_{k+1})| up to |gap|
+                        gd = float(grad_xn.dot(d))
+                        fxn_abs = abs(fy) + abs(gd)
+                    else:
+                        fxn_abs = abs(fxn)
+                    d2 = float(d.dot(d))
+                    thr = 1e-14 * (1.0 + _norm(y))
+                    if d2 > thr * thr and gap > _CURVATURE_SIG_RTOL * (
+                            1.0 + abs(fy) + fxn_abs + abs(gd)):
+                        est = 2.0 * gap / d2
+                        if est > clamp:
+                            curvature = est
         except OracleError as e:
             raise OracleError(f"iteration {k}: {e}") from e
         y_prev, x, a_prev, grad_x, grad_yprev = y, x_next, a_cur, grad_xn, grad_y
@@ -299,8 +315,15 @@ def run_mfista(p: CompositeProblem, cfg: SolverConfig, y0: np.ndarray) -> SolveR
     """Main solver: step 1/(4L), online curvature shift, projected extrapolation.
 
     Cost per full iteration: one prox, two gradients (at y_k and x_{k+1}),
-    two f values at the same two points.  With a fused `smooth_value_grad`
-    each point is one oracle call: one product with Q for the generated
+    two f values at the same two points.  An iteration whose curvature
+    estimate is zero, as on convex problems, does the arithmetic of FISTA
+    with step 1/(4L) plus one subtraction and one dot product for the next
+    estimate's gap (and the f values that gap needs); the estimate's other
+    dot products run only when the gap is positive.  The shift's terms are
+    skipped rather than added as 0.0 * w, which keeps a -0.0 gradient entry
+    -0.0, so on convex problems the iterates are byte-equal to those of
+    `run_fista_baseline` with that step and projected extrapolation.  With a
+    fused `smooth_value_grad` each point is one oracle call: one product with Q for the generated
     quadratics, one with A and one with A' for the lasso.  A problem that
     declares `smooth_is_quadratic` and has no `omega_project`, as the
     generated ones do, needs the oracle at y_k only: the gradient at x_{k+1}

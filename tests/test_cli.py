@@ -7,7 +7,9 @@ import pytest
 
 import fistalab.cli as cli
 from fistalab.cli import build_parser, main, read_trace_csv, write_trace_csv
-from fistalab import SolverConfig, make_convex_qp, run_mfista, to_problem
+from fistalab import (SolverConfig, Trace, make_convex_qp, make_lasso_on_ball,
+                      make_nonconvex_qp, run_fista_baseline, run_mfista, run_proxgrad_baseline,
+                      to_problem)
 
 
 @pytest.fixture(autouse=True)
@@ -90,6 +92,44 @@ def test_trace_csv_round_trip(tmp_path):
     again = tmp_path / "again.csv"
     write_trace_csv(back, again)
     assert again.read_bytes() == path.read_bytes()
+
+
+def write_trace_csv_by_rows(trace, path):
+    """Reference writer: one repr'd, comma-joined line per iteration."""
+    with open(path, "w", encoding="ascii", newline="\n") as fh:
+        fh.write(",".join(Trace.COLUMNS) + "\n")
+        for row in zip(*(getattr(trace, name) for name in Trace.COLUMNS)):
+            fh.write(",".join(map(repr, row)) + "\n")
+
+
+def _traces_for_csv():
+    qp, _ = make_convex_qp(5, 3)
+    ncqp, _ = make_nonconvex_qp(6, 2, negfrac=0.4)
+    lasso, _ = make_lasso_on_ball(6, 4, 1)
+    solvers = {
+        "mfista": lambda p, cfg: run_mfista(p, cfg, np.zeros(p.dim)),
+        "fista": lambda p, cfg: run_fista_baseline(p, cfg, np.zeros(p.dim), 1.0 / p.lipschitz_L),
+        "proxgrad": lambda p, cfg: run_proxgrad_baseline(p, cfg, np.zeros(p.dim)),
+    }
+    for vectors in (False, True):
+        cfg = SolverConfig(epsilon=1e-9, max_iters=150, trace_vectors=vectors)
+        for pname, p in (("qp", qp), ("lasso", lasso), ("nonconvex-qp", ncqp)):
+            for sname, run in solvers.items():
+                yield f"{pname}-{sname}-{'full' if vectors else 'norms'}", run(p, cfg).trace
+    yield "empty", Trace(1.0)
+
+
+def test_trace_csv_written_by_columns_matches_rows(tmp_path):
+    traces = dict(_traces_for_csv())
+    # the nonconvex mfista runs switch the curvature shift on, so L_k > 0 is written too
+    assert max(traces["nonconvex-qp-mfista-norms"].L_k) > 0.0
+    for name, trace in traces.items():
+        path, ref = tmp_path / f"{name}.csv", tmp_path / f"{name}-rows.csv"
+        write_trace_csv(trace, path)
+        write_trace_csv_by_rows(trace, ref)
+        assert path.read_bytes() == ref.read_bytes(), name
+    assert (tmp_path / "empty.csv").read_bytes() == (
+        b"k,a_k,L_k,vnorm,phi,dxy,dyy,gradevals,proxevals\n")
 
 
 def test_equivalence_mode_matches_mfista(tmp_path):

@@ -316,6 +316,25 @@ def test_lasso_round_trip(tmp_path):
     assert p.smooth_value(y) == to_problem(inst).smooth_value(y)
 
 
+EDGE_FLOATS = [-0.0, 5e-324, 1.7976931348623157e308, -5e-324, -1.7976931348623157e308, 0.0]
+
+
+def test_round_trip_keeps_signed_zero_subnormal_and_largest_double(tmp_path):
+    # the payload parser must give back every double bit for bit (== would
+    # equate 0.0 with -0.0; the raw bytes do not)
+    edge = np.array(EDGE_FLOATS)
+    Q = np.array([np.roll(edge, i)[:3] for i in range(3)])
+    qp_inst = QuadraticInstance("nonconvex-qp", Q, edge[3:], edge[:3], edge[::2], 1.0, 0.5, 1)
+    lasso = LassoOnBallInstance("lasso-ball", edge.reshape(2, 3), edge[:2], 0.1, 10.0, 1.0, 2)
+    for inst, arrays in ((qp_inst, ("Q", "b", "lower", "upper")), (lasso, ("A", "target"))):
+        path = tmp_path / f"{inst.kind}.txt"
+        save_instance(inst, path)
+        back = load_instance(path)
+        for name in arrays:
+            assert getattr(back, name).tobytes() == getattr(inst, name).tobytes(), name
+        assert "-0.0" in path.read_text() and "5e-324" in path.read_text()
+
+
 QP_1D = "convex-qp n=1 seed=0 L=1.0 m=0.0\n1.0\n0.5\n-1.0\n1.0\n"
 LASSO_2D = "lasso-ball n=2 rows=1 seed=0 L=1.0 m=0.0 lam=0.1 radius=10.0\n1.0 0.5\n0.3\n"
 QP_2D_HEADER = "convex-qp n=2 seed=0 L=1.0 m=0.0\n"

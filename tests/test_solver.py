@@ -22,7 +22,7 @@ from fistalab import (
 from conftest import grid_min_1d_vec, sample_feasible
 from fistalab import solver as solver_mod
 from fistalab.problems import lasso_optimum
-from fistalab.solver import momentum_sequence, next_momentum
+from fistalab.solver import Trace, momentum_sequence, next_momentum
 from fistalab.cli import write_trace_csv
 
 
@@ -469,6 +469,27 @@ def test_loop_avoids_numpy_python_level_wrappers(make, monkeypatch):
                 assert counts == {"all": 0, "norm": 0, "isfinite": 0}
 
 
+@pytest.mark.parametrize("n", [8, 16, 32])
+@pytest.mark.parametrize("spectrum", ["default", "designed"])
+def test_mfista_convex_iteration_skips_the_curvature_estimate(n, spectrum, monkeypatch):
+    # on a convex QP every linearization gap is at most zero (on these
+    # instances rounding never makes one positive), so the estimate stops at
+    # the gap: the only norms are ||v||, plus ||x - y|| and ||y - y_prev||
+    # for the trace; ||y|| for the estimate's floor never runs
+    eigenvalues = None if spectrum == "default" else np.linspace(0.5, 1.0, n)
+    p, _ = make_convex_qp(n, n, eigenvalues=eigenvalues)
+    counts = {"norm": 0}
+    monkeypatch.setattr(solver_mod, "_norm", counting(solver_mod._norm, counts, "norm"))
+    for record, per_iteration in ((True, 3), (False, 1)):
+        counts["norm"] = 0
+        res = run_mfista(p, SolverConfig(epsilon=1e-9, max_iters=5000, record_trace=record),
+                         np.zeros(n))
+        assert res.converged
+        assert counts["norm"] == per_iteration * res.iterations
+        if record:
+            assert not any(res.trace.L_k)
+
+
 @pytest.mark.parametrize("make", [lambda: make_convex_qp(12, 3), lambda: make_nonconvex_qp(12, 3),
                                   lambda: make_lasso_on_ball(12, 8, 3)],
                          ids=["convex-qp", "nonconvex-qp", "lasso"])
@@ -513,15 +534,24 @@ def test_fused_and_separate_oracles_give_identical_runs(make, solver, trace, tmp
 
 def test_fista_equivalence_with_quarter_step():
     # on a convex instance the main loop's curvature stays zero and its path
-    # is exactly FISTA with step 1/(4L) and projected extrapolation
-    p, _ = make_convex_qp(6, 5)
+    # is exactly FISTA with step 1/(4L) and projected extrapolation, bit for
+    # bit; only vnorm may differ, as each solver rounds 1/step its own way
     cfg = SolverConfig(epsilon=1e-300, max_iters=300, trace_vectors=True)
-    res_m = run_mfista(p, cfg, np.zeros(6))
-    res_f = run_fista_baseline(p, cfg, np.zeros(6), 1.0 / (4.0 * p.lipschitz_L),
-                               project_extrapolation=True)
-    assert res_m.iterations == res_f.iterations
-    for ym, yf in zip(res_m.trace.ys, res_f.trace.ys):
-        assert np.max(np.abs(ym - yf)) <= 1e-12
+    for seed in range(1, 6):
+        for p, _ in (make_convex_qp(8, seed), make_convex_qp(32, seed),
+                     make_lasso_on_ball(12, 16, seed)):
+            case = (p.dim, seed)
+            res_m = run_mfista(p, cfg, np.zeros(p.dim))
+            res_f = run_fista_baseline(p, cfg, np.zeros(p.dim), 1.0 / (4.0 * p.lipschitz_L),
+                                       project_extrapolation=True)
+            assert res_m.iterations == res_f.iterations == 300, case
+            assert not any(res_m.trace.L_k), case
+            assert ([ym.tobytes() for ym in res_m.trace.ys]
+                    == [yf.tobytes() for yf in res_f.trace.ys]), case
+            for col in Trace.COLUMNS:
+                if col != "vnorm":
+                    assert (res_m.trace.column(col).tobytes()
+                            == res_f.trace.column(col).tobytes()), (case, col)
 
 
 def test_fista_immediate_convergence_at_interior_optimum():

@@ -184,7 +184,13 @@ def _vectors_sidecar(trace_path: Path) -> Path:
 
 
 def read_trace_csv(path, lipschitz_L: float = math.nan) -> Trace:
-    path = Path(path)
+    trace = _read_trace_rows(path, lipschitz_L)
+    _attach_vectors(trace, path)
+    return trace
+
+
+def _read_trace_rows(path, lipschitz_L: float) -> Trace:
+    """read_trace_csv without the vectors sidecar: the CSV columns only."""
     with open(path, encoding="ascii") as fh:
         header = fh.readline().strip()
         if header != ",".join(Trace.COLUMNS):
@@ -206,7 +212,13 @@ def read_trace_csv(path, lipschitz_L: float = math.nan) -> Trace:
                     conv(field)
                 except ValueError:
                     raise ValueError(f"line {lineno}: {name}: {e}") from None
-    sidecar = _vectors_sidecar(path)
+    return trace
+
+
+def _attach_vectors(trace: Trace, path) -> None:
+    """Give `trace` the vectors of the sidecar beside `path`, if it has one
+    vector per row."""
+    sidecar = _vectors_sidecar(Path(path))
     if sidecar.exists():
         # np.load reads each member lazily, on every access, from a file it
         # leaves open; read each one once and close the file here
@@ -217,7 +229,6 @@ def read_trace_csv(path, lipschitz_L: float = math.nan) -> Trace:
                 trace.y0 = data["y0"]
                 trace.ys = list(ys)
                 trace.vs = list(data["vs"])
-    return trace
 
 
 def write_manifest(path, cfg: RunConfig, result: SolveResult, L: float,
@@ -242,10 +253,12 @@ def write_manifest(path, cfg: RunConfig, result: SolveResult, L: float,
 # ---------------------------------------------------------------------------
 # subcommands
 
-def _run(cfg: RunConfig) -> SolveResult:
-    """Solve one config and write its files; a refused config raises ValueError."""
+def _run(cfg: RunConfig, inst=None) -> SolveResult:
+    """Solve one config and write its files; a refused config raises ValueError.
+    `inst` is cfg's instance when the caller has already built it."""
     cfg.validate()
-    inst = _instance_from_config(cfg)
+    if inst is None:
+        inst = _instance_from_config(cfg)
     if cfg.with_oracle and isinstance(inst, QuadraticInstance) and inst.dim > MAX_ENUM_DIM:
         # checked before solving, so that a failed run leaves no trace behind
         raise ValueError(f"oracle needs n <= {MAX_ENUM_DIM} for quadratics")
@@ -315,17 +328,19 @@ def cmd_check(args) -> int:
         print("error: Lipschitz constant unavailable (pass --lipschitz or keep "
               "manifest.json next to the trace)", file=sys.stderr)
         return EXIT_ERROR
+    certificate = load_certificate(args.oracle) if args.oracle else None
+    # without a manifest the trace is taken to be run_mfista's, whose step
+    # 1/(4L) and curvature column the inequalities and trends assume
+    solver = manifest["config"]["solver"] if manifest is not None else "mfista"
     try:
-        trace = read_trace_csv(trace_path, float(L))
+        trace = _read_trace_rows(trace_path, float(L))
+        if solver == "mfista" and certificate is not None:
+            _attach_vectors(trace, trace_path)  # only the two gates below read them
     except (OSError, ValueError) as e:
         print(f"error: unreadable trace: {e}", file=sys.stderr)
         return EXIT_ERROR
 
     gates = [check_residual_bound(trace, trace.lipschitz_L)]
-    certificate = load_certificate(args.oracle) if args.oracle else None
-    # without a manifest the trace is taken to be run_mfista's, whose step
-    # 1/(4L) and curvature column the inequalities and trends assume
-    solver = manifest["config"]["solver"] if manifest is not None else "mfista"
     mfista_only = f"holds for mfista traces only, this one is from {solver}"
     if solver == "mfista" and certificate is not None and trace.has_vectors:
         gates.append(check_lyapunov_monotone(trace, certificate))
@@ -377,6 +392,18 @@ def _sweep_cells(matrix: dict, outdir: Path) -> list[tuple[str, RunConfig]]:
     return cells
 
 
+def _sweep_instance(cfg: RunConfig, built: dict):
+    """cfg's instance, built once per sweep: `built` maps an instance file, or
+    the generator fields of a mapping, to the instance made for it."""
+    if cfg.instance is not None:
+        key = cfg.instance
+    else:
+        key = (cfg.problem, cfg.n, cfg.seed, cfg.rows, cfg.negfrac, cfg.cond)
+    if key not in built:
+        built[key] = _instance_from_config(cfg)
+    return built[key]
+
+
 def cmd_sweep(args) -> int:
     matrix = _load_json_object(args.config, SWEEP_AXES)
     outdir = Path(args.out) if args.out else output_root() / "sweep"
@@ -385,10 +412,11 @@ def cmd_sweep(args) -> int:
 
     rows = []
     worst = EXIT_OK
+    instances = {}
     for label, cfg in cells:
         # the row is this run's result, never files an older run left in cfg.out
         try:
-            result = _run(cfg)
+            result = _run(cfg, _sweep_instance(cfg, instances))
         except Exception as e:  # record the failure, keep sweeping
             print(f"error: {e}", file=sys.stderr)
             worst = EXIT_ERROR

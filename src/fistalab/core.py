@@ -127,6 +127,9 @@ class CountedProblem:
     def __init__(self, problem: CompositeProblem):
         self.problem = problem
         self.counters = EvalCounters()
+        # fixed for the run, so looked up once
+        self._shape = (problem.dim,)
+        self._fused = problem.smooth_value_grad
 
     def f(self, y: np.ndarray) -> float:
         self.counters.f_evals += 1
@@ -142,7 +145,7 @@ class CountedProblem:
         Uses the problem's fused oracle when it has one; otherwise the
         gradient, then the value, exactly as two separate calls would.
         """
-        fused = self.problem.smooth_value_grad
+        fused = self._fused
         if fused is None:
             g = self.grad(y)
             return self.f(y), g
@@ -160,7 +163,7 @@ class CountedProblem:
     def _checked_vector(self, out, oracle: str, what: str) -> np.ndarray:
         """`out` as a finite float array of shape (dim,), else an OracleError naming `oracle`."""
         out = np.asarray(out, dtype=float)
-        if out.shape != (self.problem.dim,) or not _all_finite(out):
+        if out.shape != self._shape or not _all_finite(out):
             raise OracleError(f"{oracle} returned a malformed {what}")
         return out
 

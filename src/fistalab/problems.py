@@ -11,6 +11,7 @@ bit-identically.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -239,7 +240,7 @@ def to_problem(inst) -> CompositeProblem:
         smooth_value=inst.f,
         smooth_grad=inst.grad,
         h_value=h.h_value,
-        h_prox=lambda z, t: prox(h, z, t),
+        h_prox=functools.partial(prox, h),
         lipschitz_L=inst.lipschitz_L,
         smooth_value_grad=inst.value_grad,
         smooth_is_quadratic=True,

@@ -30,6 +30,7 @@ __all__ = [
 # membership slack for indicator evaluation; projections land on boundaries
 # only up to rounding
 _FEAS_RTOL = 1e-9
+_FLOAT64 = np.dtype(float)
 
 
 class UnsupportedConfigError(ValueError):
@@ -75,7 +76,14 @@ class BoxSet:
 
 @dataclass(frozen=True)
 class BallSet:
-    """Euclidean ball of positive radius."""
+    """Euclidean ball of positive radius.
+
+    A ball whose center entries are all zeros of either sign is at the
+    origin.  Its membership test and projection of a contiguous float64
+    vector then take the norm of the point itself and skip the subtraction:
+    z - (+-0) has the same squares as z, so the result is the same bit for
+    bit.
+    """
 
     center: np.ndarray
     radius: float
@@ -84,13 +92,21 @@ class BallSet:
         object.__setattr__(self, "center", as_vector(self.center))
         if not self.radius > 0:
             raise ValueError("radius must be positive")
+        # fixed with the center, so decided once
+        object.__setattr__(self, "_at_origin", not self.center.any())
 
     @property
     def dim(self) -> int:
         return self.center.size
 
     def contains(self, z: np.ndarray) -> bool:
-        d = z - self.center
+        # a list, another dtype, a shape that broadcasts or a strided view
+        # (BLAS sums its squares in another order) keeps the subtraction
+        if (self._at_origin and type(z) is np.ndarray and z.dtype is _FLOAT64
+                and z.shape == self.center.shape and z.flags.c_contiguous):
+            d = z
+        else:
+            d = z - self.center
         return math.sqrt(d.dot(d)) <= self.radius * (1.0 + _FEAS_RTOL)
 
     def h_value(self, z: np.ndarray) -> float:
@@ -137,10 +153,12 @@ def project_ball(s: BallSet, z: np.ndarray) -> np.ndarray:
 
 def _project_ball(s: BallSet, z: np.ndarray) -> np.ndarray:
     """project_ball for a `z` already validated by as_vector."""
-    d = z - s.center
+    d = z if s._at_origin and z.flags.c_contiguous else z - s.center
     nd = math.sqrt(d.dot(d))
     if nd <= s.radius:
         return z
+    if d is z:
+        d = z - s.center  # keeps the result's signed zeros those of center + t * (z - center)
     return s.center + (s.radius / nd) * d
 
 
@@ -148,7 +166,7 @@ def prox_box_indicator(b: BoxSet, z: np.ndarray, t: float) -> np.ndarray:
     """Prox of the box indicator: projection, for every step t > 0."""
     if not t > 0:
         raise ValueError("t must be positive")
-    return project_box(b, z)
+    return as_vector(z, b.dim).clip(b.lower, b.upper)
 
 
 def prox_l1_on_ball(h: L1OnBall, z: np.ndarray, t: float) -> np.ndarray:

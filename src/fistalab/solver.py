@@ -119,6 +119,11 @@ class Trace:
             self.ys.append(np.array(y, dtype=float))
             self.vs.append(np.array(v, dtype=float))
 
+    def _fill_columns(self, rows) -> None:
+        """Set the empty scalar columns from one tuple per row, in COLUMNS order."""
+        for name, col in zip(self.COLUMNS, zip(*rows)):
+            setattr(self, name, list(col))
+
     def column(self, name: str) -> np.ndarray:
         if name not in self.COLUMNS:
             raise KeyError(name)
@@ -190,7 +195,9 @@ def _iterate(p: CompositeProblem, cfg: SolverConfig, y0: np.ndarray, step: float
     The test on ||v_k|| runs as soon as v_k exists, so a converged run spends
     no gradient at x_{k+1}.  With `track_curvature` the curvature estimate
     is re-estimated from the linearization gap at x_{k+1}; without it f(y_k)
-    is evaluated only for the trace.  The shift's terms in the model gradient
+    is evaluated only for the trace.  An untraced run that derives the
+    gradient at x_{k+1} (below) evaluates f(y_k) only for a positive gap.
+    The shift's terms in the model gradient
     and in v run only on iterations whose estimate is positive.  At zero
     they are skipped, not multiplied by zero, so such an iteration does the
     arithmetic of curvature-free FISTA plus one subtraction and one dot
@@ -207,6 +214,12 @@ def _iterate(p: CompositeProblem, cfg: SolverConfig, y0: np.ndarray, step: float
     iteration calls the gradient oracle once, at y_k, and never evaluates
     f at x_{k+1}.  `inv_step` comes separately from `step` so that each
     solver keeps its own rounding of 1/step.
+
+    The loop pays only for what it does not already hold.  Without momentum
+    x_k is y_{k-1}, so the trace's ||y_k - y_{k-1}|| is ||x_k - y_k|| and one
+    norm serves both columns.  A problem without `omega_project` gets no
+    projection call.  Trace rows are collected as tuples and become the
+    trace's columns when the loop ends.
     """
     cp = CountedProblem(p)
     y0 = as_vector(y0, p.dim)
@@ -218,6 +231,7 @@ def _iterate(p: CompositeProblem, cfg: SolverConfig, y0: np.ndarray, step: float
     clamp = 1e-12 * L
 
     trace = Trace(L, y0, cfg.trace_vectors) if cfg.record_trace else None
+    rows = []  # the trace's scalar columns, one tuple per iteration
     y_prev = x = y = y0
     a_prev = a_cur = 1.0
     curvature = 0.0  # model shift; starts at zero and stays there on convex problems
@@ -226,10 +240,11 @@ def _iterate(p: CompositeProblem, cfg: SolverConfig, y0: np.ndarray, step: float
     except OracleError as e:
         raise OracleError(f"iteration 1: {e}") from e
     derive = p.smooth_is_quadratic and momentum and p.omega_project is None
+    project = project and p.omega_project is not None
     grad_yprev = grad_x  # grad f(y_{k-1}); y_0 is the start point x_1
 
-    need_f = trace is not None or track_curvature
-    need_dy = trace is not None or momentum
+    # the derived-gradient estimate reads f(y_k) only when its gap is positive
+    need_f = trace is not None or (track_curvature and not derive)
     v = np.zeros(p.dim)
     status = "max_iters_reached"
     k = 0
@@ -243,13 +258,13 @@ def _iterate(p: CompositeProblem, cfg: SolverConfig, y0: np.ndarray, step: float
                 fy, grad_y = math.nan, cp.grad(y)
             # x - y serves v and, as the norm ignores its sign, dxy
             dx = x - y
-            dy = y - y_prev if need_dy else None
             # v is in grad f(y) + subdiff h(y) by the prox optimality condition
             if curvature:
                 v = grad_y - grad_x + curvature * (y_prev - x) + inv_step * dx
             else:
                 v = grad_y - grad_x + inv_step * dx
             if momentum:
+                dy = y - y_prev
                 a_cur = next_momentum(a_prev)
                 beta = (a_prev - 1.0) / a_cur
                 x_next = y + beta * dy
@@ -262,8 +277,15 @@ def _iterate(p: CompositeProblem, cfg: SolverConfig, y0: np.ndarray, step: float
                 hy = cp.h(y)
                 if math.isinf(hy):
                     raise OracleError("iterate left dom h (h_value is +inf)")
-                trace.append(k, a_cur, curvature, vn, fy + hy, _norm(dx), _norm(dy),
-                             cp.counters.grad_evals, cp.counters.prox_evals, y, v)
+                dxn = _norm(dx)
+                # without momentum x_k is y_{k-1}, so y_k - y_{k-1} is -(x_k - y_k)
+                # entry for entry and has the same norm bit for bit
+                rows.append((k, a_cur, curvature, vn, fy + hy, dxn,
+                             _norm(dy) if momentum else dxn,
+                             cp.counters.grad_evals, cp.counters.prox_evals))
+                if trace.ys is not None:
+                    trace.ys.append(y.copy())
+                    trace.vs.append(v.copy())
             if vn <= cfg.epsilon:
                 status = "converged"
                 break
@@ -292,6 +314,8 @@ def _iterate(p: CompositeProblem, cfg: SolverConfig, y0: np.ndarray, step: float
                 # not above clamp, so the rest is computed only for a positive one
                 if gap > 0.0:
                     if derive:
+                        if not need_f:
+                            fy = cp.f(y)
                         # |f(y_k)| + |gd| bounds |f(x_{k+1})| up to |gap|
                         gd = float(grad_xn.dot(d))
                         fxn_abs = abs(fy) + abs(gd)
@@ -308,6 +332,8 @@ def _iterate(p: CompositeProblem, cfg: SolverConfig, y0: np.ndarray, step: float
             raise OracleError(f"iteration {k}: {e}") from e
         y_prev, x, a_prev, grad_x, grad_yprev = y, x_next, a_cur, grad_xn, grad_y
 
+    if trace is not None:
+        trace._fill_columns(rows)
     return SolveResult(status, y, v, k, trace, cp.counters)
 
 
@@ -328,7 +354,9 @@ def run_mfista(p: CompositeProblem, cfg: SolverConfig, y0: np.ndarray) -> SolveR
     declares `smooth_is_quadratic` and has no `omega_project`, as the
     generated ones do, needs the oracle at y_k only: the gradient at x_{k+1}
     is the affine combination of those at y_k and y_{k-1}, and the curvature
-    estimate takes its gap from them, so an iteration is one fused call.
+    estimate takes its gap from them, so an iteration is one fused call; in
+    an untraced run it is one gradient call, plus f(y_k) where the gap is
+    positive.
     """
     L = p.lipschitz_L
     return _iterate(p, cfg, y0, 1.0 / (4.0 * L), 4.0 * L,
@@ -354,6 +382,8 @@ def run_proxgrad_baseline(p: CompositeProblem, cfg: SolverConfig, y0: np.ndarray
 
     The reported residual L*(y_prev - y) + grad f(y) - grad f(y_prev) is a
     member of grad f(y) + subdiff h(y), same certificate as the others.
+    Each iteration starts at the last iterate, so the trace's dxy and dyy
+    are one norm, computed once.
     """
     L = p.lipschitz_L
     return _iterate(p, cfg, y0, 1.0 / L, L,

@@ -671,3 +671,82 @@ def test_sweep_rejects_bad_keys_before_running(tmp_path, capsys, instance, extra
     assert run_cli("sweep", str(cfg_path), "--out", str(tmp_path / "sw")) == 1
     assert repr(key) in capsys.readouterr().err
     assert not (tmp_path / "sw").exists()  # no cell ran, not even the good one
+
+
+def test_check_opens_the_vectors_sidecar_only_for_its_readers(tmp_path, monkeypatch, capsys):
+    # only the mfista gates that --oracle enables read ys and vs
+    inst = tmp_path / "inst.txt"
+    run_cli("gen", "--kind", "convex-qp", "--n", "4", "--seed", "2", "--out", str(inst))
+    runs = {}
+    for solver, trace in (("fista", "full"), ("mfista", "full"), ("mfista", "norms")):
+        rundir = tmp_path / f"{solver}-{trace}"
+        assert run_cli("run", "--instance", str(inst), "--solver", solver, "--trace", trace,
+                       "--eps", "1e-9", "--with-oracle", "--out", str(rundir)) == 0
+        runs[solver, trace] = rundir
+    cases = [(("fista", "full"), True, 0), (("mfista", "full"), False, 0),
+             (("mfista", "full"), True, 1), (("mfista", "norms"), True, 0)]
+    opened = []
+    read_rows = cli._read_trace_rows
+
+    def eager(path, lipschitz_L):
+        trace = read_rows(path, lipschitz_L)
+        cli._attach_vectors(trace, path)
+        return trace
+
+    def counting_open(path, *args, **kwargs):
+        if str(path).endswith("_vectors.npz"):
+            opened.append(path)
+        return open(path, *args, **kwargs)
+
+    capsys.readouterr()
+    for key, with_oracle, expected in cases:
+        rundir = runs[key]
+        argv = ["check", str(rundir / "trace.csv")]
+        if with_oracle:
+            argv += ["--oracle", str(rundir / "oracle.json")]
+        with monkeypatch.context() as m:
+            m.setattr(cli, "open", counting_open, raising=False)
+            opened.clear()
+            code = run_cli(*argv)
+            assert len(opened) == expected
+        lean = capsys.readouterr().out
+        # the same check with the vectors loaded up front prints the same lines
+        with monkeypatch.context() as m:
+            m.setattr(cli, "_read_trace_rows", eager)
+            assert run_cli(*argv) == code == 0
+        assert capsys.readouterr().out == lean
+        if expected:
+            assert lean.startswith("CHECK residual_bound PASS")
+            assert "\nCHECK lyapunov_monotone PASS" in lean
+
+
+def test_sweep_builds_each_instance_once(tmp_path, monkeypatch):
+    files = []
+    for kind, seed in (("convex-qp", 1), ("lasso-ball", 2)):
+        files.append(str(tmp_path / f"{kind}.txt"))
+        run_cli("gen", "--kind", kind, "--n", "4", "--seed", str(seed), "--out", files[-1])
+    cfg_path = tmp_path / "sweep.json"
+    cfg_path.write_text(json.dumps({"instances": files, "solvers": list(cli.SOLVERS),
+                                    "epsilons": [1e-6, 1e-9]}))
+    loads = []
+    load = cli.load_instance
+
+    def counting_load(path):
+        loads.append(path)
+        return load(path)
+
+    monkeypatch.setattr(cli, "load_instance", counting_load)
+    outputs = []
+    for per_cell in (False, True):
+        loads.clear()
+        with monkeypatch.context() as m:
+            if per_cell:
+                m.setattr(cli, "_sweep_instance", lambda cfg, built: cli._instance_from_config(cfg))
+            out = tmp_path / f"sw-{per_cell}"
+            assert run_cli("sweep", str(cfg_path), "--out", str(out)) == 0
+        assert len(loads) == (12 if per_cell else 2)
+        cells = sorted(out.glob("cell-*"))
+        assert len(cells) == 12
+        outputs.append([(out / "summary.csv").read_bytes()]
+                       + [(cell / "trace.csv").read_bytes() for cell in cells])
+    assert outputs[0] == outputs[1]

@@ -90,8 +90,8 @@ def reference_run(p, epsilon, max_iters, y0, step, inv_step, curvature_on, momen
         else:
             x_next = y
         vn = float(np.linalg.norm(v))
-        if record or curvature_on:
-            fy = f(y)
+        # an untraced run with a derived gradient reads f(y) only for a positive gap
+        fy = f(y) if record or (curvature_on and not derive) else math.nan
         if record:
             phi = fy + float(p.h_value(y))
             dxy = float(np.linalg.norm(y - x))
@@ -118,6 +118,8 @@ def reference_run(p, epsilon, max_iters, y0, step, inv_step, curvature_on, momen
                 # f(x_next) + gd - fy for a quadratic f; f(x_next) is within
                 # gap of fy - gd, so |fy| + |gd| stands in for |f(x_next)|
                 gap = 0.5 * float(d @ dg)
+                if gap > 0.0 and math.isnan(fy):
+                    fy = f(y)
                 fxn_size = abs(fy) + abs(gd)
             else:
                 fxn = f(x_next)

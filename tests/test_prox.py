@@ -250,3 +250,53 @@ def test_samplers_inside_sets(rng):
     ball = BallSet(np.array([1.0, -1.0, 0.0]), 2.5)
     pts = sample_ball(ball, rng, 200)
     assert np.all(np.linalg.norm(pts - ball.center, axis=1) <= 2.5 + 1e-12)
+
+
+# --- balls at the origin skip the subtraction ------------------------------
+
+def _reference_contains(s, z):
+    d = z - s.center
+    return math.sqrt(d.dot(d)) <= s.radius * (1.0 + 1e-9)
+
+
+def _reference_project(s, z):
+    d = z - s.center
+    nd = math.sqrt(d.dot(d))
+    return z if nd <= s.radius else s.center + (s.radius / nd) * d
+
+
+_N = 32
+_SIGNED_ZEROS = np.where(np.arange(_N) % 3 == 0, -0.0, 0.0)
+_TINY = np.zeros(_N)
+_TINY[5] = 1e-300  # passes the c.c check, but not at the origin
+
+
+@pytest.mark.parametrize("center", [
+    np.zeros(_N), _SIGNED_ZEROS, _TINY, np.random.default_rng(7).uniform(-1.0, 1.0, _N),
+], ids=["zeros", "signed-zeros", "tiny", "generic"])
+def test_ball_operations_match_the_subtracting_formulas(center, rng):
+    ball = BallSet(center, 2.0)
+    h = L1OnBall(0.7, ball)
+    origin_check = center.dot(center) == 0.0
+    points = [center + rng.standard_normal(_N) * scale for scale in (0.1, 0.3, 0.6, 2.0)]
+    points += [_SIGNED_ZEROS + np.eye(_N)[3] * 3.0, -_SIGNED_ZEROS + np.eye(_N)[4] * 0.5]
+    # strided views: BLAS sums their squares in another order than a fresh array's
+    points += [(rng.standard_normal(2 * _N) * scale)[::2] for scale in (0.3,) + (1.0,) * 24]
+    for z in points:
+        assert ball.contains(z) is _reference_contains(ball, z)
+        assert project_ball(ball, z).tobytes() == _reference_project(ball, z).tobytes()
+        expected = 0.7 * float(np.abs(z).sum()) if _reference_contains(ball, z) else math.inf
+        assert np.float64(h.h_value(z)).tobytes() == np.float64(expected).tobytes()
+        if origin_check:
+            for t in (0.05, 1.0):
+                got = prox_l1_on_ball(h, z, t)
+                want = _reference_project(ball, soft_threshold(z, t * 0.7))
+                assert got.tobytes() == want.tobytes()
+        else:
+            with pytest.raises(UnsupportedConfigError):
+                prox_l1_on_ball(h, z, 1.0)
+    # inputs that are not a contiguous float64 vector of the center's shape
+    # keep numpy's z - center: a list, and a length-1 point that broadcasts
+    assert ball.contains(list(points[0])) is _reference_contains(ball, points[0])
+    one = np.array([0.5])
+    assert ball.contains(one) is _reference_contains(ball, one)

@@ -21,6 +21,7 @@ from fistalab import (
 
 from conftest import grid_min_1d_vec, sample_feasible
 from fistalab import solver as solver_mod
+from fistalab.core import CountedProblem
 from fistalab.problems import lasso_optimum
 from fistalab.solver import Trace, momentum_sequence, next_momentum
 from fistalab.cli import write_trace_csv
@@ -605,3 +606,89 @@ def test_baselines_prox_economy():
                          (run_proxgrad_baseline, ())):
         res = runner(p, cfg, np.zeros(4), *args)
         assert res.counters.prox_evals == res.iterations
+
+
+# --- per-iteration work the loop does not repeat --------------------------
+
+@pytest.mark.parametrize("make", [lambda s: make_convex_qp(8, s),
+                                  lambda s: make_lasso_on_ball(8, 6, s)], ids=["qp", "lasso"])
+@pytest.mark.parametrize("vectors", [False, True], ids=["norms", "full"])
+def test_proxgrad_step_norm_serves_both_columns(make, vectors):
+    # without momentum x_k is y_{k-1}, so dyy is dxy bit for bit, and both
+    # are the norm of y_k - y_{k-1} recomputed from the stored iterates
+    for seed in range(1, 6):
+        p, _ = make(seed)
+        y0 = p.h_prox(np.zeros(p.dim), 1.0)
+        res = run_proxgrad_baseline(
+            p, SolverConfig(epsilon=1e-9, max_iters=300, trace_vectors=vectors), y0)
+        tr = res.trace
+        assert res.iterations > 1
+        assert tr.column("dyy").tobytes() == tr.column("dxy").tobytes()
+        if vectors:
+            steps = [solver_mod._norm(y - y_prev) for y, y_prev in zip(tr.ys, [y0] + tr.ys)]
+            assert np.array(steps).tobytes() == tr.column("dyy").tobytes()
+
+
+def test_loop_calls_project_only_when_the_problem_has_one(monkeypatch):
+    counts = {"project": 0}
+    monkeypatch.setattr(CountedProblem, "project",
+                        counting(CountedProblem.project, counts, "project"))
+    p, inst = make_convex_qp(6, 4)
+    L = p.lipschitz_L
+    solvers = [lambda q, cfg: run_mfista(q, cfg, np.zeros(6)),
+               lambda q, cfg: run_fista_baseline(q, cfg, np.zeros(6), 1.0 / L),
+               lambda q, cfg: run_fista_baseline(q, cfg, np.zeros(6), 1.0 / (4.0 * L),
+                                                 project_extrapolation=True),
+               lambda q, cfg: run_proxgrad_baseline(q, cfg, np.zeros(6))]
+    cfg = SolverConfig(epsilon=1e-9, max_iters=2000, trace_vectors=True)
+    for solve in solvers:
+        assert solve(p, cfg).iterations > 1
+    assert counts["project"] == 0
+    # an identity projection is called and counted once per extrapolation by
+    # the projecting solvers and leaves their iterates those of a problem
+    # without one (both take every gradient from the oracle)
+    plain = dataclasses.replace(p, smooth_is_quadratic=False)
+    identity = dataclasses.replace(p, omega_project=lambda x: x)
+    for solve, projects in zip(solvers, (True, False, True, False)):
+        counts["project"] = 0
+        a, b = solve(plain, cfg), solve(identity, cfg)
+        assert counts["project"] == b.counters.proj_evals == (b.iterations if projects else 0)
+        assert (a.status, a.iterations) == (b.status, b.iterations)
+        assert a.y.tobytes() == b.y.tobytes() and a.v.tobytes() == b.v.tobytes()
+        for va, vb in zip(a.trace.ys + a.trace.vs, b.trace.ys + b.trace.vs):
+            assert va.tobytes() == vb.tobytes()
+
+
+@pytest.mark.parametrize("make", [lambda: make_convex_qp(8, 1), lambda: make_nonconvex_qp(8, 2),
+                                  lambda: make_lasso_on_ball(8, 6, 3)],
+                         ids=["convex-qp", "nonconvex-qp", "lasso"])
+def test_untraced_mfista_evaluates_f_only_for_a_positive_gap(make):
+    # with the derived gradient, f(y_k) serves only the estimate of a
+    # positive gap, so an untraced run skips it elsewhere and keeps its
+    # iterates and every other count
+    p, _ = make()
+    runs = [run_mfista(p, SolverConfig(epsilon=1e-9, max_iters=5000, record_trace=record),
+                       np.zeros(p.dim)) for record in (True, False)]
+    traced, untraced = runs
+    assert (untraced.status, untraced.iterations) == (traced.status, traced.iterations)
+    assert untraced.y.tobytes() == traced.y.tobytes()
+    assert untraced.v.tobytes() == traced.v.tobytes()
+    for name in ("grad_evals", "prox_evals", "proj_evals"):
+        assert getattr(untraced.counters, name) == getattr(traced.counters, name)
+    assert traced.counters.f_evals == traced.iterations
+    assert untraced.counters.f_evals < untraced.iterations
+    if not any(traced.trace.L_k):
+        assert untraced.counters.f_evals == 0
+
+
+def test_untraced_mfista_f_evals_on_a_convex_qp():
+    p, _ = make_convex_qp(8, 1)
+    res = run_mfista(p, SolverConfig(epsilon=1e-9, max_iters=5000, record_trace=False),
+                     np.zeros(8))
+    assert res.converged and res.iterations == 807
+    assert res.counters.f_evals == 0
+    # without the derived gradient the gap needs f at both points, traced or not
+    p = dataclasses.replace(p, smooth_is_quadratic=False)
+    res = run_mfista(p, SolverConfig(epsilon=1e-9, max_iters=5000, record_trace=False),
+                     np.zeros(8))
+    assert res.counters.f_evals == 2 * res.iterations - 1

@@ -22,6 +22,14 @@ A third line digests the certificate oracles on the same battery:
 quadratics, over each certificate's y_star, phi_star, kkt_residual and
 method.  A change to either oracle that must keep certificates
 bit-identical must print the same third line before and after.
+
+A fourth line digests the h operators directly: on every instance of the
+battery, `h_prox(z, t)` and `h_value(z)` at seeded points inside, near and
+outside the box or ball (points on the boundary come from the prox of a far
+point), with zeros of both signs and strided views, for three steps t.  The
+solves rarely or never reach some of these branches, such as the lasso
+ball's projection, so this line is their bit-for-bit guard.  It uses only
+the generators and the problems' `h_prox`/`h_value`.
 """
 
 import dataclasses
@@ -125,8 +133,53 @@ def oracle_fingerprint(dims=DIMS, seeds=SEEDS) -> str:
     return h.hexdigest()[:16]
 
 
+# multiples of a boundary point: inside, either side of the 1e-9 membership
+# band, and well outside
+BOUNDARY_SCALES = (0.0, 0.3, 0.999, 1.0 - 1e-10, 1.0 + 5e-10, 1.0 + 2e-9, 1.5, 10.0)
+
+
+def _operator_points(p, rng) -> list:
+    n = p.dim
+    # the prox of a far point with a tiny step lands on the boundary of dom h
+    edge = np.asarray(p.h_prox(1e6 * rng.standard_normal(n), 1e-9), dtype=float)
+    centre = np.asarray(p.h_prox(np.zeros(n), 1.0), dtype=float)
+    points = [s * edge for s in BOUNDARY_SCALES]
+    points.append(centre + 1e-3 * rng.standard_normal(n))
+    for z in points[1::2]:
+        signed = z.copy()
+        signed[::3] = -0.0
+        signed[1::3] = 0.0
+        points.append(signed)
+    points.append(np.full(n, -0.0))
+    # strided views of the same kinds of points
+    for s in (0.5, 1.0 + 2e-9, 3.0):
+        wide = np.repeat(s * edge, 2)
+        wide[1::2] = rng.standard_normal(n)
+        points.append(wide[::2])
+    return points
+
+
+def operator_fingerprint(dims=DIMS, seeds=SEEDS) -> str:
+    """sha256 prefix over h_prox and h_value of every instance of the battery
+    at seeded points inside, near and outside dom h."""
+    h = hashlib.sha256()
+    for n in dims:
+        for seed in seeds:
+            for pname, make in PROBLEMS.items():
+                p = make(n, seed)[0]
+                rng = np.random.default_rng([n, seed])
+                steps = (1.0 / (4.0 * p.lipschitz_L), 1.0 / p.lipschitz_L, 10.0)
+                h.update(f"{n} {seed} {pname}".encode())
+                for z in _operator_points(p, rng):
+                    h.update(np.float64(p.h_value(z)).tobytes())
+                    for t in steps:
+                        h.update(np.asarray(p.h_prox(z, t), dtype=float).tobytes())
+    return h.hexdigest()[:16]
+
+
 if __name__ == "__main__":
     print(f"{trace_fingerprint()} as generated (gradient at x_{{k+1}} derived)")
     print(f"{trace_fingerprint(quadratic=False)} smooth_is_quadratic forced off "
           "(every gradient from the oracle)")
     print(f"{oracle_fingerprint()} oracle certificates (lasso_optimum, brute_force_optimum)")
+    print(f"{operator_fingerprint()} h operators (h_prox, h_value at fixed points)")

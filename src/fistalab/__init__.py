@@ -8,7 +8,6 @@ and the other oracles are in `fistalab.prox` and `fistalab.problems`."""
 __version__ = "0.1.0"
 
 from .core import CompositeProblem, OracleError
-from .prox import UnsupportedConfigError
 from .solver import (
     InvalidStartError,
     SolverConfig,

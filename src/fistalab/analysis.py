@@ -135,6 +135,12 @@ def check_lyapunov_monotone(trace: Trace, certificate: OracleCertificate) -> Tra
     return TraceCheckReport(name, status, worst, trace.k[worst_idx + 1])
 
 
+def _check_lipschitz(L: float) -> None:
+    # an infinite L makes either bound hold on any trace
+    if not 0 < L < math.inf:
+        raise ValueError(f"L must be finite and positive, got {L!r}")
+
+
 def check_residual_bound(trace: Trace, L: float) -> TraceCheckReport:
     """Aggregated residual bound; holds on every genuine trace.
 
@@ -143,6 +149,7 @@ def check_residual_bound(trace: Trace, L: float) -> TraceCheckReport:
     where the gap is worst.
     """
     name = "residual_bound"
+    _check_lipschitz(L)
     if len(trace) < 2:
         return TraceCheckReport(name, NOT_APPLICABLE, note="trace shorter than 2")
     vnorm = trace.column("vnorm")
@@ -164,6 +171,7 @@ def check_function_value_bound(trace: Trace, certificate: OracleCertificate,
     """Convex-case value bound: a_{n-1}^2 (phi_n - phi*) never exceeds the
     run's starting constant phi_1 - phi* + 2L ||y_1 - y*||^2 (tol 1e-8)."""
     name = "function_value_bound"
+    _check_lipschitz(L)
     if not trace.has_vectors or trace.y0 is None:
         raise UnsupportedTraceError("function-value check needs a full-vector trace")
     if len(trace) < 1:

@@ -321,19 +321,30 @@ def cmd_check(args) -> int:
     manifest = None
     if manifest_path.exists():
         manifest = _load_json_object(manifest_path, ("config", "lipschitz_L"))
-    L = args.lipschitz
-    if L is None and manifest is not None:
-        L = manifest["lipschitz_L"]
-    if L is None:
+    if args.lipschitz is not None:
+        raw, source = args.lipschitz, "--lipschitz"
+    elif manifest is not None:
+        raw, source = manifest["lipschitz_L"], f"{manifest_path}: key 'lipschitz_L'"
+    else:
         print("error: Lipschitz constant unavailable (pass --lipschitz or keep "
               "manifest.json next to the trace)", file=sys.stderr)
+        return EXIT_ERROR
+    try:
+        L = float(raw)
+    except (TypeError, ValueError):
+        L = math.nan
+    # the residual bound takes sqrt(L): an infinite L passes any trace, a
+    # negative one has no root
+    if not 0 < L < math.inf:
+        print(f"error: {source}: Lipschitz constant must be a finite positive number, "
+              f"got {raw!r}", file=sys.stderr)
         return EXIT_ERROR
     certificate = load_certificate(args.oracle) if args.oracle else None
     # without a manifest the trace is taken to be run_mfista's, whose step
     # 1/(4L) and curvature column the inequalities and trends assume
     solver = manifest["config"]["solver"] if manifest is not None else "mfista"
     try:
-        trace = _read_trace_rows(trace_path, float(L))
+        trace = _read_trace_rows(trace_path, L)
         if solver == "mfista" and certificate is not None:
             _attach_vectors(trace, trace_path)  # only the two gates below read them
     except (OSError, ValueError) as e:

@@ -43,6 +43,17 @@ def _all_finite(a: np.ndarray) -> bool:
     return math.isfinite(a.dot(a)) or bool(np.isfinite(a).all())
 
 
+def _norm(d: np.ndarray) -> float:
+    """np.linalg.norm(d) for a 1-D float64 array, without numpy's Python-level dispatch.
+
+    Same arithmetic: the square root of d.dot(d), after making a strided view
+    contiguous as norm does (BLAS sums a strided dot product in another order).
+    """
+    if not d.flags.c_contiguous:
+        d = d.ravel("K")
+    return math.sqrt(d.dot(d))
+
+
 def as_vector(x, dim: Optional[int] = None) -> np.ndarray:
     """Coerce `x` to a finite 1-D float64 array, optionally checking its length.
 
@@ -103,8 +114,8 @@ class CompositeProblem:
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError("dim must be >= 1")
-        if not self.lipschitz_L > 0:
-            raise ValueError("lipschitz_L must be positive")
+        if not 0 < self.lipschitz_L < math.inf:
+            raise ValueError(f"lipschitz_L must be finite and positive, got {self.lipschitz_L!r}")
 
 
 @dataclass

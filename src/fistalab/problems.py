@@ -109,7 +109,7 @@ class LassoOnBallInstance:
         return 0.5 * float(r.dot(r)), self.A.T.dot(r)
 
     def regularizer(self) -> L1OnBall:
-        return L1OnBall(self.weight, BallSet(np.zeros(self.dim), self.radius))
+        return L1OnBall(self.weight, BallSet(self.dim, self.radius))
 
 
 @dataclass

@@ -1,22 +1,23 @@
 """Projection and proximal operators for the bounded convex sets the test
-problems use: boxes, Euclidean balls, and l1 over a ball.
+problems use: boxes, Euclidean balls centred at the origin, and l1 over such
+a ball.
 
 Everything here is a pure function of its inputs.  The l1-plus-ball prox uses
-the soft-threshold-then-project composition, which is exact only for balls
-centered at the origin; other centers are rejected rather than approximated.
+the soft-threshold-then-project composition, which is exact because the ball
+is centred at the origin; no other ball is represented.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import as_vector
+from .core import _norm, as_vector
 
 __all__ = [
-    "UnsupportedConfigError",
     "BoxSet",
     "BallSet",
     "L1OnBall",
@@ -30,11 +31,6 @@ __all__ = [
 # membership slack for indicator evaluation; projections land on boundaries
 # only up to rounding
 _FEAS_RTOL = 1e-9
-_FLOAT64 = np.dtype(float)
-
-
-class UnsupportedConfigError(ValueError):
-    """Operator configuration for which no exact formula is implemented."""
 
 
 @dataclass(frozen=True)
@@ -76,38 +72,29 @@ class BoxSet:
 
 @dataclass(frozen=True)
 class BallSet:
-    """Euclidean ball of positive radius.
+    """Euclidean ball of positive `radius` centred at the origin of R^`dim`,
+    the ball for which the l1-on-ball prox below is exact.
 
-    A ball whose center entries are all zeros of either sign is at the
-    origin.  Its membership test and projection of a contiguous float64
-    vector then take the norm of the point itself and skip the subtraction:
-    z - (+-0) has the same squares as z, so the result is the same bit for
-    bit.
+    Membership and projection take the norm of the point itself; `contains`
+    refuses a point whose shape is not (dim,).
     """
 
-    center: np.ndarray
+    dim: int
     radius: float
 
     def __post_init__(self):
-        object.__setattr__(self, "center", as_vector(self.center))
+        dim = self.dim
+        if not isinstance(dim, numbers.Integral) or dim < 1:
+            raise ValueError(f"dim must be a positive integer, got {type(dim).__name__} "
+                             f"{dim!r:.40}")
         if not self.radius > 0:
             raise ValueError("radius must be positive")
-        # fixed with the center, so decided once
-        object.__setattr__(self, "_at_origin", not self.center.any())
-
-    @property
-    def dim(self) -> int:
-        return self.center.size
 
     def contains(self, z: np.ndarray) -> bool:
-        # a list, another dtype, a shape that broadcasts or a strided view
-        # (BLAS sums its squares in another order) keeps the subtraction
-        if (self._at_origin and type(z) is np.ndarray and z.dtype is _FLOAT64
-                and z.shape == self.center.shape and z.flags.c_contiguous):
-            d = z
-        else:
-            d = z - self.center
-        return math.sqrt(d.dot(d)) <= self.radius * (1.0 + _FEAS_RTOL)
+        z = np.asarray(z, dtype=float)
+        if z.shape != (self.dim,):
+            raise ValueError(f"expected a point of shape ({self.dim},), got {z.shape}")
+        return _norm(z) <= self.radius * (1.0 + _FEAS_RTOL)
 
     def h_value(self, z: np.ndarray) -> float:
         return 0.0 if self.contains(z) else math.inf
@@ -153,13 +140,12 @@ def project_ball(s: BallSet, z: np.ndarray) -> np.ndarray:
 
 def _project_ball(s: BallSet, z: np.ndarray) -> np.ndarray:
     """project_ball for a `z` already validated by as_vector."""
-    d = z if s._at_origin and z.flags.c_contiguous else z - s.center
-    nd = math.sqrt(d.dot(d))
+    nd = _norm(z)
     if nd <= s.radius:
         return z
-    if d is z:
-        d = z - s.center  # keeps the result's signed zeros those of center + t * (z - center)
-    return s.center + (s.radius / nd) * d
+    # + 0.0 turns a -0.0 entry into +0.0, the signed zeros of the
+    # projection's textbook form 0 + t * (z - 0)
+    return (s.radius / nd) * z + 0.0
 
 
 def prox_box_indicator(b: BoxSet, z: np.ndarray, t: float) -> np.ndarray:
@@ -170,7 +156,8 @@ def prox_box_indicator(b: BoxSet, z: np.ndarray, t: float) -> np.ndarray:
 
 
 def prox_l1_on_ball(h: L1OnBall, z: np.ndarray, t: float) -> np.ndarray:
-    """Exact prox of weight*||.||_1 + indicator of an origin-centered ball.
+    """Exact prox of weight*||.||_1 + indicator of the ball, which is centred
+    at the origin.
 
     Soft-threshold by t*weight, then project onto the ball.  The composition
     is exact because the ball's normal cone at any boundary point is a
@@ -178,12 +165,6 @@ def prox_l1_on_ball(h: L1OnBall, z: np.ndarray, t: float) -> np.ndarray:
     """
     if not t > 0:
         raise ValueError("t must be positive")
-    c = h.ball.center
-    # c.dot(c) is zero exactly when ||c|| is, underflow included
-    if c.dot(c) != 0.0:
-        raise UnsupportedConfigError(
-            "soft-threshold-then-project is exact only for origin-centered balls"
-        )
     z = as_vector(z, h.dim)
     # a finite z thresholded by a positive tau stays finite and keeps its shape
     return _project_ball(h.ball, soft_threshold(z, t * h.weight))

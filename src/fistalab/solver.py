@@ -34,7 +34,7 @@ from typing import Optional
 import numpy as np
 
 from .core import (CompositeProblem, CountedProblem, EvalCounters, OracleError, _all_finite,
-                   as_vector)
+                   _norm, as_vector)
 
 __all__ = [
     "InvalidStartError",
@@ -103,22 +103,6 @@ class Trace:
     def has_vectors(self) -> bool:
         return self.ys is not None and len(self.ys) == len(self.k)
 
-    def append(self, k: int, a_k: float, L_k: float, vnorm: float, phi: float, dxy: float,
-               dyy: float, gradevals: int, proxevals: int, y=None, v=None) -> None:
-        """One completed iteration: the CSV columns, then the vectors if kept."""
-        self.k.append(k)
-        self.a_k.append(a_k)
-        self.L_k.append(L_k)
-        self.vnorm.append(vnorm)
-        self.phi.append(phi)
-        self.dxy.append(dxy)
-        self.dyy.append(dyy)
-        self.gradevals.append(gradevals)
-        self.proxevals.append(proxevals)
-        if self.ys is not None:
-            self.ys.append(np.array(y, dtype=float))
-            self.vs.append(np.array(v, dtype=float))
-
     def _fill_columns(self, rows) -> None:
         """Set the empty scalar columns from one tuple per row, in COLUMNS order."""
         for name, col in zip(self.COLUMNS, zip(*rows)):
@@ -169,17 +153,6 @@ def momentum_sequence(count: int) -> np.ndarray:
         cur = 0.5 + sqrt(0.25 + cur * cur)
         out[i] = cur
     return out
-
-
-def _norm(d: np.ndarray) -> float:
-    """np.linalg.norm(d) for a 1-D float64 array, without numpy's Python-level dispatch.
-
-    Same arithmetic: the square root of d.dot(d), after making a strided view
-    contiguous as norm does (BLAS sums a strided dot product in another order).
-    """
-    if not d.flags.c_contiguous:
-        d = d.ravel("K")
-    return math.sqrt(d.dot(d))
 
 
 def _iterate(p: CompositeProblem, cfg: SolverConfig, y0: np.ndarray, step: float,

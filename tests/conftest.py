@@ -46,11 +46,11 @@ def sample_box(b: BoxSet, rng: np.random.Generator, count: int = 1) -> np.ndarra
 
 
 def sample_ball(s: BallSet, rng: np.random.Generator, count: int = 1) -> np.ndarray:
-    """Uniform samples from the ball, shape (count, dim)."""
+    """Uniform samples from the origin-centred ball, shape (count, dim)."""
     g = rng.standard_normal((count, s.dim))
     g /= np.maximum(np.linalg.norm(g, axis=1, keepdims=True), 1e-300)
     radii = s.radius * rng.uniform(0.0, 1.0, (count, 1)) ** (1.0 / s.dim)
-    return s.center + radii * g
+    return radii * g
 
 
 def sample_feasible(inst, rng: np.random.Generator, count: int = 1) -> np.ndarray:
@@ -58,7 +58,7 @@ def sample_feasible(inst, rng: np.random.Generator, count: int = 1) -> np.ndarra
     if isinstance(inst, QuadraticInstance):
         return sample_box(inst.box(), rng, count)
     if isinstance(inst, LassoOnBallInstance):
-        return sample_ball(BallSet(np.zeros(inst.dim), inst.radius), rng, count)
+        return sample_ball(BallSet(inst.dim, inst.radius), rng, count)
     raise TypeError(f"unknown instance type {type(inst).__name__}")
 
 

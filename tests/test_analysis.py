@@ -27,9 +27,9 @@ def synthetic_trace(vnorm, dxy=None, dyy=None, L_k=None, L=1.0):
     dyy = np.asarray(dyy) if dyy is not None else np.zeros(n)
     L_k = np.asarray(L_k) if L_k is not None else np.zeros(n)
     tr = Trace(L)
-    for i in range(n):
-        tr.append(i + 1, 1.0, float(L_k[i]), float(vnorm[i]), 0.0,
-                  float(dxy[i]), float(dyy[i]), 2 * (i + 1), i + 1)
+    # one tuple per row in Trace.COLUMNS order, filled as the solver loop fills them
+    tr._fill_columns([(i + 1, 1.0, float(L_k[i]), float(vnorm[i]), 0.0,
+                       float(dxy[i]), float(dyy[i]), 2 * (i + 1), i + 1) for i in range(n)])
     return tr
 
 
@@ -102,6 +102,16 @@ def test_residual_bound_negative_control():
     assert rep.status == "FAIL"
     assert rep.at_k == tr.k[j]
     assert rep.worst > 0
+
+
+@pytest.mark.parametrize("L", [math.inf, -1.0, math.nan])
+def test_bounds_refuse_a_lipschitz_constant_that_is_not_finite_and_positive(L):
+    # an infinite L passed both bounds on any trace
+    p, inst, res, cert = convex_run(n=2, seed=0, iters=50)
+    with pytest.raises(ValueError, match="L must be finite and positive"):
+        check_residual_bound(res.trace, L)
+    with pytest.raises(ValueError, match="L must be finite and positive"):
+        check_function_value_bound(res.trace, cert, L)
 
 
 def test_residual_bound_short_trace():

@@ -268,6 +268,37 @@ def test_check_without_manifest_or_lipschitz_is_an_error(tmp_path, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("value", ["inf", "-1", "0", "nan"])
+def test_check_refuses_a_bad_lipschitz_flag(tmp_path, capsys, value):
+    # an infinite L passes the residual bound on any trace, and a negative
+    # one has no square root
+    rundir = tmp_path / "r"
+    run_cli("run", "--problem", "convex-qp", "--n", "3", "--seed", "1", "--out", str(rundir))
+    capsys.readouterr()
+    assert run_cli("check", str(rundir / "trace.csv"), "--lipschitz", value) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: --lipschitz: Lipschitz constant must be a finite "
+                                   "positive number")
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("value", [-2.0, "abc", None, math.inf, [1.0]],
+                         ids=["negative", "string", "null", "infinite", "list"])
+def test_check_refuses_a_bad_manifest_lipschitz_constant(tmp_path, capsys, value):
+    rundir = tmp_path / "r"
+    run_cli("run", "--problem", "convex-qp", "--n", "3", "--seed", "1", "--out", str(rundir))
+    manifest_path = rundir / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest["lipschitz_L"] = value
+    manifest_path.write_text(json.dumps(manifest))
+    capsys.readouterr()
+    assert run_cli("check", str(rundir / "trace.csv")) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {manifest_path}: key 'lipschitz_L': Lipschitz "
+                                   "constant must be a finite positive number")
+    assert captured.out == ""
+
+
 def test_run_designed_spectrum_records_its_lipschitz_constant(tmp_path):
     # --cond spreads the spectrum geometrically up to 1, so L is 1
     out = tmp_path / "r"

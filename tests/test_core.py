@@ -69,6 +69,13 @@ def test_problem_validation():
         CompositeProblem(0, f, g, h, pr, lipschitz_L=1.0)
 
 
+def test_problem_refuses_an_infinite_lipschitz_constant():
+    # its steps would be zero, and the run would fail on them without naming L
+    with pytest.raises(ValueError, match="lipschitz_L must be finite"):
+        CompositeProblem(2, lambda y: 0.0, lambda y: np.zeros(2), lambda y: 0.0,
+                         lambda z, t: z, lipschitz_L=math.inf)
+
+
 def test_counted_problem_counts_and_validates():
     p = half_sq_norm(2)
     cp = CountedProblem(p)

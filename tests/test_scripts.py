@@ -31,6 +31,14 @@ def test_oracle_fingerprint_repeats_and_sees_seeds():
     assert fp.oracle_fingerprint(dims=(4, 8), seeds=(2,)) != digest
 
 
+def test_operator_fingerprint_repeats_and_sees_seeds():
+    fp = load_script("trace_fingerprint")
+    digest = fp.operator_fingerprint(dims=(4, 8), seeds=(1,))
+    assert len(digest) == 16
+    assert fp.operator_fingerprint(dims=(4, 8), seeds=(1,)) == digest
+    assert fp.operator_fingerprint(dims=(4, 8), seeds=(2,)) != digest
+
+
 def test_rate_study_runs(monkeypatch, capsys):
     # the only caller of fit_rate, check_scaled_trend and iterates_settled
     # outside the tests; 3000 iterations are too few for the convex fits and

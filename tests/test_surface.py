@@ -11,7 +11,7 @@ import fistalab
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 TOP_LEVEL = {
-    "CompositeProblem", "OracleError", "UnsupportedConfigError",
+    "CompositeProblem", "OracleError",
     "SolverConfig", "Trace", "InvalidStartError",
     "run_mfista", "run_fista_baseline", "run_proxgrad_baseline",
     "QuadraticInstance", "LassoOnBallInstance", "make_convex_qp", "make_nonconvex_qp",

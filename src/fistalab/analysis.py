@@ -118,6 +118,7 @@ def check_lyapunov_monotone(trace: Trace, certificate: OracleCertificate) -> Tra
     1e-8 * (1 + E_2) absolute per step.
     """
     name = "lyapunov_monotone"
+    _check_lipschitz(trace.lipschitz_L)
     if not trace.has_vectors:
         raise UnsupportedTraceError("lyapunov check needs a full-vector trace")
     if len(trace) == 0:

@@ -8,9 +8,11 @@ The trace CSV schema is a stable contract:
 `k,a_k,L_k,vnorm,phi,dxy,dyy,gradevals,proxevals`, one row per completed
 iteration, floats printed with repr so files round-trip bit-identically.
 Full-vector traces put the iterate/residual vectors in a sidecar
-`*_vectors.npz` next to the CSV; a sidecar is read back only when it holds
-one vector per CSV row.  Output directories default to $FISTALAB_OUT or
-./runs.
+`*_vectors.npz` next to the CSV; `read_trace_csv` reads a sidecar back only
+when asked to and when it holds one vector per CSV row, and `check` asks
+only for the gates that read the vectors.  `sweep` builds each instance of
+its matrix once, for the instance's first cell.  Output directories default
+to $FISTALAB_OUT or ./runs.
 """
 
 from __future__ import annotations
@@ -183,14 +185,9 @@ def _vectors_sidecar(trace_path: Path) -> Path:
     return trace_path.with_name(trace_path.stem + "_vectors.npz")
 
 
-def read_trace_csv(path, lipschitz_L: float = math.nan) -> Trace:
-    trace = _read_trace_rows(path, lipschitz_L)
-    _attach_vectors(trace, path)
-    return trace
-
-
-def _read_trace_rows(path, lipschitz_L: float) -> Trace:
-    """read_trace_csv without the vectors sidecar: the CSV columns only."""
+def read_trace_csv(path, lipschitz_L: float = math.nan, vectors: bool = True) -> Trace:
+    """The trace at `path`; with `vectors`, also the vectors of the sidecar
+    beside it, if that holds one vector per CSV row."""
     with open(path, encoding="ascii") as fh:
         header = fh.readline().strip()
         if header != ",".join(Trace.COLUMNS):
@@ -212,14 +209,8 @@ def _read_trace_rows(path, lipschitz_L: float) -> Trace:
                     conv(field)
                 except ValueError:
                     raise ValueError(f"line {lineno}: {name}: {e}") from None
-    return trace
-
-
-def _attach_vectors(trace: Trace, path) -> None:
-    """Give `trace` the vectors of the sidecar beside `path`, if it has one
-    vector per row."""
     sidecar = _vectors_sidecar(Path(path))
-    if sidecar.exists():
+    if vectors and sidecar.exists():
         # np.load reads each member lazily, on every access, from a file it
         # leaves open; read each one once and close the file here
         with open(sidecar, "rb") as fh:
@@ -229,6 +220,7 @@ def _attach_vectors(trace: Trace, path) -> None:
                 trace.y0 = data["y0"]
                 trace.ys = list(ys)
                 trace.vs = list(data["vs"])
+    return trace
 
 
 def write_manifest(path, cfg: RunConfig, result: SolveResult, L: float,
@@ -343,17 +335,17 @@ def cmd_check(args) -> int:
     # without a manifest the trace is taken to be run_mfista's, whose step
     # 1/(4L) and curvature column the inequalities and trends assume
     solver = manifest["config"]["solver"] if manifest is not None else "mfista"
+    # the two energy gates are the only readers of the trace's vectors
+    energy_gates = solver == "mfista" and certificate is not None
     try:
-        trace = _read_trace_rows(trace_path, L)
-        if solver == "mfista" and certificate is not None:
-            _attach_vectors(trace, trace_path)  # only the two gates below read them
+        trace = read_trace_csv(trace_path, L, vectors=energy_gates)
     except (OSError, ValueError) as e:
         print(f"error: unreadable trace: {e}", file=sys.stderr)
         return EXIT_ERROR
 
     gates = [check_residual_bound(trace, trace.lipschitz_L)]
     mfista_only = f"holds for mfista traces only, this one is from {solver}"
-    if solver == "mfista" and certificate is not None and trace.has_vectors:
+    if energy_gates and trace.has_vectors:
         gates.append(check_lyapunov_monotone(trace, certificate))
         gates.append(check_function_value_bound(trace, certificate, trace.lipschitz_L))
     else:
@@ -380,12 +372,13 @@ def cmd_check(args) -> int:
 SWEEP_AXES = ("instances", "solvers", "epsilons")
 
 
-def _sweep_cells(matrix: dict, outdir: Path) -> list[tuple[str, RunConfig]]:
-    """(label, validated config) per cell.  Keys beside the three axes are
-    RunConfig fields shared by every cell; an instance is a file name or a
-    mapping of RunConfig fields with `kind` for `problem`."""
+def _sweep_cells(matrix: dict, outdir: Path) -> list[list[tuple[str, RunConfig]]]:
+    """Per entry of `instances`, (label, validated config) per cell.  Keys
+    beside the three axes are RunConfig fields shared by every cell; an
+    instance is a file name or a mapping of RunConfig fields with `kind` for
+    `problem`."""
     shared = {key: value for key, value in matrix.items() if key not in SWEEP_AXES}
-    cells = []
+    entries, count = [], 0
     for inst_spec in matrix["instances"]:
         if isinstance(inst_spec, str):
             spec, label = {"instance": inst_spec}, Path(inst_spec).stem
@@ -393,53 +386,47 @@ def _sweep_cells(matrix: dict, outdir: Path) -> list[tuple[str, RunConfig]]:
             spec, label = dict(inst_spec), None
             if "kind" in spec:
                 spec["problem"] = spec.pop("kind")
+        cells = []
         for solver in matrix["solvers"]:
             for eps in matrix["epsilons"]:
+                count += 1
                 cfg = _apply_config(RunConfig(), {
                     **shared, **spec, "solver": solver, "eps": eps,
-                    "out": str(outdir / f"cell-{len(cells) + 1:03d}")})
+                    "out": str(outdir / f"cell-{count:03d}")})
                 cfg.validate()
                 cells.append((label or f"{cfg.problem}-n{cfg.n}-seed{cfg.seed}", cfg))
-    return cells
-
-
-def _sweep_instance(cfg: RunConfig, built: dict):
-    """cfg's instance, built once per sweep: `built` maps an instance file, or
-    the generator fields of a mapping, to the instance made for it."""
-    if cfg.instance is not None:
-        key = cfg.instance
-    else:
-        key = (cfg.problem, cfg.n, cfg.seed, cfg.rows, cfg.negfrac, cfg.cond)
-    if key not in built:
-        built[key] = _instance_from_config(cfg)
-    return built[key]
+        entries.append(cells)
+    return entries
 
 
 def cmd_sweep(args) -> int:
     matrix = _load_json_object(args.config, SWEEP_AXES)
     outdir = Path(args.out) if args.out else output_root() / "sweep"
-    cells = _sweep_cells(matrix, outdir)  # a bad matrix fails here, before any cell runs
+    entries = _sweep_cells(matrix, outdir)  # a bad matrix fails here, before any cell runs
     outdir.mkdir(parents=True, exist_ok=True)
 
     rows = []
     worst = EXIT_OK
-    instances = {}
-    for label, cfg in cells:
-        # the row is this run's result, never files an older run left in cfg.out
-        try:
-            result = _run(cfg, _sweep_instance(cfg, instances))
-        except Exception as e:  # record the failure, keep sweeping
-            print(f"error: {e}", file=sys.stderr)
-            worst = EXIT_ERROR
-            rows.append((label, cfg.solver, cfg.eps, -1, math.nan, math.nan, f"error: {e}"))
-            continue
-        try:
-            slope = fit_rate(result.trace, _default_grid(len(result.trace))).slope
-        except ValueError:  # too short for the grid, or the residual hit zero
-            slope = math.nan
-        rows.append((label, cfg.solver, cfg.eps, result.iterations,
-                     float(np.linalg.norm(result.v)), slope, result.status))
-        worst = max(worst, EXIT_OK if result.converged else EXIT_NOT_CONVERGED)
+    for cells in entries:
+        inst = None  # built by the entry's first cell, or by the next if that build fails
+        for label, cfg in cells:
+            # the row is this run's result, never files an older run left in cfg.out
+            try:
+                if inst is None:
+                    inst = _instance_from_config(cfg)
+                result = _run(cfg, inst)
+            except Exception as e:  # record the failure, keep sweeping
+                print(f"error: {e}", file=sys.stderr)
+                worst = EXIT_ERROR
+                rows.append((label, cfg.solver, cfg.eps, -1, math.nan, math.nan, f"error: {e}"))
+                continue
+            try:
+                slope = fit_rate(result.trace, _default_grid(len(result.trace))).slope
+            except ValueError:  # too short for the grid, or the residual hit zero
+                slope = math.nan
+            rows.append((label, cfg.solver, cfg.eps, result.iterations,
+                         float(np.linalg.norm(result.v)), slope, result.status))
+            worst = max(worst, EXIT_OK if result.converged else EXIT_NOT_CONVERGED)
 
     summary = outdir / "summary.csv"
     with open(summary, "w", encoding="ascii", newline="\n") as fh:

@@ -35,7 +35,10 @@ _FEAS_RTOL = 1e-9
 
 @dataclass(frozen=True)
 class BoxSet:
-    """Axis-aligned box [lower, upper], finite and nonempty."""
+    """Axis-aligned box [lower, upper], finite and nonempty.
+
+    `contains` takes an array and refuses one whose shape is not (dim,).
+    """
 
     lower: np.ndarray
     upper: np.ndarray
@@ -57,9 +60,11 @@ class BoxSet:
         return self.lower.size
 
     def contains(self, z: np.ndarray) -> bool:
-        # count_nonzero costs less per call than .all(); the size is the
-        # comparison's, not z's, so a z that broadcasts is judged entry by
-        # entry against both bounds; a NaN coordinate fails both tests
+        # a point of another shape would broadcast against the bounds
+        if z.shape != self.lower.shape:
+            raise ValueError(f"expected a point of shape ({self.dim},), got {z.shape}")
+        # count_nonzero costs less per call than .all(); a NaN coordinate
+        # fails both tests
         b = z >= self._band_lower
         if np.count_nonzero(b) != b.size:
             return False

@@ -196,8 +196,6 @@ def _iterate(p: CompositeProblem, cfg: SolverConfig, y0: np.ndarray, step: float
     """
     cp = CountedProblem(p)
     y0 = as_vector(y0, p.dim)
-    if math.isinf(float(p.h_value(y0))):
-        raise InvalidStartError("start point is outside dom h")
     L = p.lipschitz_L
     # positive estimates at or below this are rounding noise, so that convex
     # problems are detected as such
@@ -209,6 +207,8 @@ def _iterate(p: CompositeProblem, cfg: SolverConfig, y0: np.ndarray, step: float
     a_prev = a_cur = 1.0
     curvature = 0.0  # model shift; starts at zero and stays there on convex problems
     try:
+        if math.isinf(cp.h(y0)):
+            raise InvalidStartError("start point is outside dom h")
         grad_x = cp.grad(x)
     except OracleError as e:
         raise OracleError(f"iteration 1: {e}") from e

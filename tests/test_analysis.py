@@ -112,6 +112,10 @@ def test_bounds_refuse_a_lipschitz_constant_that_is_not_finite_and_positive(L):
         check_residual_bound(res.trace, L)
     with pytest.raises(ValueError, match="L must be finite and positive"):
         check_function_value_bound(res.trace, cert, L)
+    # the energy gate reads L from the trace
+    res.trace.lipschitz_L = L
+    with pytest.raises(ValueError, match="L must be finite and positive"):
+        check_lyapunov_monotone(res.trace, cert)
 
 
 def test_residual_bound_short_trace():

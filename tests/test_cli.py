@@ -717,12 +717,10 @@ def test_check_opens_the_vectors_sidecar_only_for_its_readers(tmp_path, monkeypa
     cases = [(("fista", "full"), True, 0), (("mfista", "full"), False, 0),
              (("mfista", "full"), True, 1), (("mfista", "norms"), True, 0)]
     opened = []
-    read_rows = cli._read_trace_rows
+    read = cli.read_trace_csv
 
-    def eager(path, lipschitz_L):
-        trace = read_rows(path, lipschitz_L)
-        cli._attach_vectors(trace, path)
-        return trace
+    def eager(path, lipschitz_L=math.nan, vectors=True):
+        return read(path, lipschitz_L, vectors=True)
 
     def counting_open(path, *args, **kwargs):
         if str(path).endswith("_vectors.npz"):
@@ -743,7 +741,7 @@ def test_check_opens_the_vectors_sidecar_only_for_its_readers(tmp_path, monkeypa
         lean = capsys.readouterr().out
         # the same check with the vectors loaded up front prints the same lines
         with monkeypatch.context() as m:
-            m.setattr(cli, "_read_trace_rows", eager)
+            m.setattr(cli, "read_trace_csv", eager)
             assert run_cli(*argv) == code == 0
         assert capsys.readouterr().out == lean
         if expected:
@@ -767,17 +765,42 @@ def test_sweep_builds_each_instance_once(tmp_path, monkeypatch):
         return load(path)
 
     monkeypatch.setattr(cli, "load_instance", counting_load)
+    run = cli._run
     outputs = []
     for per_cell in (False, True):
         loads.clear()
         with monkeypatch.context() as m:
-            if per_cell:
-                m.setattr(cli, "_sweep_instance", lambda cfg, built: cli._instance_from_config(cfg))
+            if per_cell:  # each cell also builds its own instance, as `fistalab run` does
+                m.setattr(cli, "_run", lambda cfg, inst: run(cfg))
             out = tmp_path / f"sw-{per_cell}"
             assert run_cli("sweep", str(cfg_path), "--out", str(out)) == 0
-        assert len(loads) == (12 if per_cell else 2)
+        assert len(loads) == (2 + 12 if per_cell else 2)
         cells = sorted(out.glob("cell-*"))
         assert len(cells) == 12
         outputs.append([(out / "summary.csv").read_bytes()]
                        + [(cell / "trace.csv").read_bytes() for cell in cells])
     assert outputs[0] == outputs[1]
+
+
+def test_sweep_retries_a_failed_build_in_the_next_cell(tmp_path, monkeypatch, capsys):
+    inst = str(tmp_path / "qp.txt")
+    run_cli("gen", "--kind", "convex-qp", "--n", "4", "--seed", "1", "--out", inst)
+    cfg_path = tmp_path / "sweep.json"
+    cfg_path.write_text(json.dumps({"instances": [inst], "solvers": ["mfista", "fista"],
+                                    "epsilons": [1e-6, 1e-9]}))
+    loads = []
+    load = cli.load_instance
+
+    def fails_first(path):
+        loads.append(path)
+        if len(loads) == 1:
+            raise ValueError("flaky read")
+        return load(path)
+
+    monkeypatch.setattr(cli, "load_instance", fails_first)
+    assert run_cli("sweep", str(cfg_path), "--out", str(tmp_path / "sw")) == 1
+    rows = (tmp_path / "sw" / "summary.csv").read_text().splitlines()[1:]
+    assert rows[0] == "qp,mfista,1e-06,-1,nan,nan,error: flaky read"
+    assert [row.split(",")[-1] for row in rows[1:]] == ["converged"] * 3
+    assert len(loads) == 2  # the second cell built it and the last two reused it
+    assert "error: flaky read" in capsys.readouterr().err

@@ -314,6 +314,20 @@ def test_h_value_nan_names_its_iteration():
         run_mfista(p, SolverConfig(epsilon=1e-12, max_iters=50), np.zeros(1))
 
 
+@pytest.mark.parametrize("record_trace", [False, True])
+def test_h_value_at_the_start_point_is_validated(record_trace):
+    # a NaN there is an oracle failure in iteration 1, as a failing start-point
+    # gradient is; +inf still means the start point is outside dom h
+    cfg = SolverConfig(epsilon=1e-12, max_iters=50, record_trace=record_trace)
+    p = convex_1d()
+    nan_first = dataclasses.replace(p, h_value=fail_on_call(p.h_value, 1, math.nan))
+    with pytest.raises(OracleError, match="^iteration 1: h_value returned NaN$"):
+        run_mfista(nan_first, cfg, np.zeros(1))
+    inf_first = dataclasses.replace(p, h_value=fail_on_call(p.h_value, 1, math.inf))
+    with pytest.raises(InvalidStartError, match="^start point is outside dom h$"):
+        run_mfista(inf_first, cfg, np.zeros(1))
+
+
 @pytest.mark.parametrize("solve", [
     lambda p, cfg, y0: run_mfista(p, cfg, y0),
     lambda p, cfg, y0: run_fista_baseline(p, cfg, y0, 1.0 / p.lipschitz_L),

@@ -43,3 +43,29 @@ def test_benchmark_reaches_its_names(monkeypatch):
                  workloads._dense_lasso(4, 4, rng)):
         p = fistalab.to_problem(inst)
         assert p.dim == 4 and np.isfinite(p.smooth_value(np.zeros(4)))
+
+
+def test_check_spans_reach_the_benchmark_wraps(tmp_path, monkeypatch):
+    # `check` must read its trace through the public reader the benchmark
+    # wraps, or the per-layer trace-read metrics silently read 0
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import layers
+    import tracing
+    from fistalab import cli
+
+    inst, rundir = str(tmp_path / "inst.txt"), tmp_path / "run"
+    rec = layers.Recorder()
+
+    def calls(name):
+        return rec.tracer.table().get(name, {}).get("calls", 0)
+
+    with tracing.patched(rec.replacements()):
+        assert cli.main(["gen", "--kind", "convex-qp", "--n", "4", "--seed", "3",
+                         "--out", inst]) == 0
+        assert cli.main(["run", "--instance", inst, "--eps", "1e-9", "--trace", "full",
+                         "--with-oracle", "--out", str(rundir)]) == 0
+        for extra, npz_reads in ((["--oracle", str(rundir / "oracle.json")], 1), ([], 0)):
+            before = calls("cli.read_trace_csv"), calls("cli.npz_read")
+            assert cli.main(["check", str(rundir / "trace.csv"), *extra]) == 0
+            assert calls("cli.read_trace_csv") - before[0] == 1
+            assert calls("cli.npz_read") - before[1] == npz_reads

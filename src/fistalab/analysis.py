@@ -103,11 +103,17 @@ def lyapunov_sequence(trace: Trace, certificate: OracleCertificate) -> np.ndarra
     y_star = np.asarray(certificate.y_star, dtype=float)
     energies = np.empty(len(trace))
     for i, a in enumerate(_momentum_before(trace)):
-        y_k = trace.ys[i]
         y_prev = trace.y0 if i == 0 else trace.ys[i - 1]
-        drift = a * (y_k - y_prev) + y_prev - y_star
-        energies[i] = a * a * (trace.phi[i] - certificate.phi_star) + 2.0 * L * float(drift @ drift)
+        energies[i] = _energy(a, trace.phi[i] - certificate.phi_star, trace.ys[i], y_prev,
+                              y_star, L)
     return energies
+
+
+def _energy(a, phi_gap: float, y_k: np.ndarray, y_prev: np.ndarray, y_star: np.ndarray,
+            L: float) -> float:
+    """a^2 phi_gap + 2L || a(y_k - y_prev) + y_prev - y* ||^2, one term of lyapunov_sequence."""
+    drift = a * (y_k - y_prev) + y_prev - y_star
+    return a * a * phi_gap + 2.0 * L * float(drift @ drift)
 
 
 def check_lyapunov_monotone(trace: Trace, certificate: OracleCertificate) -> TraceCheckReport:
@@ -180,8 +186,8 @@ def check_function_value_bound(trace: Trace, certificate: OracleCertificate,
     if not observed_convex(trace):
         return TraceCheckReport(name, NOT_APPLICABLE, note="nonconvex run (L_k > 0 observed)")
     y_star = np.asarray(certificate.y_star, dtype=float)
-    drift0 = 1.0 * (trace.ys[0] - trace.y0) + trace.y0 - y_star
-    constant = (trace.phi[0] - certificate.phi_star) + 2.0 * L * float(drift0 @ drift0)
+    constant = _energy(1.0, trace.phi[0] - certificate.phi_star, trace.ys[0], trace.y0,
+                       y_star, L)
     phis = trace.column("phi")
     lhs = _momentum_before(trace) ** 2 * (phis - certificate.phi_star)
     gap = lhs - (constant + 1e-8)

@@ -1,18 +1,7 @@
-"""Experiment runner: generate instances, run solvers, persist traces, check them.
-
-Subcommands: `run` (one solve, writes trace.csv + manifest.json), `gen`
-(instance file), `check` (verify a trace), `sweep` (a matrix of runs with a
-summary CSV).  Exit codes: 0 success, 1 error, 2 ran out of iterations.
-
-The trace CSV schema is a stable contract:
-`k,a_k,L_k,vnorm,phi,dxy,dyy,gradevals,proxevals`, one row per completed
-iteration, floats printed with repr so files round-trip bit-identically.
-Full-vector traces put the iterate/residual vectors in a sidecar
-`*_vectors.npz` next to the CSV; `read_trace_csv` reads a sidecar back only
-when asked to and when it holds one vector per CSV row, and `check` asks
-only for the gates that read the vectors.  `sweep` builds each instance of
-its matrix once, for the instance's first cell.  Output directories default
-to $FISTALAB_OUT or ./runs.
+"""Experiment runner behind the `fistalab` command: `run`, `gen`, `check`
+and `sweep`, as the README's CLI section describes them.  Exit codes: 0
+success, 1 error, 2 ran out of iterations.  Trace floats are written with
+repr, so files round-trip bit-identically.
 """
 
 from __future__ import annotations
@@ -401,6 +390,10 @@ def _sweep_cells(matrix: dict, outdir: Path) -> list[list[tuple[str, RunConfig]]
 
 def cmd_sweep(args) -> int:
     matrix = _load_json_object(args.config, SWEEP_AXES)
+    for key in SWEEP_AXES:
+        if not isinstance(matrix[key], list):
+            raise ValueError(f"{args.config}: key {key!r}: expected a list, "
+                             f"got {type(matrix[key]).__name__}")
     outdir = Path(args.out) if args.out else output_root() / "sweep"
     entries = _sweep_cells(matrix, outdir)  # a bad matrix fails here, before any cell runs
     outdir.mkdir(parents=True, exist_ok=True)

@@ -1,14 +1,11 @@
 """The composite-problem abstraction and its counted, validated per-run view.
 
-A problem is a pair of oracles for the smooth part (value + gradient), a
-value/prox pair for the convex possibly-nonsmooth part, an optional domain
-projection, the gradient's Lipschitz constant L, the one constant the
-solvers use, and optionally a fused value-and-gradient oracle that shares
-work between f and grad f at one point.  All vectors are plain 1-D float64
-numpy arrays; oracles are user-supplied callables and are never
-differentiated numerically.  The solvers reach the oracles only through a
-CountedProblem, which counts and validates every call; it alone knows
-whether a problem supplies the fused oracle.
+A problem bundles oracles for the smooth part f and the convex part h with
+the gradient's Lipschitz constant L, the one constant the solvers use.  All
+vectors are plain 1-D float64 numpy arrays; oracles are user-supplied
+callables and are never differentiated numerically.  The solvers reach the
+oracles only through a CountedProblem, which counts and validates every
+call.
 """
 
 from __future__ import annotations
@@ -36,9 +33,10 @@ def _all_finite(a: np.ndarray) -> bool:
     """np.isfinite(a).all() for a 1-D float64 array, in one dot product.
 
     Exact: a NaN or infinite entry makes a.dot(a) non-finite, so only a
-    vector whose squares overflow falls through to the full test, which then
-    accepts it (numpy reports that overflow as it does for any dot product:
-    a RuntimeWarning by default).
+    vector whose squares overflow (an entry above about 1.3e154) falls
+    through to the full test, which then accepts it.  numpy reports that
+    overflow as for any dot product: a RuntimeWarning reaches the caller,
+    and under `python -W error` it raises.
     """
     return math.isfinite(a.dot(a)) or bool(np.isfinite(a).all())
 
@@ -55,13 +53,8 @@ def _norm(d: np.ndarray) -> float:
 
 
 def as_vector(x, dim: Optional[int] = None) -> np.ndarray:
-    """Coerce `x` to a finite 1-D float64 array, optionally checking its length.
-
-    The finiteness test squares the vector in one dot product (see
-    _all_finite).  A finite vector with entries above about 1.3e154 is
-    accepted, but numpy's overflow RuntimeWarning reaches the caller, and
-    where warnings are errors (`python -W error`) it raises instead.
-    """
+    """Coerce `x` to a finite 1-D float64 array (finite as _all_finite
+    tests it), optionally checking its length."""
     v = np.asarray(x, dtype=float)
     if v.ndim == 0:
         v = v.reshape(1)
@@ -83,18 +76,24 @@ class CompositeProblem:
     returns +inf outside dom h; `h_prox(z, t)` returns
     argmin_y { h(y) + ||y - z||^2 / (2 t) } and must land in dom h.
     `omega_project` is the projection onto the set where the gradient is
-    Lipschitz; None means the whole space (identity).  `smooth_value_grad(y)`,
-    when given, returns `(smooth_value(y), smooth_grad(y))` from one shared
-    computation; None means the two are called separately.  Oracles must be
-    defined everywhere; only their restriction to that set matters.
+    Lipschitz; None means the whole space (identity).  Oracles must be
+    defined everywhere; only their restriction to that set matters.  Every
+    vector they return must be finite, or the run stops with an OracleError
+    naming its iteration.
 
-    `smooth_is_quadratic` declares that smooth_grad is affine (f is
-    quadratic), so that the gradient at an affine combination of points is
-    that combination of their gradients.  The accelerated solvers then
-    derive the gradient at the extrapolated point from the two they already
-    hold instead of calling the oracle there, when there is no
-    `omega_project`.  A wrong declaration costs accuracy of that step and of
-    the curvature estimate, never the certificate: the residual v is built
+    `smooth_value_grad(y)`, when given, returns `(smooth_value(y),
+    smooth_grad(y))` from one shared computation, the same numbers as the
+    two separate calls; the solvers use it wherever they need both at one
+    point.  None means the two are called separately.
+
+    `smooth_is_quadratic` declares that smooth_grad is affine, that is, f is
+    `0.5 y'Qy + b'y` for some symmetric Q; set it only then.  The
+    accelerated solvers then derive the gradient at an extrapolated point
+    they do not project from the two gradients they already hold, and take
+    the curvature estimate's gap from the quadratic identity.  A derived
+    gradient that is not finite is an OracleError.  A wrong declaration
+    costs the accuracy of that step and of the curvature estimate, which can
+    slow or stall a run, never the certificate: the residual v is built
     around a fresh oracle gradient at y.
 
     All oracles must be safe for concurrent read-only use; counting state

@@ -22,6 +22,7 @@ import numpy as np
 
 from .core import CompositeProblem
 from .prox import BallSet, BoxSet, L1OnBall, prox_box_indicator, prox_l1_on_ball, soft_threshold
+from .solver import next_momentum
 
 __all__ = [
     "QuadraticInstance",
@@ -353,7 +354,7 @@ def lasso_optimum(inst: LassoOnBallInstance) -> OracleCertificate:
     for k in range(1, 200_001):
         g = A.T @ (A @ x - target)
         y_new = soft_threshold(x - t * g, t * lam)
-        a_cur = (1.0 + math.sqrt(1.0 + 4.0 * a_prev * a_prev)) / 2.0
+        a_cur = next_momentum(a_prev)
         x = y_new + ((a_prev - 1.0) / a_cur) * (y_new - y)
         if np.max(np.abs(y_new - y)) < 1e-15:
             y = y_new

@@ -5,24 +5,15 @@ smooth part is nonconvex by (a) taking the conservative step 1/(4L), and
 (b) tracking an online estimate of the negative-curvature modulus, which is
 re-estimated from the last linearization gap each iteration and shifts the
 model whenever it is positive.  On convex problems the estimate stays at
-zero and the iteration reduces to plain FISTA with step 1/(4L) and projected
-extrapolation, at nearly FISTA's cost: an iteration whose estimate is zero
-skips the shift's terms and adds one subtraction and one dot product for the
-next gap, and the estimate's other dot products and its norm run only when
-that gap is positive.  Termination is on the norm of an explicit
-stationarity residual v with v in grad f(y) + subdiff h(y), so a converged
-result is a near-stationarity certificate.  The method needs the Lipschitz
-constant L and nothing else: no curvature modulus, no domain bound, no
-tuning knob.
+zero.  Termination is on the norm of an explicit stationarity residual v
+with v in grad f(y) + subdiff h(y), so a converged result is a
+near-stationarity certificate.  The method needs the Lipschitz constant L
+and nothing else: no curvature modulus, no domain bound, no tuning knob.
 
-Two baselines share the trace format: classic FISTA with a configurable step
-and non-accelerated proximal gradient.  All three run one loop with three
-switches: classic FISTA is the main iteration with curvature tracking off,
-and proximal gradient is that again with momentum off.  FISTA with step
-1/(4L) and projected extrapolation therefore reproduces run_mfista's
-iterates byte for byte on convex problems, signed zeros included.  That
-loop, `_iterate`, is the one place the prox step, the residual, the
-extrapolation and the curvature estimate are written.
+Two baselines share the trace format and the one loop, `_iterate`: classic
+FISTA is the main iteration with curvature tracking off, and proximal
+gradient is that again with momentum off.  The README tabulates the oracle
+calls each solver makes per iteration.
 """
 
 from __future__ import annotations
@@ -158,41 +149,17 @@ def momentum_sequence(count: int) -> np.ndarray:
 def _iterate(p: CompositeProblem, cfg: SolverConfig, y0: np.ndarray, step: float,
              inv_step: float, track_curvature: bool, momentum: bool,
              project: bool) -> SolveResult:
-    """The iteration loop behind all three solvers.
+    """The iteration loop behind all three solvers, and the only place the
+    method's arithmetic is written.
 
-    This is the only place the method's arithmetic is written.  Per
-    iteration: one prox step at x_k from the cached gradient, the gradient at
-    y_k, the stationarity residual v_k, and the next point
-    x_{k+1}: y_k extrapolated by momentum (then projected if `project`), or
-    y_k itself without momentum, whose gradient is then already in hand.
-    The test on ||v_k|| runs as soon as v_k exists, so a converged run spends
-    no gradient at x_{k+1}.  With `track_curvature` the curvature estimate
-    is re-estimated from the linearization gap at x_{k+1}; without it f(y_k)
-    is evaluated only for the trace.  An untraced run that derives the
-    gradient at x_{k+1} (below) evaluates f(y_k) only for a positive gap.
-    The shift's terms in the model gradient
-    and in v run only on iterations whose estimate is positive.  At zero
-    they are skipped, not multiplied by zero, so such an iteration does the
-    arithmetic of curvature-free FISTA plus one subtraction and one dot
-    product for the next gap.  Skipping also keeps a -0.0 gradient entry
-    -0.0, which adding 0.0 * w can turn into the equal +0.0.  The gap
-    is computed first; the estimate's other dot products and its norm run
-    only when the gap is positive, the only case in which the estimate can
-    exceed its clamp.  Wherever both f and its gradient are needed at one
-    point they come from one `value_grad` call, which shares the work when
-    the problem has a fused oracle.  When the problem declares
-    `smooth_is_quadratic` and has no `omega_project`, the gradient at the
-    unprojected x_{k+1} = y_k + beta (y_k - y_{k-1}) is derived as
-    grad f(y_k) + beta (grad f(y_k) - grad f(y_{k-1})), so an accelerated
-    iteration calls the gradient oracle once, at y_k, and never evaluates
-    f at x_{k+1}.  `inv_step` comes separately from `step` so that each
-    solver keeps its own rounding of 1/step.
-
-    The loop pays only for what it does not already hold.  Without momentum
-    x_k is y_{k-1}, so the trace's ||y_k - y_{k-1}|| is ||x_k - y_k|| and one
-    norm serves both columns.  A problem without `omega_project` gets no
-    projection call.  Trace rows are collected as tuples and become the
-    trace's columns when the loop ends.
+    Per iteration: a prox step at x_k from the gradient in hand, the
+    gradient at y_k, the residual v_k and the stopping test, then x_{k+1}
+    (y_k extrapolated with `momentum` and projected with `project`, else
+    y_k itself) and its gradient, which is derived when f is declared
+    quadratic and x_{k+1} is not projected.  With `track_curvature` the
+    shift is re-estimated from the linearization gap at x_{k+1}.  `inv_step`
+    comes separately from `step` so that each solver keeps its own rounding
+    of 1/step.
     """
     cp = CountedProblem(p)
     y0 = as_vector(y0, p.dim)
@@ -212,8 +179,9 @@ def _iterate(p: CompositeProblem, cfg: SolverConfig, y0: np.ndarray, step: float
         grad_x = cp.grad(x)
     except OracleError as e:
         raise OracleError(f"iteration 1: {e}") from e
-    derive = p.smooth_is_quadratic and momentum and p.omega_project is None
     project = project and p.omega_project is not None
+    # an unprojected x_{k+1} is an affine combination of y_k and y_{k-1}
+    derive = p.smooth_is_quadratic and momentum and not project
     grad_yprev = grad_x  # grad f(y_{k-1}); y_0 is the start point x_1
 
     # the derived-gradient estimate reads f(y_k) only when its gap is positive
@@ -223,6 +191,9 @@ def _iterate(p: CompositeProblem, cfg: SolverConfig, y0: np.ndarray, step: float
     k = 0
     for k in range(1, cfg.max_iters + 1):
         try:
+            # at a zero estimate the shift's terms are skipped, not added as
+            # 0.0 * w, which could turn a -0.0 entry into +0.0: the iterates
+            # stay those of curvature-free FISTA bit for bit
             model_grad = grad_x + curvature * (x - y_prev) if curvature else grad_x
             y = cp.prox(x - step * model_grad, step)
             if need_f:
@@ -311,26 +282,7 @@ def _iterate(p: CompositeProblem, cfg: SolverConfig, y0: np.ndarray, step: float
 
 
 def run_mfista(p: CompositeProblem, cfg: SolverConfig, y0: np.ndarray) -> SolveResult:
-    """Main solver: step 1/(4L), online curvature shift, projected extrapolation.
-
-    Cost per full iteration: one prox, two gradients (at y_k and x_{k+1}),
-    two f values at the same two points.  An iteration whose curvature
-    estimate is zero, as on convex problems, does the arithmetic of FISTA
-    with step 1/(4L) plus one subtraction and one dot product for the next
-    estimate's gap (and the f values that gap needs); the estimate's other
-    dot products run only when the gap is positive.  The shift's terms are
-    skipped rather than added as 0.0 * w, which keeps a -0.0 gradient entry
-    -0.0, so on convex problems the iterates are byte-equal to those of
-    `run_fista_baseline` with that step and projected extrapolation.  With a
-    fused `smooth_value_grad` each point is one oracle call: one product with Q for the generated
-    quadratics, one with A and one with A' for the lasso.  A problem that
-    declares `smooth_is_quadratic` and has no `omega_project`, as the
-    generated ones do, needs the oracle at y_k only: the gradient at x_{k+1}
-    is the affine combination of those at y_k and y_{k-1}, and the curvature
-    estimate takes its gap from them, so an iteration is one fused call; in
-    an untraced run it is one gradient call, plus f(y_k) where the gap is
-    positive.
-    """
+    """Main solver: step 1/(4L), online curvature shift, projected extrapolation."""
     L = p.lipschitz_L
     return _iterate(p, cfg, y0, 1.0 / (4.0 * L), 4.0 * L,
                     track_curvature=True, momentum=True, project=True)
@@ -351,13 +303,7 @@ def run_fista_baseline(p: CompositeProblem, cfg: SolverConfig, y0: np.ndarray,
 
 
 def run_proxgrad_baseline(p: CompositeProblem, cfg: SolverConfig, y0: np.ndarray) -> SolveResult:
-    """Non-accelerated proximal gradient with step 1/L, as a comparator.
-
-    The reported residual L*(y_prev - y) + grad f(y) - grad f(y_prev) is a
-    member of grad f(y) + subdiff h(y), same certificate as the others.
-    Each iteration starts at the last iterate, so the trace's dxy and dyy
-    are one norm, computed once.
-    """
+    """Non-accelerated proximal gradient with step 1/L, as a comparator."""
     L = p.lipschitz_L
     return _iterate(p, cfg, y0, 1.0 / L, L,
                     track_curvature=False, momentum=False, project=False)

@@ -585,6 +585,20 @@ def test_sweep_config_without_an_axis_names_file_and_key(tmp_path, capsys):
     assert not (tmp_path / "sw").exists()
 
 
+@pytest.mark.parametrize("key,value,got", [("instances", "a.txt", "str"),
+                                           ("epsilons", 1e-7, "float")])
+def test_sweep_axis_that_is_not_a_list_names_file_and_key(tmp_path, capsys, key, value, got):
+    # a string axis would run one cell per character, a number none at all
+    matrix = {"instances": [{"kind": "convex-qp", "n": 3}], "solvers": ["mfista"],
+              "epsilons": [1e-6], key: value}
+    cfg_path = tmp_path / "sweep.json"
+    cfg_path.write_text(json.dumps(matrix))
+    assert run_cli("sweep", str(cfg_path), "--out", str(tmp_path / "sw")) == 1
+    assert capsys.readouterr().err == (f"error: {cfg_path}: key {key!r}: expected a list, "
+                                       f"got {got}\n")
+    assert not (tmp_path / "sw" / "summary.csv").exists()
+
+
 def test_run_config_file_must_hold_an_object(tmp_path, capsys):
     cfg_path = tmp_path / "run.json"
     cfg_path.write_text("[1, 2]")

@@ -7,9 +7,9 @@ The reference keeps the library's operation order, because bit equality
 depends on it, but shares none of its code: it calls the raw oracles of the
 CompositeProblem and counts the calls itself.  Three switches select the
 method: curvature tracking (the paper's online shift), momentum and the
-projection of the extrapolated point.  A problem that declares
-`smooth_is_quadratic` and has no projection gets the gradient at the
-extrapolated point from the update rule of an affine gradient instead of
+projection of the extrapolated point.  A run on a problem that declares
+`smooth_is_quadratic` and that does not project the extrapolated point gets
+the gradient there from the update rule of an affine gradient instead of
 from the oracle; the guard runs every case both ways.
 """
 
@@ -61,7 +61,8 @@ def reference_run(p, epsilon, max_iters, y0, step, inv_step, curvature_on, momen
 
     L = p.lipschitz_L
     clamp = 1e-12 * L
-    derive = p.smooth_is_quadratic and momentum and p.omega_project is None
+    project = project and p.omega_project is not None
+    derive = p.smooth_is_quadratic and momentum and not project
     rows, ys, vs = [], [], []
     y_prev = x = y = np.asarray(y0, dtype=float)
     a_prev = a = 1.0
@@ -214,7 +215,7 @@ def test_solver_matches_reference_loop(kind, solver, seed, tmp_path):
 @pytest.mark.parametrize("seed", [0, 3])
 def test_quadratic_solver_matches_reference_loop(kind, solver, seed, tmp_path):
     # the generated problems declare smooth_is_quadratic; the accelerated
-    # solvers derive the gradient at x_{k+1} except under omega_project
+    # solvers derive the gradient at x_{k+1} except where they project it
     p = INSTANCES[kind](seed)
     assert p.smooth_is_quadratic
     check_against_reference(p, solver, tmp_path)

@@ -613,15 +613,6 @@ def test_proxgrad_slower_than_fista_on_quadratic():
     assert res_fi.trace.phi[-1] < res_pg.trace.phi[-1]
 
 
-def test_baselines_prox_economy():
-    p, _ = make_convex_qp(4, 9)
-    cfg = SolverConfig(epsilon=1e-300, max_iters=60)
-    for runner, args in ((run_fista_baseline, (1.0 / p.lipschitz_L,)),
-                         (run_proxgrad_baseline, ())):
-        res = runner(p, cfg, np.zeros(4), *args)
-        assert res.counters.prox_evals == res.iterations
-
-
 # --- per-iteration work the loop does not repeat --------------------------
 
 @pytest.mark.parametrize("make", [lambda s: make_convex_qp(8, s),
@@ -662,7 +653,7 @@ def test_loop_calls_project_only_when_the_problem_has_one(monkeypatch):
     # the projecting solvers and leaves their iterates those of a problem
     # without one (both take every gradient from the oracle)
     plain = dataclasses.replace(p, smooth_is_quadratic=False)
-    identity = dataclasses.replace(p, omega_project=lambda x: x)
+    identity = dataclasses.replace(plain, omega_project=lambda x: x)
     for solve, projects in zip(solvers, (True, False, True, False)):
         counts["project"] = 0
         a, b = solve(plain, cfg), solve(identity, cfg)

@@ -29,11 +29,16 @@ outside the box or ball (points on the boundary come from the prox of a far
 point), with zeros of both signs and strided views, for three steps t.  The
 solves rarely or never reach some of these branches, such as the lasso
 ball's projection, so this line is their bit-for-bit guard.  It uses only
-the generators and the problems' `h_prox`/`h_value`.
+the generators and the problems' `h_prox`/`h_value`.  At the same points it
+also calls the fused `h_prox_value`, which must return `h_prox(z, t)` and
+`h_value` of it bit for bit; the script exits non-zero where it does not.
+The fused results are compared, not hashed, so the digest is that of the
+two separate operators.
 """
 
 import dataclasses
 import hashlib
+import sys
 
 import numpy as np
 
@@ -159,9 +164,17 @@ def _operator_points(p, rng) -> list:
     return points
 
 
+class FusedProxMismatch(AssertionError):
+    """h_prox_value disagreed with h_prox followed by h_value."""
+
+
 def operator_fingerprint(dims=DIMS, seeds=SEEDS) -> str:
     """sha256 prefix over h_prox and h_value of every instance of the battery
-    at seeded points inside, near and outside dom h."""
+    at seeded points inside, near and outside dom h.
+
+    Raises FusedProxMismatch at the first point where h_prox_value's pair
+    differs, bit for bit, from h_prox's point and h_value at it.
+    """
     h = hashlib.sha256()
     for n in dims:
         for seed in seeds:
@@ -170,10 +183,18 @@ def operator_fingerprint(dims=DIMS, seeds=SEEDS) -> str:
                 rng = np.random.default_rng([n, seed])
                 steps = (1.0 / (4.0 * p.lipschitz_L), 1.0 / p.lipschitz_L, 10.0)
                 h.update(f"{n} {seed} {pname}".encode())
-                for z in _operator_points(p, rng):
+                for i, z in enumerate(_operator_points(p, rng)):
                     h.update(np.float64(p.h_value(z)).tobytes())
                     for t in steps:
-                        h.update(np.asarray(p.h_prox(z, t), dtype=float).tobytes())
+                        y = np.asarray(p.h_prox(z, t), dtype=float)
+                        h.update(y.tobytes())
+                        fy, fval = p.h_prox_value(z, t)
+                        if (np.asarray(fy, dtype=float).tobytes() != y.tobytes()
+                                or np.float64(fval).tobytes()
+                                != np.float64(p.h_value(y)).tobytes()):
+                            raise FusedProxMismatch(
+                                f"{n} {seed} {pname}, point {i}, t={t!r}: h_prox_value "
+                                "differs from h_prox and h_value")
     return h.hexdigest()[:16]
 
 
@@ -182,4 +203,7 @@ if __name__ == "__main__":
     print(f"{trace_fingerprint(quadratic=False)} smooth_is_quadratic forced off "
           "(every gradient from the oracle)")
     print(f"{oracle_fingerprint()} oracle certificates (lasso_optimum, brute_force_optimum)")
-    print(f"{operator_fingerprint()} h operators (h_prox, h_value at fixed points)")
+    try:
+        print(f"{operator_fingerprint()} h operators (h_prox, h_value at fixed points)")
+    except FusedProxMismatch as e:
+        sys.exit(f"error: {e}")

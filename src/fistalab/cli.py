@@ -394,6 +394,10 @@ def cmd_sweep(args) -> int:
         if not isinstance(matrix[key], list):
             raise ValueError(f"{args.config}: key {key!r}: expected a list, "
                              f"got {type(matrix[key]).__name__}")
+    for i, spec in enumerate(matrix["instances"]):
+        if not isinstance(spec, (str, dict)):
+            raise ValueError(f"{args.config}: key 'instances': entry {i} (counted from 0): "
+                             f"expected a file name or an object, got {type(spec).__name__}")
     outdir = Path(args.out) if args.out else output_root() / "sweep"
     entries = _sweep_cells(matrix, outdir)  # a bad matrix fails here, before any cell runs
     outdir.mkdir(parents=True, exist_ok=True)

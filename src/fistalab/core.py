@@ -84,7 +84,13 @@ class CompositeProblem:
     `smooth_value_grad(y)`, when given, returns `(smooth_value(y),
     smooth_grad(y))` from one shared computation, the same numbers as the
     two separate calls; the solvers use it wherever they need both at one
-    point.  None means the two are called separately.
+    point.  `h_prox_value(z, t)`, when given, likewise returns `(h_prox(z, t),
+    h_value(h_prox(z, t)))` bit for bit from one computation; a traced run
+    uses it for the prox step.  None means separate calls.  A fused field is
+    not derived from the fields it fuses: a `dataclasses.replace` that swaps
+    `smooth_value` or `smooth_grad` must replace `smooth_value_grad` too or
+    set it to None, and one that swaps `h_prox` or `h_value` must do the same
+    with `h_prox_value`.
 
     `smooth_is_quadratic` declares that smooth_grad is affine, that is, f is
     `0.5 y'Qy + b'y` for some symmetric Q; set it only then.  The
@@ -109,6 +115,7 @@ class CompositeProblem:
     omega_project: Optional[Callable[[np.ndarray], np.ndarray]] = None
     smooth_value_grad: Optional[Callable[[np.ndarray], tuple[float, np.ndarray]]] = None
     smooth_is_quadratic: bool = False
+    h_prox_value: Optional[Callable[[np.ndarray, float], tuple[np.ndarray, float]]] = None
 
     def __post_init__(self):
         if self.dim < 1:
@@ -140,6 +147,7 @@ class CountedProblem:
         # fixed for the run, so looked up once
         self._shape = (problem.dim,)
         self._fused = problem.smooth_value_grad
+        self._fused_prox = problem.h_prox_value
 
     def f(self, y: np.ndarray) -> float:
         self.counters.f_evals += 1
@@ -178,8 +186,11 @@ class CountedProblem:
         return out
 
     def h(self, y: np.ndarray) -> float:
+        return self._checked_h(self.problem.h_value(y))
+
+    def _checked_h(self, val) -> float:
         # extended-real: +inf allowed, NaN is not
-        val = float(self.problem.h_value(y))
+        val = float(val)
         if math.isnan(val):
             raise OracleError("h_value returned NaN")
         return val
@@ -189,6 +200,22 @@ class CountedProblem:
             raise ValueError("prox step t must be positive")
         self.counters.prox_evals += 1
         return self._checked_vector(self.problem.h_prox(z, t), "h_prox", "point")
+
+    def prox_value(self, z: np.ndarray, t: float) -> tuple[np.ndarray, float]:
+        """(prox(z, t), h at that point), counted as one prox.
+
+        Uses the problem's fused oracle when it has one; otherwise the prox,
+        then h, exactly as two separate calls would.
+        """
+        fused = self._fused_prox
+        if fused is None:
+            y = self.prox(z, t)
+            return y, self.h(y)
+        if not t > 0:
+            raise ValueError("prox step t must be positive")
+        self.counters.prox_evals += 1
+        y, val = fused(z, t)
+        return self._checked_vector(y, "h_prox", "point"), self._checked_h(val)
 
     def project(self, x: np.ndarray) -> np.ndarray:
         if self.problem.omega_project is None:

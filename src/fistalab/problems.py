@@ -21,7 +21,8 @@ from typing import Optional
 import numpy as np
 
 from .core import CompositeProblem
-from .prox import BallSet, BoxSet, L1OnBall, prox_box_indicator, prox_l1_on_ball, soft_threshold
+from .prox import (BallSet, BoxSet, L1OnBall, _prox_value_box, _prox_value_l1_on_ball,
+                   prox_box_indicator, prox_l1_on_ball, soft_threshold)
 from .solver import next_momentum
 
 __all__ = [
@@ -231,9 +232,9 @@ def make_lasso_on_ball(n: int, rows: int, seed: int, weight_scale: float = 0.05,
 def to_problem(inst) -> CompositeProblem:
     """Assemble the oracle bundle for a generated instance."""
     if isinstance(inst, QuadraticInstance):
-        h, prox = inst.box(), prox_box_indicator
+        h, prox, prox_value = inst.box(), prox_box_indicator, _prox_value_box
     elif isinstance(inst, LassoOnBallInstance):
-        h, prox = inst.regularizer(), prox_l1_on_ball
+        h, prox, prox_value = inst.regularizer(), prox_l1_on_ball, _prox_value_l1_on_ball
     else:
         raise TypeError(f"unknown instance type {type(inst).__name__}")
     return CompositeProblem(
@@ -245,6 +246,7 @@ def to_problem(inst) -> CompositeProblem:
         lipschitz_L=inst.lipschitz_L,
         smooth_value_grad=inst.value_grad,
         smooth_is_quadratic=True,
+        h_prox_value=functools.partial(prox_value, h),
     )
 
 

@@ -160,6 +160,11 @@ def prox_box_indicator(b: BoxSet, z: np.ndarray, t: float) -> np.ndarray:
     return as_vector(z, b.dim).clip(b.lower, b.upper)
 
 
+def _prox_value_box(b: BoxSet, z: np.ndarray, t: float) -> tuple[np.ndarray, float]:
+    """(prox_box_indicator(b, z, t), b.h_value of it): the clip lies in the box."""
+    return prox_box_indicator(b, z, t), 0.0
+
+
 def prox_l1_on_ball(h: L1OnBall, z: np.ndarray, t: float) -> np.ndarray:
     """Exact prox of weight*||.||_1 + indicator of the ball, which is centred
     at the origin.
@@ -174,3 +179,12 @@ def prox_l1_on_ball(h: L1OnBall, z: np.ndarray, t: float) -> np.ndarray:
     # a finite z thresholded by a positive tau stays finite and keeps its shape
     return _project_ball(h.ball, soft_threshold(z, t * h.weight))
 
+
+def _prox_value_l1_on_ball(h: L1OnBall, z: np.ndarray, t: float) -> tuple[np.ndarray, float]:
+    """(prox_l1_on_ball(h, z, t), h.h_value of it).
+
+    The prox lands in the ball up to a few ulps of the radius, far inside
+    h.h_value's 1e-9 membership band, so only the l1 term is computed.
+    """
+    y = prox_l1_on_ball(h, z, t)
+    return y, h.weight * float(np.abs(y).sum())

@@ -152,9 +152,10 @@ def _iterate(p: CompositeProblem, cfg: SolverConfig, y0: np.ndarray, step: float
     """The iteration loop behind all three solvers, and the only place the
     method's arithmetic is written.
 
-    Per iteration: a prox step at x_k from the gradient in hand, the
-    gradient at y_k, the residual v_k and the stopping test, then x_{k+1}
-    (y_k extrapolated with `momentum` and projected with `project`, else
+    Per iteration: a prox step at x_k from the gradient in hand (which
+    also returns h(y_k) when the run is traced), the gradient at y_k, the
+    residual v_k and the stopping test, then x_{k+1} (y_k extrapolated with
+    `momentum` and, past the stopping test, projected with `project`, else
     y_k itself) and its gradient, which is derived when f is declared
     quadratic and x_{k+1} is not projected.  With `track_curvature` the
     shift is re-estimated from the linearization gap at x_{k+1}.  `inv_step`
@@ -179,7 +180,7 @@ def _iterate(p: CompositeProblem, cfg: SolverConfig, y0: np.ndarray, step: float
         grad_x = cp.grad(x)
     except OracleError as e:
         raise OracleError(f"iteration 1: {e}") from e
-    project = project and p.omega_project is not None
+    project = project and momentum and p.omega_project is not None
     # an unprojected x_{k+1} is an affine combination of y_k and y_{k-1}
     derive = p.smooth_is_quadratic and momentum and not project
     grad_yprev = grad_x  # grad f(y_{k-1}); y_0 is the start point x_1
@@ -195,7 +196,11 @@ def _iterate(p: CompositeProblem, cfg: SolverConfig, y0: np.ndarray, step: float
             # 0.0 * w, which could turn a -0.0 entry into +0.0: the iterates
             # stay those of curvature-free FISTA bit for bit
             model_grad = grad_x + curvature * (x - y_prev) if curvature else grad_x
-            y = cp.prox(x - step * model_grad, step)
+            if trace is None:
+                y = cp.prox(x - step * model_grad, step)
+            else:
+                # h(y_k) for phi, from the call that produced y_k
+                y, hy = cp.prox_value(x - step * model_grad, step)
             if need_f:
                 fy, grad_y = cp.value_grad(y)
             else:
@@ -212,13 +217,10 @@ def _iterate(p: CompositeProblem, cfg: SolverConfig, y0: np.ndarray, step: float
                 a_cur = next_momentum(a_prev)
                 beta = (a_prev - 1.0) / a_cur
                 x_next = y + beta * dy
-                if project:
-                    x_next = cp.project(x_next)
             else:
                 x_next = y
             vn = _norm(v)
             if trace is not None:
-                hy = cp.h(y)
                 if math.isinf(hy):
                     raise OracleError("iterate left dom h (h_value is +inf)")
                 dxn = _norm(dx)
@@ -233,6 +235,8 @@ def _iterate(p: CompositeProblem, cfg: SolverConfig, y0: np.ndarray, step: float
             if vn <= cfg.epsilon:
                 status = "converged"
                 break
+            if project:
+                x_next = cp.project(x_next)
             if derive:
                 dgrad = beta * (grad_y - grad_yprev)
                 grad_xn = grad_y + dgrad

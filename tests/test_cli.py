@@ -599,6 +599,21 @@ def test_sweep_axis_that_is_not_a_list_names_file_and_key(tmp_path, capsys, key,
     assert not (tmp_path / "sw" / "summary.csv").exists()
 
 
+@pytest.mark.parametrize("entry,got", [(5, "int"), (["a.txt"], "list"), (None, "NoneType")])
+def test_sweep_instance_that_is_no_file_name_or_object_names_its_index(tmp_path, capsys,
+                                                                      entry, got):
+    # such an entry used to reach dict() and fail with a bare TypeError
+    matrix = {"instances": [{"kind": "convex-qp", "n": 3}, entry], "solvers": ["mfista"],
+              "epsilons": [1e-6]}
+    cfg_path = tmp_path / "sweep.json"
+    cfg_path.write_text(json.dumps(matrix))
+    assert run_cli("sweep", str(cfg_path), "--out", str(tmp_path / "sw")) == 1
+    assert capsys.readouterr().err == (
+        f"error: {cfg_path}: key 'instances': entry 1 (counted from 0): expected a file "
+        f"name or an object, got {got}\n")
+    assert not (tmp_path / "sw").exists()  # no cell ran, not even the good one
+
+
 def test_run_config_file_must_hold_an_object(tmp_path, capsys):
     cfg_path = tmp_path / "run.json"
     cfg_path.write_text("[1, 2]")

@@ -124,6 +124,33 @@ def test_counted_problem_flags_bad_oracles():
             CountedProblem(fused(good, value_grad)).value_grad(np.zeros(2))
 
 
+def test_prox_value_counts_one_prox_and_checks_like_prox_and_h():
+    from fistalab import OracleError
+
+    p = half_sq_norm(2)
+    clip = lambda z, t: np.clip(z, -1.0, 1.0)
+    z = np.array([2.0, -0.5])
+    # with or without a fused oracle: the prox's point, h there, one prox counted
+    for q in (p, dataclasses.replace(p, h_prox_value=lambda z, t: (clip(z, t), 0.0))):
+        cq = CountedProblem(q)
+        y, val = cq.prox_value(z, 0.5)
+        assert y.tobytes() == np.array([1.0, -0.5]).tobytes()
+        assert val == 0.0 and isinstance(val, float)
+        assert (cq.counters.prox_evals, cq.counters.f_evals, cq.counters.grad_evals) == (1, 0, 0)
+        with pytest.raises(ValueError):
+            cq.prox_value(z, 0.0)
+        assert cq.counters.prox_evals == 1
+    for prox_value, match in (
+            (lambda z, t: (np.array([np.nan, 0.0]), 0.0), "^h_prox returned a malformed point$"),
+            (lambda z, t: (np.zeros(3), 0.0), "^h_prox returned a malformed point$"),
+            (lambda z, t: (clip(z, t), math.nan), "^h_value returned NaN$")):
+        with pytest.raises(OracleError, match=match):
+            CountedProblem(dataclasses.replace(p, h_prox_value=prox_value)).prox_value(z, 0.5)
+    # +inf is a value of h, left for the caller to read as outside dom h
+    outside = dataclasses.replace(p, h_prox_value=lambda z, t: (z, math.inf))
+    assert CountedProblem(outside).prox_value(z, 0.5)[1] == math.inf
+
+
 def laid_out(layout, *entries):
     """`entries` as a contiguous vector or as a stride-2 view of a larger one."""
     base = np.full(2 * len(entries), 7.0)

@@ -141,7 +141,8 @@ def expected_counters(cell: dict, p: CompositeProblem, iterations: int, converge
         "grad_evals": 1 + per_run(cell["grad"]),  # plus the gradient at the start point
         "f_evals": gaps if f == "gap" else per_run(f),
         "prox_evals": per_run(cell["prox"]),
-        "proj_evals": (iterations * (p.omega_project is not None) if proj == "Ω"
+        # Ω projects x_{k+1}, which the iteration that converges does not form
+        "proj_evals": ((iterations - converged) * (p.omega_project is not None) if proj == "Ω"
                        else per_run(proj)),
     }
 
@@ -188,11 +189,12 @@ def test_counts_measured_on_n16():
     res = run_mfista(p, cfg, y0)
     assert (res.status, res.iterations, res.counters.f_evals) == ("converged", 31, 18)
     # with a projection the gradient comes from the oracle: two gradients and
-    # two f values per iteration, but none at x_{k+1} on the converged one
+    # two f values per iteration, but none at x_{k+1} on the converged one,
+    # which does not project x_{k+1} either
     boxed = dataclasses.replace(p, omega_project=functools.partial(project_box, inst.box()))
     res = run_mfista(boxed, cfg, y0)
     c = res.counters
-    assert (res.iterations, c.grad_evals, c.f_evals, c.proj_evals) == (30, 60, 59, 30)
+    assert (res.iterations, c.grad_evals, c.f_evals, c.proj_evals) == (30, 60, 59, 29)
     # fista at step 1/L never projects x_{k+1}, so a projection leaves its
     # gradient derived: one per iteration
     p, inst = make_convex_qp(16, 3)

@@ -86,8 +86,6 @@ def reference_run(p, epsilon, max_iters, y0, step, inv_step, curvature_on, momen
         if momentum:
             a = (1.0 + math.sqrt(1.0 + 4.0 * a_prev * a_prev)) / 2.0
             x_next = y + ((a_prev - 1.0) / a) * (y - y_prev)
-            if project:
-                x_next = proj(x_next)
         else:
             x_next = y
         vn = float(np.linalg.norm(v))
@@ -104,6 +102,9 @@ def reference_run(p, epsilon, max_iters, y0, step, inv_step, curvature_on, momen
         if vn <= epsilon:
             status = "converged"
             break
+        # a converged run never uses x_next, so it is projected only past the test
+        if project:
+            x_next = proj(x_next)
         if derive:
             # an affine gradient takes x_next = y + beta (y - y_prev) to
             # g_y + beta (g_y - g_yprev)

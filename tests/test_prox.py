@@ -9,6 +9,8 @@ from fistalab.prox import (
     BallSet,
     BoxSet,
     L1OnBall,
+    _prox_value_box,
+    _prox_value_l1_on_ball,
     project_ball,
     project_box,
     prox_box_indicator,
@@ -226,6 +228,52 @@ def test_prox_stays_in_domain(rng):
         z = rng.uniform(-20, 20, 4)
         y = prox_l1_on_ball(h, z, rng.uniform(0.01, 5.0))
         assert math.isfinite(h.h_value(y))
+
+
+# (h, prox, fused prox, boundary point in the direction of u): the box's
+# corner, the tight ball's sphere, and for the loose ball a sphere 300 times
+# inside its own, so that no point below reaches it
+_FUSED = {
+    "box": (BoxSet(np.array([-1.0, -2.0, 0.0, -0.5, -3.0, 1.0]),
+                   np.array([1.0, 0.5, 3.0, -0.5, 3.0, 4.0])),
+            prox_box_indicator, _prox_value_box,
+            lambda h, u: np.clip(1e6 * u, h.lower, h.upper)),
+    "l1-ball-binding": (L1OnBall(0.05, BallSet(6, 2.0)), prox_l1_on_ball, _prox_value_l1_on_ball,
+                        lambda h, u: h.ball.radius * u / np.linalg.norm(u)),
+    "l1-ball-loose": (L1OnBall(0.05, BallSet(6, 1e3)), prox_l1_on_ball, _prox_value_l1_on_ball,
+                      lambda h, u: 3.0 * u / np.linalg.norm(u)),
+}
+# multiples of the boundary point: inside, either side of the 1e-9
+# membership band, and well outside
+_SCALES = (0.0, 0.3, 0.999, 1.0 - 1e-10, 1.0 + 5e-10, 1.0 + 2e-9, 1.5, 10.0)
+
+
+@pytest.mark.parametrize("name", sorted(_FUSED))
+@given(u=vec(6, -1, 1).filter(lambda u: np.linalg.norm(u) > 0.1),
+       scale=st.sampled_from(_SCALES),
+       zeros=st.lists(st.sampled_from([None, 0.0, -0.0]), min_size=6, max_size=6),
+       strided=st.booleans(), t=st.sampled_from([0.01, 0.5, 40.0]))
+@settings(max_examples=150, deadline=None)
+def test_fused_prox_value_is_prox_then_h_value(name, u, scale, zeros, strided, t):
+    # the fused operator returns the prox and h at it, bit for bit, which is
+    # what lets a traced run skip the separate h_value call
+    h, prox, fused, edge = _FUSED[name]
+    z = scale * edge(h, u)
+    for i, zero in enumerate(zeros):
+        if zero is not None:
+            z[i] = zero
+    if strided:
+        wide = np.full(12, 123.0)
+        wide[::2] = z
+        z = wide[::2]
+    y = prox(h, z, t)
+    got_y, got_h = fused(h, z, t)
+    assert isinstance(got_h, float)
+    assert got_y.tobytes() == y.tobytes()
+    assert np.float64(got_h).tobytes() == np.float64(h.h_value(y)).tobytes()
+    assert math.isfinite(got_h)
+    with pytest.raises(ValueError):
+        fused(h, z, 0.0)
 
 
 def test_samplers_inside_sets(rng):

@@ -1,8 +1,11 @@
 """Smoke tests for the runnable scripts under scripts/."""
 
+import dataclasses
 import importlib.util
 import sys
 from pathlib import Path
+
+import pytest
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
@@ -37,6 +40,20 @@ def test_operator_fingerprint_repeats_and_sees_seeds():
     assert len(digest) == 16
     assert fp.operator_fingerprint(dims=(4, 8), seeds=(1,)) == digest
     assert fp.operator_fingerprint(dims=(4, 8), seeds=(2,)) != digest
+
+
+def test_operator_fingerprint_refuses_a_fused_prox_that_differs():
+    # h is 0.0 on the box; a fused prox that reports -0.0 differs in its bits
+    fp = load_script("trace_fingerprint")
+    make = fp.PROBLEMS["convex-qp"]
+
+    def skewed(n, seed):
+        p, inst = make(n, seed)
+        return dataclasses.replace(p, h_prox_value=lambda z, t: (p.h_prox(z, t), -0.0)), inst
+
+    fp.PROBLEMS = {"convex-qp": skewed}  # this module object is the test's own
+    with pytest.raises(fp.FusedProxMismatch, match="^4 1 convex-qp, point 0, t="):
+        fp.operator_fingerprint(dims=(4,), seeds=(1,))
 
 
 def test_rate_study_runs(monkeypatch, capsys):

@@ -344,6 +344,87 @@ def test_iterate_outside_dom_h_names_its_iteration_once(solve):
     assert str(info.value) == "iteration 3: iterate left dom h (h_value is +inf)"
 
 
+def run_solver(solver, p, cfg, y0):
+    """Run `solver` (mfista, fista, fista-quarter or proxgrad) on `p` from `y0`."""
+    L = p.lipschitz_L
+    if solver == "mfista":
+        return run_mfista(p, cfg, y0)
+    if solver == "fista":
+        return run_fista_baseline(p, cfg, y0, 1.0 / L)
+    if solver == "fista-quarter":
+        return run_fista_baseline(p, cfg, y0, 1.0 / (4.0 * L), project_extrapolation=True)
+    return run_proxgrad_baseline(p, cfg, y0)
+
+
+def assert_identical_runs(a, b, tmp_path):
+    """Same status, counters and (y, v), and, where traced, the same trace CSV
+    bytes and stored vectors."""
+    assert (a.status, a.iterations, a.counters) == (b.status, b.iterations, b.counters)
+    assert a.y.tobytes() == b.y.tobytes() and a.v.tobytes() == b.v.tobytes()
+    if a.trace is None:
+        assert b.trace is None
+        return
+    csv = []
+    for i, res in enumerate((a, b)):
+        write_trace_csv(res.trace, tmp_path / f"{i}.csv")
+        csv.append((tmp_path / f"{i}.csv").read_bytes())
+    assert csv[0] == csv[1]
+    if a.trace.ys is not None:
+        assert len(a.trace.ys) == len(b.trace.ys) == a.iterations
+        for va, vb in zip(a.trace.ys + a.trace.vs, b.trace.ys + b.trace.vs):
+            assert va.tobytes() == vb.tobytes()
+
+
+def fused_box_1d_prox(bad_call, bad_value):
+    """h_prox_value for convex_1d's box whose `bad_call`-th h value is `bad_value`."""
+    calls = {"n": 0}
+
+    def prox_value(z, t):
+        calls["n"] += 1
+        return np.clip(z, -1.0, 1.0), bad_value if calls["n"] == bad_call else 0.0
+    return prox_value
+
+
+@pytest.mark.parametrize("solve", [
+    lambda p, cfg, y0: run_mfista(p, cfg, y0),
+    lambda p, cfg, y0: run_fista_baseline(p, cfg, y0, 1.0 / p.lipschitz_L),
+    lambda p, cfg, y0: run_proxgrad_baseline(p, cfg, y0),
+], ids=["mfista", "fista", "proxgrad"])
+@pytest.mark.parametrize("bad,message", [
+    (math.inf, "iterate left dom h (h_value is +inf)"),
+    (math.nan, "h_value returned NaN"),
+], ids=["inf", "nan"])
+def test_fused_prox_value_failure_names_its_iteration(solve, bad, message):
+    # one fused prox per traced iteration, so its 3rd call is in iteration 3
+    p = dataclasses.replace(convex_1d(), lipschitz_L=4.0, h_prox_value=fused_box_1d_prox(3, bad))
+    with pytest.raises(OracleError) as info:
+        solve(p, SolverConfig(epsilon=1e-12, max_iters=50), np.zeros(1))
+    assert str(info.value) == f"iteration 3: {message}"
+
+
+@pytest.mark.parametrize("make", [lambda: make_convex_qp(12, 3), lambda: make_nonconvex_qp(12, 3),
+                                  lambda: make_lasso_on_ball(12, 8, 3)],
+                         ids=["convex-qp", "nonconvex-qp", "lasso"])
+@pytest.mark.parametrize("solver", ["mfista", "fista", "fista-quarter", "proxgrad"])
+def test_traced_run_takes_h_from_the_fused_prox(make, solver, tmp_path):
+    # the generated problems fuse h into the prox, so a traced run evaluates
+    # h_value only at the start point; without the fused oracle it does so
+    # once more per iteration, and the run is the same bit for bit
+    p, _ = make()
+    cfg = SolverConfig(epsilon=1e-7, max_iters=400, trace_vectors=True)
+    y0 = p.h_prox(np.zeros(p.dim), 1.0)
+    runs = []
+    for fused_prox in (p.h_prox_value, None):
+        counts = {"h": 0}
+        q = dataclasses.replace(p, h_value=counting(p.h_value, counts, "h"),
+                                h_prox_value=fused_prox)
+        res = run_solver(solver, q, cfg, y0)
+        assert counts["h"] == (1 if fused_prox else 1 + res.iterations)
+        runs.append(res)
+    assert runs[0].iterations > 1
+    assert_identical_runs(*runs, tmp_path)
+
+
 def test_norm_helper_matches_numpy(rng):
     # the loop's norms must be np.linalg.norm's values bit for bit, strided
     # views (a custom h_prox may return one), overflow, inf and NaN included
@@ -516,33 +597,8 @@ def test_fused_and_separate_oracles_give_identical_runs(make, solver, trace, tmp
     cfg = SolverConfig(epsilon=1e-7, max_iters=400, record_trace=trace != "off",
                        trace_vectors=trace == "full")
     y0 = np.zeros(fused_p.dim)
-    L = fused_p.lipschitz_L
-    runs = []
-    for p in (fused_p, separate_p):
-        if solver == "mfista":
-            res = run_mfista(p, cfg, y0)
-        elif solver == "fista":
-            res = run_fista_baseline(p, cfg, y0, 1.0 / L)
-        elif solver == "fista-quarter":
-            res = run_fista_baseline(p, cfg, y0, 1.0 / (4.0 * L), project_extrapolation=True)
-        else:
-            res = run_proxgrad_baseline(p, cfg, y0)
-        runs.append(res)
-    a, b = runs
-    assert (a.status, a.iterations, a.counters) == (b.status, b.iterations, b.counters)
-    assert a.y.tobytes() == b.y.tobytes() and a.v.tobytes() == b.v.tobytes()
-    if trace == "off":
-        assert a.trace is None and b.trace is None
-        return
-    csv = []
-    for i, res in enumerate(runs):
-        write_trace_csv(res.trace, tmp_path / f"{i}.csv")
-        csv.append((tmp_path / f"{i}.csv").read_bytes())
-    assert csv[0] == csv[1]
-    if trace == "full":
-        assert len(a.trace.ys) == len(b.trace.ys) == a.iterations
-        for va, vb in zip(a.trace.ys + a.trace.vs, b.trace.ys + b.trace.vs):
-            assert va.tobytes() == vb.tobytes()
+    assert_identical_runs(*(run_solver(solver, p, cfg, y0) for p in (fused_p, separate_p)),
+                          tmp_path)
 
 
 # --- baselines ------------------------------------------------------------
@@ -649,15 +705,18 @@ def test_loop_calls_project_only_when_the_problem_has_one(monkeypatch):
     for solve in solvers:
         assert solve(p, cfg).iterations > 1
     assert counts["project"] == 0
-    # an identity projection is called and counted once per extrapolation by
-    # the projecting solvers and leaves their iterates those of a problem
-    # without one (both take every gradient from the oracle)
+    # an identity projection is called and counted once per extrapolation
+    # past the stopping test (so not in the converging iteration) by the
+    # projecting solvers and leaves their iterates those of a problem without
+    # one (both take every gradient from the oracle)
     plain = dataclasses.replace(p, smooth_is_quadratic=False)
     identity = dataclasses.replace(plain, omega_project=lambda x: x)
     for solve, projects in zip(solvers, (True, False, True, False)):
         counts["project"] = 0
         a, b = solve(plain, cfg), solve(identity, cfg)
-        assert counts["project"] == b.counters.proj_evals == (b.iterations if projects else 0)
+        assert b.converged
+        assert counts["project"] == b.counters.proj_evals == (
+            b.iterations - 1 if projects else 0)
         assert (a.status, a.iterations) == (b.status, b.iterations)
         assert a.y.tobytes() == b.y.tobytes() and a.v.tobytes() == b.v.tobytes()
         for va, vb in zip(a.trace.ys + a.trace.vs, b.trace.ys + b.trace.vs):

@@ -299,9 +299,20 @@ def cmd_check(args) -> int:
         print(f"error: no such trace {trace_path}", file=sys.stderr)
         return EXIT_ERROR
     manifest_path = trace_path.with_name("manifest.json")
-    manifest = None
+    # without a manifest the trace is taken to be run_mfista's, whose step
+    # 1/(4L) and curvature column the inequalities and trends assume
+    manifest, solver = None, "mfista"
     if manifest_path.exists():
         manifest = _load_json_object(manifest_path, ("config", "lipschitz_L"))
+        config = manifest["config"]
+        if not isinstance(config, dict):
+            raise ValueError(f"{manifest_path}: key 'config': expected an object, "
+                             f"got {type(config).__name__}")
+        if "solver" not in config:
+            raise ValueError(f"{manifest_path}: key 'config': missing key 'solver'")
+        solver = config["solver"]
+        if solver not in SOLVERS:
+            raise ValueError(f"{manifest_path}: key 'config': unknown solver {solver!r}")
     if args.lipschitz is not None:
         raw, source = args.lipschitz, "--lipschitz"
     elif manifest is not None:
@@ -321,9 +332,6 @@ def cmd_check(args) -> int:
               f"got {raw!r}", file=sys.stderr)
         return EXIT_ERROR
     certificate = load_certificate(args.oracle) if args.oracle else None
-    # without a manifest the trace is taken to be run_mfista's, whose step
-    # 1/(4L) and curvature column the inequalities and trends assume
-    solver = manifest["config"]["solver"] if manifest is not None else "mfista"
     # the two energy gates are the only readers of the trace's vectors
     energy_gates = solver == "mfista" and certificate is not None
     try:

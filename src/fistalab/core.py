@@ -46,6 +46,8 @@ def _norm(d: np.ndarray) -> float:
 
     Same arithmetic: the square root of d.dot(d), after making a strided view
     contiguous as norm does (BLAS sums a strided dot product in another order).
+    It is for vectors the caller did not build, which may be such views; a
+    fresh ufunc result is contiguous and needs only the root of its dot.
     """
     if not d.flags.c_contiguous:
         d = d.ravel("K")
@@ -180,7 +182,9 @@ class CountedProblem:
 
     def _checked_vector(self, out, oracle: str, what: str) -> np.ndarray:
         """`out` as a finite float array of shape (dim,), else an OracleError naming `oracle`."""
-        out = np.asarray(out, dtype=float)
+        # a native float64 ndarray is what np.asarray would return unchanged
+        if type(out) is not np.ndarray or out.dtype != np.float64:
+            out = np.asarray(out, dtype=float)
         if out.shape != self._shape or not _all_finite(out):
             raise OracleError(f"{oracle} returned a malformed {what}")
         return out

@@ -199,8 +199,12 @@ def make_lasso_on_ball(n: int, rows: int, seed: int, weight_scale: float = 0.05,
     """l1-regularized least squares instance inside a padded ball.
 
     weight = weight_scale * ||A' target||_inf, so the penalty is active but
-    never kills every coordinate.  The ball radius is 10x the ridge solution's
-    norm, which keeps the unconstrained optimum strictly interior.
+    never kills every coordinate.  The ball radius is the larger of 10x the
+    ridge solution's norm (at least 10) and 2 ||y_ls||_1, where y_ls is the
+    least-squares solution lstsq returns.  The second term keeps the
+    unconstrained optimum y* strictly interior: phi(y*) <= phi(y_ls) and
+    ||A y* - target|| >= ||A y_ls - target|| give ||y*||_1 <= ||y_ls||_1,
+    and ||y*||_2 <= ||y*||_1.
     """
     if not 1 <= n <= 64 or not 1 <= rows <= 64:
         raise ValueError("n and rows must be in [1, 64]")
@@ -224,7 +228,8 @@ def make_lasso_on_ball(n: int, rows: int, seed: int, weight_scale: float = 0.05,
     AtA = A.T @ A
     L = float(np.max(np.linalg.eigvalsh(AtA)))
     ridge = np.linalg.solve(AtA + weight * np.eye(n), A.T @ target)
-    radius = 10.0 * max(1.0, float(np.linalg.norm(ridge)))
+    y_ls = np.linalg.lstsq(A, target, rcond=None)[0]
+    radius = max(10.0 * max(1.0, float(np.linalg.norm(ridge))), 2.0 * float(np.abs(y_ls).sum()))
     inst = LassoOnBallInstance("lasso-ball", A, target, weight, radius, L, seed)
     return to_problem(inst), inst
 
@@ -311,10 +316,15 @@ def brute_force_optimum(inst: QuadraticInstance) -> OracleCertificate:
 
 def _support_polish(inst: LassoOnBallInstance, y: np.ndarray) -> Optional[np.ndarray]:
     """The exact stationary point on y's support with y's signs fixed, or
-    None when it fails the sign test or the off-support dual bound."""
+    None when it fails the sign test or the off-support dual bound.
+
+    A support larger than A's row count is refused too: As'As then has rank
+    at most rows and fixes no unique point, and its numerical solve returns
+    a huge point that can still pass both tests.
+    """
     A, target, lam = inst.A, inst.target, inst.weight
     support = np.flatnonzero(np.abs(y) > 1e-12)
-    if not support.size:
+    if not 0 < support.size <= A.shape[0]:
         return None
     signs = np.sign(y[support])
     As = A[:, support]

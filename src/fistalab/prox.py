@@ -162,7 +162,20 @@ def prox_box_indicator(b: BoxSet, z: np.ndarray, t: float) -> np.ndarray:
 
 def _prox_value_box(b: BoxSet, z: np.ndarray, t: float) -> tuple[np.ndarray, float]:
     """(prox_box_indicator(b, z, t), b.h_value of it): the clip lies in the box."""
-    return prox_box_indicator(b, z, t), 0.0
+    if not t > 0:
+        raise ValueError("t must be positive")
+    return as_vector(z, b.lower.size).clip(b.lower, b.upper), 0.0
+
+
+def _l1_threshold(h: L1OnBall, z: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
+    """(m, s): the magnitudes max(|z| - t*weight, 0) and soft_threshold(z, t*weight),
+    which is sign(z) * m."""
+    if not t > 0:
+        raise ValueError("t must be positive")
+    z = as_vector(z, h.dim)
+    # a finite z thresholded by a positive tau stays finite and keeps its shape
+    m = np.maximum(np.abs(z) - t * h.weight, 0.0)
+    return m, np.sign(z) * m
 
 
 def prox_l1_on_ball(h: L1OnBall, z: np.ndarray, t: float) -> np.ndarray:
@@ -173,11 +186,7 @@ def prox_l1_on_ball(h: L1OnBall, z: np.ndarray, t: float) -> np.ndarray:
     is exact because the ball's normal cone at any boundary point is a
     positive multiple of the point itself, which commutes with the threshold.
     """
-    if not t > 0:
-        raise ValueError("t must be positive")
-    z = as_vector(z, h.dim)
-    # a finite z thresholded by a positive tau stays finite and keeps its shape
-    return _project_ball(h.ball, soft_threshold(z, t * h.weight))
+    return _project_ball(h.ball, _l1_threshold(h, z, t)[1])
 
 
 def _prox_value_l1_on_ball(h: L1OnBall, z: np.ndarray, t: float) -> tuple[np.ndarray, float]:
@@ -185,6 +194,12 @@ def _prox_value_l1_on_ball(h: L1OnBall, z: np.ndarray, t: float) -> tuple[np.nda
 
     The prox lands in the ball up to a few ulps of the radius, far inside
     h.h_value's 1e-9 membership band, so only the l1 term is computed.
+    Where the ball does not bind, |y_i| is the threshold's magnitude m_i
+    bit for bit (a zero z_i has sign 0.0 and m_i = 0.0), so the term is
+    summed from m, as ndarray.sum would sum |y|.
     """
-    y = prox_l1_on_ball(h, z, t)
+    m, s = _l1_threshold(h, z, t)
+    y = _project_ball(h.ball, s)
+    if y is s:
+        return y, h.weight * float(np.add.reduce(m))
     return y, h.weight * float(np.abs(y).sum())

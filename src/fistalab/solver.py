@@ -187,6 +187,7 @@ def _iterate(p: CompositeProblem, cfg: SolverConfig, y0: np.ndarray, step: float
 
     # the derived-gradient estimate reads f(y_k) only when its gap is positive
     need_f = trace is not None or (track_curvature and not derive)
+    sqrt = math.sqrt
     v = np.zeros(p.dim)
     status = "max_iters_reached"
     k = 0
@@ -219,15 +220,17 @@ def _iterate(p: CompositeProblem, cfg: SolverConfig, y0: np.ndarray, step: float
                 x_next = y + beta * dy
             else:
                 x_next = y
-            vn = _norm(v)
+            # v, dx and dy are fresh contiguous arrays, whose norm is the
+            # root of one dot product, as _norm and np.linalg.norm take it
+            vn = sqrt(v.dot(v))
             if trace is not None:
                 if math.isinf(hy):
                     raise OracleError("iterate left dom h (h_value is +inf)")
-                dxn = _norm(dx)
+                dxn = sqrt(dx.dot(dx))
                 # without momentum x_k is y_{k-1}, so y_k - y_{k-1} is -(x_k - y_k)
                 # entry for entry and has the same norm bit for bit
                 rows.append((k, a_cur, curvature, vn, fy + hy, dxn,
-                             _norm(dy) if momentum else dxn,
+                             sqrt(dy.dot(dy)) if momentum else dxn,
                              cp.counters.grad_evals, cp.counters.prox_evals))
                 if trace.ys is not None:
                     trace.ys.append(y.copy())

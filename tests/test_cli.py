@@ -299,6 +299,36 @@ def test_check_refuses_a_bad_manifest_lipschitz_constant(tmp_path, capsys, value
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("config,why", [
+    ({"problem": "convex-qp"}, "missing key 'solver'"),
+    ("mfista", "expected an object, got str"),
+    ([], "expected an object, got list"),
+    ({"solver": "newton"}, "unknown solver 'newton'"),
+], ids=["no-solver", "string", "list", "unknown-solver"])
+def test_check_refuses_a_bad_manifest_config(tmp_path, capsys, config, why):
+    # check reads the solver from the manifest's config to pick its gates
+    rundir = tmp_path / "r"
+    run_cli("run", "--problem", "convex-qp", "--n", "3", "--seed", "1", "--out", str(rundir))
+    manifest_path = rundir / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest["config"] = config
+    manifest_path.write_text(json.dumps(manifest))
+    capsys.readouterr()
+    assert run_cli("check", str(rundir / "trace.csv")) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {manifest_path}: key 'config': {why}\n"
+    assert captured.out == ""
+
+
+def test_run_lasso_with_oracle_on_a_one_row_instance(tmp_path, capsys):
+    # the ridge-sized ball (radius 185) used to cut off this optimum (near 231)
+    out = tmp_path / "r"
+    assert run_cli("run", "--problem", "lasso-ball", "--n", "1", "--rows", "1", "--seed", "7",
+                   "--with-oracle", "--out", str(out)) == 0
+    assert capsys.readouterr().err == ""
+    assert run_cli("check", str(out / "trace.csv"), "--oracle", str(out / "oracle.json")) == 0
+
+
 def test_run_designed_spectrum_records_its_lipschitz_constant(tmp_path):
     # --cond spreads the spectrum geometrically up to 1, so L is 1
     out = tmp_path / "r"

@@ -197,6 +197,43 @@ def test_finiteness_checks_reject_non_finite(bad, layout):
             call()
 
 
+class Tagged(np.ndarray):
+    """An ndarray subclass, as a user oracle might return one."""
+
+
+@pytest.mark.parametrize("make", [
+    lambda e: list(e),
+    lambda e: np.array(e, dtype=np.float32),
+    lambda e: np.array(e, dtype=">f8"),
+    lambda e: np.array(e, dtype=float).view(Tagged),
+    lambda e: np.array(e, dtype=float),
+], ids=["list", "float32", "big-endian", "subclass", "float64"])
+def test_checked_outputs_are_what_asarray_makes_of_them(make):
+    # only a plain native float64 array skips the conversion, which would
+    # return it unchanged; everything else is converted as before
+    from fistalab import OracleError
+
+    out = make([1.5, -0.25])
+    want = np.asarray(out, dtype=float)
+    cp = CountedProblem(constant_oracles(out))
+    for got in (cp.grad(np.zeros(2)), cp.prox(np.zeros(2), 1.0), cp.project(np.zeros(2))):
+        assert type(got) is type(want) and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+    for bad in (make([1.5, math.nan]), make([1.5, -0.25, 3.0])):
+        with pytest.raises(OracleError, match="^smooth_grad returned a malformed gradient$"):
+            CountedProblem(constant_oracles(bad)).grad(np.zeros(2))
+
+
+def test_checked_integer_outputs_convert_and_keep_their_shape_check():
+    from fistalab import OracleError
+
+    out = np.array([3, -2])
+    got = CountedProblem(constant_oracles(out)).prox(np.zeros(2), 1.0)
+    assert got.dtype == np.float64 and got.tobytes() == np.asarray(out, dtype=float).tobytes()
+    with pytest.raises(OracleError, match="^h_prox returned a malformed point$"):
+        CountedProblem(constant_oracles(np.array([3, -2, 1]))).prox(np.zeros(2), 1.0)
+
+
 def test_counted_projection_idempotent_and_counted():
     box_proj = lambda x: np.clip(x, -1.0, 1.0)
     p = quad_problem(2, lambda y: 0.0, lambda y: np.zeros(2), 1.0)

@@ -278,6 +278,28 @@ def test_lasso_polish_that_never_passes_keeps_the_full_loop():
     assert_same_certificate(cert, lasso_optimum_full_loop(inst))
 
 
+@pytest.mark.parametrize("n,seed,weight_scale", [(1, 7, 0.05), (2, 3, 0.005), (3, 2, 0.005),
+                                                  (3, 3, 0.005)])
+def test_lasso_optimum_on_one_row_instances(n, seed, weight_scale):
+    # the first optimum lay outside the old ridge-sized ball; on the others
+    # the polish solved a singular system, and only the ball test caught its
+    # huge point
+    _, inst = make_lasso_on_ball(n, 1, seed, weight_scale=weight_scale)
+    cert = lasso_optimum(inst)
+    assert cert.kkt_residual <= 1e-15
+    # the radius bound: ||y*||_1 <= ||y_ls||_1, and the ball is twice that
+    y_ls = np.linalg.lstsq(inst.A, inst.target, rcond=None)[0]
+    assert np.abs(cert.y_star).sum() <= np.abs(y_ls).sum() <= 0.5 * inst.radius
+
+
+def test_support_polish_refuses_a_support_larger_than_the_rows():
+    # one row and two free coordinates: As'As is singular, and its numerical
+    # solve gave a point near 1e13 that passed the sign test and the dual bound
+    _, inst = make_lasso_on_ball(2, 1, 3, weight_scale=0.005)
+    for signs in ((1.0, 1.0), (-1.0, -1.0), (1.0, -1.0), (-1.0, 1.0)):
+        assert _support_polish(inst, np.array(signs)) is None
+
+
 # --- serialization -----------------------------------------------------------
 
 def test_quadratic_round_trip(tmp_path):

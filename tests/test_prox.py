@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from fistalab.prox import (
@@ -248,20 +248,31 @@ _FUSED = {
 _SCALES = (0.0, 0.3, 0.999, 1.0 - 1e-10, 1.0 + 5e-10, 1.0 + 2e-9, 1.5, 10.0)
 
 
+# an entry pinned to c * t * weight (c * t on the box): signed zeros, and
+# magnitudes that the l1 threshold takes exactly to zero
+_PINS = [None, 0.0, -0.0, 1.0, -1.0]
+# a point near the ball's sphere with two threshold ties and two signed zeros,
+# and a point well inside it with the same entries
+_TIES = [1.0, -1.0, 0.0, -0.0, None, None]
+
+
 @pytest.mark.parametrize("name", sorted(_FUSED))
 @given(u=vec(6, -1, 1).filter(lambda u: np.linalg.norm(u) > 0.1),
        scale=st.sampled_from(_SCALES),
-       zeros=st.lists(st.sampled_from([None, 0.0, -0.0]), min_size=6, max_size=6),
+       pins=st.lists(st.sampled_from(_PINS), min_size=6, max_size=6),
        strided=st.booleans(), t=st.sampled_from([0.01, 0.5, 40.0]))
+@example(u=np.full(6, 0.5), scale=10.0, pins=_TIES, strided=False, t=40.0)
+@example(u=np.full(6, 0.5), scale=0.3, pins=_TIES, strided=True, t=0.5)
 @settings(max_examples=150, deadline=None)
-def test_fused_prox_value_is_prox_then_h_value(name, u, scale, zeros, strided, t):
+def test_fused_prox_value_is_prox_then_h_value(name, u, scale, pins, strided, t):
     # the fused operator returns the prox and h at it, bit for bit, which is
     # what lets a traced run skip the separate h_value call
     h, prox, fused, edge = _FUSED[name]
     z = scale * edge(h, u)
-    for i, zero in enumerate(zeros):
-        if zero is not None:
-            z[i] = zero
+    tau = t * getattr(h, "weight", 1.0)
+    for i, pin in enumerate(pins):
+        if pin is not None:
+            z[i] = pin * tau
     if strided:
         wide = np.full(12, 123.0)
         wide[::2] = z

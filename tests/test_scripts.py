@@ -2,9 +2,11 @@
 
 import dataclasses
 import importlib.util
+import math
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
@@ -53,6 +55,27 @@ def test_operator_fingerprint_refuses_a_fused_prox_that_differs():
 
     fp.PROBLEMS = {"convex-qp": skewed}  # this module object is the test's own
     with pytest.raises(fp.FusedProxMismatch, match="^4 1 convex-qp, point 0, t="):
+        fp.operator_fingerprint(dims=(4,), seeds=(1,))
+
+
+def test_operator_fingerprint_refuses_an_l1_value_summed_in_another_order():
+    # the correctly rounded math.fsum differs in its last bit from numpy's
+    # sum at a point inside the ball, where the fused l1 prox sums its
+    # threshold's magnitudes instead of |y|
+    fp = load_script("trace_fingerprint")
+    make = fp.PROBLEMS["lasso-ball"]
+
+    def skewed(n, seed):
+        p, inst = make(n, seed)
+        weight = inst.regularizer().weight
+
+        def prox_value(z, t):
+            y = p.h_prox(z, t)
+            return y, weight * math.fsum(np.abs(y))
+        return dataclasses.replace(p, h_prox_value=prox_value), inst
+
+    fp.PROBLEMS = {"lasso-ball": skewed}  # this module object is the test's own
+    with pytest.raises(fp.FusedProxMismatch, match="^4 1 lasso-ball, point 1, t="):
         fp.operator_fingerprint(dims=(4,), seeds=(1,))
 
 

@@ -570,13 +570,14 @@ def test_loop_avoids_numpy_python_level_wrappers(make, monkeypatch):
 def test_mfista_convex_iteration_skips_the_curvature_estimate(n, spectrum, monkeypatch):
     # on a convex QP every linearization gap is at most zero (on these
     # instances rounding never makes one positive), so the estimate stops at
-    # the gap: the only norms are ||v||, plus ||x - y|| and ||y - y_prev||
-    # for the trace; ||y|| for the estimate's floor never runs
+    # the gap.  ||y|| for the estimate's floor is the loop's only _norm call
+    # (||v||, ||x - y|| and ||y - y_prev|| are roots of their dot products),
+    # so no call at all shows that the floor never runs
     eigenvalues = None if spectrum == "default" else np.linspace(0.5, 1.0, n)
     p, _ = make_convex_qp(n, n, eigenvalues=eigenvalues)
     counts = {"norm": 0}
     monkeypatch.setattr(solver_mod, "_norm", counting(solver_mod._norm, counts, "norm"))
-    for record, per_iteration in ((True, 3), (False, 1)):
+    for record, per_iteration in ((True, 0), (False, 0)):
         counts["norm"] = 0
         res = run_mfista(p, SolverConfig(epsilon=1e-9, max_iters=5000, record_trace=record),
                          np.zeros(n))
@@ -688,6 +689,49 @@ def test_proxgrad_step_norm_serves_both_columns(make, vectors):
         if vectors:
             steps = [solver_mod._norm(y - y_prev) for y, y_prev in zip(tr.ys, [y0] + tr.ys)]
             assert np.array(steps).tobytes() == tr.column("dyy").tobytes()
+
+
+def strided(vec):
+    """`vec` as a stride-2 view of a larger array, as a user oracle may return it."""
+    wide = np.full(2 * vec.size, 7.0)
+    wide[::2] = vec
+    return wide[::2]
+
+
+@pytest.mark.parametrize("solver", ["mfista", "fista", "proxgrad"])
+def test_trace_norms_of_strided_oracle_outputs_match_numpy(solver):
+    # the loop takes its norms as roots of dot products, which is
+    # np.linalg.norm's arithmetic for the contiguous vectors it builds itself,
+    # even when the gradients and prox points they come from are views;
+    # x_k is rebuilt from the stored iterates and a_k as the loop builds it
+    _, inst = make_nonconvex_qp(12, 5)
+    lo, hi = inst.lower, inst.upper
+
+    def value_grad(y):
+        return inst.f(y), strided(inst.grad(y))
+
+    p = CompositeProblem(dim=12, smooth_value=inst.f, smooth_grad=lambda y: value_grad(y)[1],
+                         h_value=inst.box().h_value,
+                         h_prox=lambda z, t: strided(np.clip(z, lo, hi)),
+                         lipschitz_L=inst.lipschitz_L, smooth_value_grad=value_grad)
+    assert not p.h_prox(np.zeros(12), 1.0).flags.c_contiguous
+    y0 = np.clip(np.zeros(12), lo, hi)
+    res = run_solver(solver, p, SolverConfig(epsilon=1e-9, max_iters=400, trace_vectors=True), y0)
+    tr = res.trace
+    assert res.iterations > 10
+    if solver == "mfista":
+        assert any(tr.L_k)  # the curvature shift switched on
+    norm = lambda d: float(np.linalg.norm(d))
+    y_prev, x, a_prev = y0, y0, 1.0
+    vnorm, dxy, dyy = [], [], []
+    for y, v, a_k in zip(tr.ys, tr.vs, tr.a_k):
+        vnorm.append(norm(v))
+        dxy.append(norm(x - y))
+        dyy.append(norm(y - y_prev))
+        x = y + ((a_prev - 1.0) / a_k) * (y - y_prev) if solver != "proxgrad" else y
+        y_prev, a_prev = y, a_k
+    for name, want in (("vnorm", vnorm), ("dxy", dxy), ("dyy", dyy)):
+        assert tr.column(name).tobytes() == np.array(want).tobytes(), name
 
 
 def test_loop_calls_project_only_when_the_problem_has_one(monkeypatch):

@@ -27,7 +27,6 @@ from .problems import (
     to_problem,
 )
 from .analysis import (
-    UnsupportedTraceError,
     check_function_value_bound,
     check_lyapunov_monotone,
     check_residual_bound,

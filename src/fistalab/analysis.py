@@ -19,7 +19,6 @@ from .problems import OracleCertificate
 from .solver import Trace
 
 __all__ = [
-    "UnsupportedTraceError",
     "TraceCheckReport",
     "RateFit",
     "best_residual_curve",
@@ -36,10 +35,6 @@ __all__ = [
 PASS = "PASS"
 FAIL = "FAIL"
 NOT_APPLICABLE = "N/A"
-
-
-class UnsupportedTraceError(ValueError):
-    """The trace lacks data (usually iterate vectors) a check needs."""
 
 
 @dataclass
@@ -95,18 +90,28 @@ def lyapunov_sequence(trace: Trace, certificate: OracleCertificate) -> np.ndarra
     """Energies E_k = a_{k-1}^2 (phi_k - phi*) + 2L || a_{k-1}(y_k - y_{k-1}) + y_{k-1} - y* ||^2,
     one per trace row (k = 1, 2, ...).
 
-    Needs a full-vector trace; raises UnsupportedTraceError otherwise.
+    Needs a full-vector trace and a certificate of the iterates' length;
+    raises ValueError otherwise.
     """
     if not trace.has_vectors or trace.y0 is None:
-        raise UnsupportedTraceError("energy sequence needs a full-vector trace")
+        raise ValueError("energy sequence needs a full-vector trace")
     L = trace.lipschitz_L
-    y_star = np.asarray(certificate.y_star, dtype=float)
+    y_star = _optimum(trace, certificate)
     energies = np.empty(len(trace))
     for i, a in enumerate(_momentum_before(trace)):
         y_prev = trace.y0 if i == 0 else trace.ys[i - 1]
         energies[i] = _energy(a, trace.phi[i] - certificate.phi_star, trace.ys[i], y_prev,
                               y_star, L)
     return energies
+
+
+def _optimum(trace: Trace, certificate: OracleCertificate) -> np.ndarray:
+    """The certificate's y_star, refused unless it has the length of the trace's iterates."""
+    y_star = np.asarray(certificate.y_star, dtype=float)
+    if y_star.shape != trace.y0.shape:
+        raise ValueError(f"certificate y_star has {y_star.size} entries, "
+                         f"the trace's iterates have {trace.y0.size}")
+    return y_star
 
 
 def _energy(a, phi_gap: float, y_k: np.ndarray, y_prev: np.ndarray, y_star: np.ndarray,
@@ -119,14 +124,16 @@ def _energy(a, phi_gap: float, y_k: np.ndarray, y_prev: np.ndarray, y_star: np.n
 def check_lyapunov_monotone(trace: Trace, certificate: OracleCertificate) -> TraceCheckReport:
     """Energy sequence must be nonincreasing on convex runs.
 
-    Applies only when the trace shows a convex run (curvature column all
-    zero); otherwise the check reports not-applicable.  Tolerance is
+    Applies only to a full-vector trace of a convex run (curvature column
+    all zero); otherwise the check reports not-applicable.  Refuses a
+    certificate of another length than the iterates.  Tolerance is
     1e-8 * (1 + E_2) absolute per step.
     """
     name = "lyapunov_monotone"
     _check_lipschitz(trace.lipschitz_L)
-    if not trace.has_vectors:
-        raise UnsupportedTraceError("lyapunov check needs a full-vector trace")
+    if not trace.has_vectors or trace.y0 is None:
+        return TraceCheckReport(name, NOT_APPLICABLE, note="needs a full-vector trace")
+    _optimum(trace, certificate)
     if len(trace) == 0:
         return TraceCheckReport(name, NOT_APPLICABLE, note="empty trace")
     if not observed_convex(trace):
@@ -176,16 +183,17 @@ def check_residual_bound(trace: Trace, L: float) -> TraceCheckReport:
 def check_function_value_bound(trace: Trace, certificate: OracleCertificate,
                                L: float) -> TraceCheckReport:
     """Convex-case value bound: a_{n-1}^2 (phi_n - phi*) never exceeds the
-    run's starting constant phi_1 - phi* + 2L ||y_1 - y*||^2 (tol 1e-8)."""
+    run's starting constant phi_1 - phi* + 2L ||y_1 - y*||^2 (tol 1e-8).
+    Applies, and refuses a certificate, as check_lyapunov_monotone does."""
     name = "function_value_bound"
     _check_lipschitz(L)
     if not trace.has_vectors or trace.y0 is None:
-        raise UnsupportedTraceError("function-value check needs a full-vector trace")
+        return TraceCheckReport(name, NOT_APPLICABLE, note="needs a full-vector trace")
+    y_star = _optimum(trace, certificate)
     if len(trace) < 1:
         return TraceCheckReport(name, NOT_APPLICABLE, note="empty trace")
     if not observed_convex(trace):
         return TraceCheckReport(name, NOT_APPLICABLE, note="nonconvex run (L_k > 0 observed)")
-    y_star = np.asarray(certificate.y_star, dtype=float)
     constant = _energy(1.0, trace.phi[0] - certificate.phi_star, trace.ys[0], trace.y0,
                        y_star, L)
     phis = trace.column("phi")

@@ -110,6 +110,9 @@ class RunConfig:
             raise ValueError("max-iters must be >= 1")
         if self.trace not in ("norms", "full"):
             raise ValueError("trace verbosity must be 'norms' or 'full'")
+        if self.cond is not None and not 1 <= self.cond < math.inf:  # NaN fails too
+            raise ValueError(f"config key 'cond' must be a finite number >= 1, "
+                             f"got {self.cond!r}")
 
 
 RUN_CONFIG_KEYS = tuple(f.name for f in fields(RunConfig))
@@ -282,6 +285,7 @@ def cmd_run(cfg: RunConfig) -> int:
 def cmd_gen(args) -> int:
     cfg = RunConfig(problem=args.kind, n=args.n, seed=args.seed, rows=args.rows,
                     negfrac=args.negfrac, cond=args.cond, instance=None)
+    cfg.validate()
     inst = _instance_from_config(cfg)
     save_instance(inst, args.out)
     print(f"wrote {args.out}")
@@ -342,27 +346,29 @@ def cmd_check(args) -> int:
 
     gates = [check_residual_bound(trace, trace.lipschitz_L)]
     mfista_only = f"holds for mfista traces only, this one is from {solver}"
-    if energy_gates and trace.has_vectors:
-        gates.append(check_lyapunov_monotone(trace, certificate))
-        gates.append(check_function_value_bound(trace, certificate, trace.lipschitz_L))
+    if energy_gates:
+        try:
+            gates.append(check_lyapunov_monotone(trace, certificate))
+            gates.append(check_function_value_bound(trace, certificate, trace.lipschitz_L))
+        except ValueError as e:  # L is valid by now: the certificate does not fit the trace
+            raise ValueError(f"{args.oracle}: {e}") from None
     else:
-        why = ("needs an oracle certificate and a full-vector trace" if solver == "mfista"
-               else mfista_only)
+        why = "needs an oracle certificate" if solver == "mfista" else mfista_only
         gates.append(TraceCheckReport("lyapunov_monotone", NOT_APPLICABLE, note=why))
         gates.append(TraceCheckReport("function_value_bound", NOT_APPLICABLE, note=why))
-    # the trend lines are advisory: printed, never part of the exit code
-    trend = None
+    # the trend line is advisory: printed, never part of the exit code
     if solver != "mfista":
         trend = TraceCheckReport("scaled_trend", NOT_APPLICABLE, note=mfista_only)
     elif observed_convex(trace):  # the curvature shift never switched on
         trend = check_scaled_trend(trace, 1.5, _default_grid(len(trace)))
     elif iterates_settled(trace):
         trend = check_scaled_trend(trace, 0.5, _default_grid(len(trace)))
-    for rep in gates:
+    else:
+        trend = TraceCheckReport("scaled_trend", NOT_APPLICABLE,
+                                 note="nonconvex run whose iterates have not settled")
+    trend.note = f"{trend.note} -- advisory" if trend.note else "advisory"
+    for rep in (*gates, trend):
         print(rep.format_line())
-    if trend is not None:
-        trend.note = f"{trend.note} -- advisory" if trend.note else "advisory"
-        print(trend.format_line())
     return EXIT_OK if all(rep.passed for rep in gates) else EXIT_ERROR
 
 

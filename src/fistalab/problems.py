@@ -116,7 +116,9 @@ class LassoOnBallInstance:
 
 @dataclass
 class OracleCertificate:
-    """Certified optimum: accepted only when the fixed-point KKT residual is tiny."""
+    """An optimum y_star with its value phi_star, found by `method`.
+    kkt_residual is the fixed-point KKT residual at y_star, recorded for the
+    reader; no code accepts or refuses a certificate on its size."""
 
     y_star: np.ndarray
     phi_star: float

@@ -63,13 +63,7 @@ class BoxSet:
         # a point of another shape would broadcast against the bounds
         if z.shape != self.lower.shape:
             raise ValueError(f"expected a point of shape ({self.dim},), got {z.shape}")
-        # count_nonzero costs less per call than .all(); a NaN coordinate
-        # fails both tests
-        b = z >= self._band_lower
-        if np.count_nonzero(b) != b.size:
-            return False
-        b = z <= self._band_upper
-        return bool(np.count_nonzero(b) == b.size)
+        return bool(((z >= self._band_lower) & (z <= self._band_upper)).all())
 
     def h_value(self, z: np.ndarray) -> float:
         return 0.0 if self.contains(z) else math.inf

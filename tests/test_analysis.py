@@ -6,7 +6,6 @@ import pytest
 from fistalab import (
     SolverConfig,
     Trace,
-    UnsupportedTraceError,
     brute_force_optimum,
     check_function_value_bound,
     check_lyapunov_monotone,
@@ -159,10 +158,36 @@ def test_lyapunov_constant_at_optimum():
 
 
 def test_lyapunov_requires_vectors():
+    # a trace without vectors is one the energy gates cannot judge: N/A, as
+    # for an empty or a nonconvex one
     tr = synthetic_trace(np.ones(10))
     p, inst, _, cert = convex_run(n=1, seed=0, iters=5)
-    with pytest.raises(UnsupportedTraceError):
-        check_lyapunov_monotone(tr, cert)
+    for rep in (check_lyapunov_monotone(tr, cert), check_function_value_bound(tr, cert, 1.0)):
+        assert (rep.status, rep.note) == ("N/A", "needs a full-vector trace")
+        assert rep.passed
+    with pytest.raises(ValueError, match="needs a full-vector trace"):
+        lyapunov_sequence(tr, cert)
+
+
+@pytest.mark.parametrize("size", [1, 3])
+def test_energy_gates_refuse_a_certificate_of_another_length(size):
+    # a 1-entry y_star would broadcast against every iterate and pass unnoticed;
+    # the refusal comes before the nonconvex and single-row verdicts
+    p, inst, res, cert = convex_run(n=2, seed=0, iters=50)
+    cert.y_star = np.zeros(size)
+    message = f"certificate y_star has {size} entries, the trace's iterates have 2"
+    nonconvex = run_mfista(make_nonconvex_qp(2, 5)[0],
+                           SolverConfig(epsilon=1e-12, max_iters=300, trace_vectors=True),
+                           np.zeros(2)).trace
+    one_row = run_mfista(p, SolverConfig(epsilon=1e-300, max_iters=1, trace_vectors=True),
+                         np.zeros(2)).trace
+    for trace in (res.trace, nonconvex, one_row):
+        with pytest.raises(ValueError, match=message):
+            check_lyapunov_monotone(trace, cert)
+        with pytest.raises(ValueError, match=message):
+            check_function_value_bound(trace, cert, p.lipschitz_L)
+    with pytest.raises(ValueError, match=message):
+        lyapunov_sequence(res.trace, cert)
 
 
 # --- function-value bound -------------------------------------------------------

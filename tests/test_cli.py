@@ -1,6 +1,10 @@
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -40,6 +44,19 @@ def test_run_rejects_bad_epsilon(tmp_path, capsys):
     assert "epsilon must be positive" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("cond", ["0", "nan", "inf", "-5", "0.5"])
+@pytest.mark.parametrize("command", ["run", "gen"])
+def test_cond_must_be_finite_and_at_least_one(tmp_path, capsys, command, cond):
+    # geomspace(1/cond, 1, n) is a spectrum with condition number cond only
+    # for a finite cond >= 1; 0.5 used to build a 2..1 spectrum silently
+    out = tmp_path / "out-file"
+    argv = ["run", "--problem"] if command == "run" else ["gen", "--kind"]
+    assert run_cli(*argv, "convex-qp", "--n", "4", "--cond", cond, "--out", str(out)) == 1
+    assert capsys.readouterr().err == (
+        f"error: config key 'cond' must be a finite number >= 1, got {float(cond)!r}\n")
+    assert not out.exists()
+
+
 def test_run_requires_problem_or_instance(capsys):
     assert run_cli("run", "--eps", "1e-6") == 1
     assert "problem" in capsys.readouterr().err
@@ -49,6 +66,25 @@ def test_run_not_converged_exit_code(tmp_path):
     code = run_cli("run", "--problem", "convex-qp", "--n", "6", "--seed", "1",
                    "--eps", "1e-300", "--max-iters", "25", "--out", str(tmp_path / "r2"))
     assert code == 2
+
+
+def test_default_out_dir_names_the_fista_step_mode(tmp_path):
+    # out_root points FISTALAB_OUT at tmp_path / "out"
+    assert run_cli("run", "--problem", "convex-qp", "--n", "4", "--seed", "1",
+                   "--solver", "fista", "--step-mode", "quarter-L") == 0
+    assert (tmp_path / "out" / "convex-qp-n4-seed1-fista-quarter-L" / "trace.csv").exists()
+
+
+def test_python_m_fistalab_runs(tmp_path):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-m", "fistalab", "run", "--problem", "convex-qp",
+                           "--n", "4", "--seed", "1", "--out", str(tmp_path / "r")],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("converged after ")
+    assert (tmp_path / "r" / "trace.csv").exists()
 
 
 def test_bad_subcommand_maps_to_error():
@@ -189,6 +225,35 @@ def test_check_full_trace_with_oracle(tmp_path, capsys):
         assert "CHECK residual_bound PASS" in out
         assert "CHECK lyapunov_monotone PASS" in out
         assert "CHECK function_value_bound PASS" in out
+
+
+def test_check_refuses_an_oracle_of_another_length(tmp_path, capsys):
+    # refused before any CHECK line, naming the file and both lengths
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert run_cli("run", "--problem", "convex-qp", "--n", "4", "--seed", "3", "--eps", "1e-9",
+                   "--trace", "full", "--with-oracle", "--out", str(a)) == 0
+    assert run_cli("run", "--problem", "lasso-ball", "--n", "8", "--rows", "8", "--seed", "1",
+                   "--with-oracle", "--out", str(b)) == 0
+    capsys.readouterr()
+    assert run_cli("check", str(a / "trace.csv"), "--oracle", str(b / "oracle.json")) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: {b / 'oracle.json'}: certificate y_star has 8 entries, "
+                            f"the trace's iterates have 4\n")
+
+
+def test_check_norms_trace_with_oracle_leaves_the_energy_gates_not_applicable(tmp_path, capsys):
+    rundir = tmp_path / "r"
+    assert run_cli("run", "--problem", "convex-qp", "--n", "4", "--seed", "3", "--eps", "1e-9",
+                   "--with-oracle", "--out", str(rundir)) == 0
+    capsys.readouterr()
+    assert run_cli("check", str(rundir / "trace.csv"),
+                   "--oracle", str(rundir / "oracle.json")) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 4
+    for line, name in zip(lines[1:3], ("lyapunov_monotone", "function_value_bound")):
+        assert line.startswith(f"CHECK {name} N/A ")
+        assert line.endswith(" -- needs a full-vector trace")
 
 
 def test_run_removes_another_runs_oracle_and_manifest(tmp_path, monkeypatch, capsys):
@@ -680,6 +745,20 @@ def test_check_settled_nonconvex_run_gets_the_half_power_trend(tmp_path, capsys)
     assert lines[-1].startswith("CHECK scaled_trend_0.5 PASS worst=")
     assert lines[-1].endswith(" -- advisory")
     assert not any(ln.startswith("CHECK scaled_trend_1.5") for ln in lines)
+
+
+def test_check_unsettled_nonconvex_run_still_gets_an_advisory_line(tmp_path, capsys):
+    # neither trend applies: the curvature shift switched on and the iterates
+    # are still moving, which the advisory line says instead of staying away
+    rundir = tmp_path / "r"
+    assert run_cli("run", "--problem", "nonconvex-qp", "--n", "8", "--seed", "1",
+                   "--out", str(rundir)) == 0
+    capsys.readouterr()
+    assert run_cli("check", str(rundir / "trace.csv")) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 4
+    assert lines[-1] == ("CHECK scaled_trend N/A worst=nan at_k=-1 -- nonconvex run whose "
+                         "iterates have not settled -- advisory")
 
 
 def test_stale_vector_sidecar_is_not_paired(tmp_path):

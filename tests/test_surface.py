@@ -17,7 +17,7 @@ TOP_LEVEL = {
     "QuadraticInstance", "LassoOnBallInstance", "make_convex_qp", "make_nonconvex_qp",
     "make_lasso_on_ball",
     "to_problem", "load_instance", "brute_force_optimum",
-    "UnsupportedTraceError", "check_residual_bound", "check_lyapunov_monotone",
+    "check_residual_bound", "check_lyapunov_monotone",
     "check_function_value_bound", "check_scaled_trend", "fit_rate", "iterates_settled",
 }
 

@@ -93,7 +93,7 @@ def lyapunov_sequence(trace: Trace, certificate: OracleCertificate) -> np.ndarra
     Needs a full-vector trace and a certificate of the iterates' length;
     raises ValueError otherwise.
     """
-    if not trace.has_vectors or trace.y0 is None:
+    if not trace.has_vectors:
         raise ValueError("energy sequence needs a full-vector trace")
     L = trace.lipschitz_L
     y_star = _optimum(trace, certificate)
@@ -130,8 +130,11 @@ def check_lyapunov_monotone(trace: Trace, certificate: OracleCertificate) -> Tra
     1e-8 * (1 + E_2) absolute per step.
     """
     name = "lyapunov_monotone"
+    if math.isnan(trace.lipschitz_L):  # read_trace_csv's default
+        raise ValueError("L must be finite and positive, got nan: the trace carries no "
+                         "Lipschitz constant (pass lipschitz_L to read_trace_csv)")
     _check_lipschitz(trace.lipschitz_L)
-    if not trace.has_vectors or trace.y0 is None:
+    if not trace.has_vectors:
         return TraceCheckReport(name, NOT_APPLICABLE, note="needs a full-vector trace")
     _optimum(trace, certificate)
     if len(trace) == 0:
@@ -187,7 +190,7 @@ def check_function_value_bound(trace: Trace, certificate: OracleCertificate,
     Applies, and refuses a certificate, as check_lyapunov_monotone does."""
     name = "function_value_bound"
     _check_lipschitz(L)
-    if not trace.has_vectors or trace.y0 is None:
+    if not trace.has_vectors:
         return TraceCheckReport(name, NOT_APPLICABLE, note="needs a full-vector trace")
     y_star = _optimum(trace, certificate)
     if len(trace) < 1:

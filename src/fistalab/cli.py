@@ -13,7 +13,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Optional, get_args, get_type_hints
 
@@ -113,9 +113,6 @@ class RunConfig:
         if self.cond is not None and not 1 <= self.cond < math.inf:  # NaN fails too
             raise ValueError(f"config key 'cond' must be a finite number >= 1, "
                              f"got {self.cond!r}")
-
-
-RUN_CONFIG_KEYS = tuple(f.name for f in fields(RunConfig))
 
 
 @functools.cache
@@ -497,7 +494,7 @@ def _apply_config(cfg: RunConfig, mapping: dict) -> RunConfig:
     """Set RunConfig fields from a JSON mapping, refusing unknown keys; the
     values are type-checked later by RunConfig.validate."""
     for key, value in mapping.items():
-        if key not in RUN_CONFIG_KEYS:
+        if key not in _run_config_types():
             raise ValueError(f"unknown config key {key!r}")
         setattr(cfg, key, value)
     return cfg
@@ -507,7 +504,7 @@ def _run_config_from_args(args) -> RunConfig:
     cfg = RunConfig()
     if args.config:
         _apply_config(cfg, _load_json_object(args.config))
-    for key in RUN_CONFIG_KEYS:
+    for key in _run_config_types():
         value = getattr(args, key)
         if value is not None:  # flags override the config file
             setattr(cfg, key, value)
@@ -536,7 +533,3 @@ def main(argv=None) -> int:
     except Exception as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_ERROR
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -358,7 +358,7 @@ def lasso_optimum(inst: LassoOnBallInstance) -> OracleCertificate:
     result must lie strictly inside the ball.  kkt_residual is the prox
     fixed-point residual at step 1/L, rescaled to gradient units.
     """
-    A, target, lam = inst.A, inst.target, inst.weight
+    lam = inst.weight
     L = inst.lipschitz_L
     t = 1.0 / L
     y = np.zeros(inst.dim)
@@ -366,7 +366,7 @@ def lasso_optimum(inst: LassoOnBallInstance) -> OracleCertificate:
     a_prev = 1.0
     polished = None
     for k in range(1, 200_001):
-        g = A.T @ (A @ x - target)
+        g = inst.grad(x)
         y_new = soft_threshold(x - t * g, t * lam)
         a_cur = next_momentum(a_prev)
         x = y_new + ((a_prev - 1.0) / a_cur) * (y_new - y)
@@ -387,7 +387,7 @@ def lasso_optimum(inst: LassoOnBallInstance) -> OracleCertificate:
         raise RuntimeError("lasso optimum touched the padding ball; radius too small")
     g = inst.grad(y)
     kkt = L * float(np.linalg.norm(soft_threshold(y - t * g, t * lam) - y))
-    phi = inst.f(y) + lam * float(np.sum(np.abs(y)))
+    phi = inst.f(y) + inst.regularizer().h_value(y)
     return OracleCertificate(y, phi, kkt, "projected-gradient-highacc")
 
 

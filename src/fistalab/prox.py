@@ -22,7 +22,6 @@ __all__ = [
     "BallSet",
     "L1OnBall",
     "soft_threshold",
-    "project_box",
     "project_ball",
     "prox_box_indicator",
     "prox_l1_on_ball",
@@ -126,11 +125,6 @@ class L1OnBall:
 def soft_threshold(z: np.ndarray, tau: float) -> np.ndarray:
     """Coordinatewise sign(z) * max(|z| - tau, 0)."""
     return np.sign(z) * np.maximum(np.abs(z) - tau, 0.0)
-
-
-def project_box(b: BoxSet, z: np.ndarray) -> np.ndarray:
-    z = as_vector(z, b.dim)
-    return z.clip(b.lower, b.upper)
 
 
 def project_ball(s: BallSet, z: np.ndarray) -> np.ndarray:

@@ -19,6 +19,7 @@ calls each solver makes per iteration.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
@@ -62,6 +63,9 @@ class SolverConfig:
     def __post_init__(self):
         if not self.epsilon > 0:
             raise ValueError("epsilon must be positive")
+        # the loop's range() takes only integers; a bool is one, but not a count
+        if isinstance(self.max_iters, bool) or not isinstance(self.max_iters, numbers.Integral):
+            raise ValueError(f"max_iters must be an integer, got {self.max_iters!r}")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
 
@@ -92,7 +96,9 @@ class Trace:
 
     @property
     def has_vectors(self) -> bool:
-        return self.ys is not None and len(self.ys) == len(self.k)
+        """True when the trace holds the start point and one iterate and
+        residual vector per row."""
+        return self.y0 is not None and self.ys is not None and len(self.ys) == len(self.k)
 
     def _fill_columns(self, rows) -> None:
         """Set the empty scalar columns from one tuple per row, in COLUMNS order."""
@@ -303,8 +309,9 @@ def run_fista_baseline(p: CompositeProblem, cfg: SolverConfig, y0: np.ndarray,
     exactly those of run_mfista on problems where the curvature estimate
     stays zero, which is the convex case.  The canonical step is 1/L.
     """
-    if not step > 0:
-        raise ValueError("step must be positive")
+    # an infinite step would fail later, inside the prox, as a non-finite point
+    if not 0 < step < math.inf:
+        raise ValueError(f"step must be finite and positive, got {step!r}")
     return _iterate(p, cfg, y0, step, 1.0 / step,
                     track_curvature=False, momentum=True, project=project_extrapolation)
 

@@ -18,6 +18,7 @@ from fistalab import (
     run_mfista,
 )
 from fistalab.analysis import best_residual_curve, lyapunov_sequence
+from fistalab.cli import read_trace_csv, write_trace_csv
 
 
 def synthetic_trace(vnorm, dxy=None, dyy=None, L_k=None, L=1.0):
@@ -169,6 +170,24 @@ def test_lyapunov_requires_vectors():
         lyapunov_sequence(tr, cert)
 
 
+def test_energy_gates_on_an_empty_trace_are_not_applicable():
+    p, inst, _, cert = convex_run(n=2, seed=0, iters=5)
+    empty = Trace(p.lipschitz_L, np.zeros(2), keep_vectors=True)
+    for rep in (check_lyapunov_monotone(empty, cert),
+                check_function_value_bound(empty, cert, p.lipschitz_L)):
+        assert (rep.status, rep.note) == ("N/A", "empty trace")
+
+
+def test_lyapunov_gate_names_a_trace_read_without_its_lipschitz_constant(tmp_path):
+    p, inst, res, cert = convex_run(n=2, seed=0, iters=50)
+    path = tmp_path / "trace.csv"
+    write_trace_csv(res.trace, path)
+    with pytest.raises(ValueError, match="the trace carries no Lipschitz constant "
+                                         r"\(pass lipschitz_L to read_trace_csv\)"):
+        check_lyapunov_monotone(read_trace_csv(path), cert)
+    assert check_lyapunov_monotone(read_trace_csv(path, p.lipschitz_L), cert).status == "PASS"
+
+
 @pytest.mark.parametrize("size", [1, 3])
 def test_energy_gates_refuse_a_certificate_of_another_length(size):
     # a 1-entry y_star would broadcast against every iterate and pass unnoticed;
@@ -231,6 +250,11 @@ def test_scaled_trend_flat_and_rising():
     # short grid: not applicable
     rep = check_scaled_trend(synthetic_trace(np.ones(30)), 1.5, [5, 10, 20, 30])
     assert rep.status == "N/A"
+    # a residual that reaches zero inside the fitted half: not applicable
+    vnorm = 2.0 * n ** -1.5
+    vnorm[3000:] = 0.0
+    rep = check_scaled_trend(synthetic_trace(vnorm), 1.5, grid)
+    assert (rep.status, rep.note) == ("N/A", "residual hit zero in the window")
 
 
 def test_iterates_settled():

@@ -523,6 +523,30 @@ def test_run_config_file_types_checked(tmp_path, capsys, cfg, key):
     assert not (tmp_path / "r8").exists()
 
 
+@pytest.mark.parametrize("key,value,message", [
+    ("problem", "qp", "unknown problem kind 'qp'"),
+    ("solver", "ista", "unknown solver 'ista'"),
+    ("step_mode", "half-L", "unknown step mode 'half-L'"),
+    ("trace", "all", "trace verbosity must be 'norms' or 'full'"),
+    ("max_iters", 0, "max-iters must be >= 1"),
+    ("seeed", 3, "unknown config key 'seeed'"),
+])
+def test_run_config_file_values_checked(tmp_path, capsys, key, value, message):
+    # a config file reaches these values without argparse's choices
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps({"problem": "convex-qp", "n": 4, key: value}))
+    assert run_cli("run", "--config", str(cfg_path), "--out", str(tmp_path / "r")) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "r").exists()
+
+
+def test_read_trace_csv_refuses_a_bad_header(tmp_path):
+    path = tmp_path / "trace.csv"
+    path.write_text("k,a_k,vnorm\n1,1.0,0.5\n")
+    with pytest.raises(ValueError, match="^unexpected trace header: 'k,a_k,vnorm'$"):
+        read_trace_csv(path)
+
+
 def test_check_short_trace_row(tmp_path, capsys):
     rundir = tmp_path / "r9"
     run_cli("run", "--problem", "convex-qp", "--n", "3", "--seed", "1", "--eps", "1e-7",

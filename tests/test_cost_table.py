@@ -19,7 +19,7 @@ import pytest
 
 from fistalab import (CompositeProblem, SolverConfig, make_convex_qp, make_lasso_on_ball,
                       make_nonconvex_qp, run_fista_baseline, run_mfista, run_proxgrad_baseline)
-from fistalab.prox import project_ball, project_box
+from fistalab.prox import project_ball, prox_box_indicator
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 DERIVED, ORACLE = "gradient at x_{k+1} derived", "gradient from the oracle"
@@ -88,7 +88,7 @@ def generated(make, omega: bool, quadratic: bool, fused: bool) -> CompositeProbl
     p, inst = make()
     if omega:
         if hasattr(inst, "Q"):
-            project = functools.partial(project_box, inst.box())
+            project = functools.partial(prox_box_indicator, inst.box(), t=1.0)
         else:
             project = functools.partial(project_ball, inst.regularizer().ball)
         p = dataclasses.replace(p, omega_project=project)
@@ -191,13 +191,15 @@ def test_counts_measured_on_n16():
     # with a projection the gradient comes from the oracle: two gradients and
     # two f values per iteration, but none at x_{k+1} on the converged one,
     # which does not project x_{k+1} either
-    boxed = dataclasses.replace(p, omega_project=functools.partial(project_box, inst.box()))
+    project = functools.partial(prox_box_indicator, inst.box(), t=1.0)
+    boxed = dataclasses.replace(p, omega_project=project)
     res = run_mfista(boxed, cfg, y0)
     c = res.counters
     assert (res.iterations, c.grad_evals, c.f_evals, c.proj_evals) == (30, 60, 59, 29)
     # fista at step 1/L never projects x_{k+1}, so a projection leaves its
     # gradient derived: one per iteration
     p, inst = make_convex_qp(16, 3)
-    boxed = dataclasses.replace(p, omega_project=functools.partial(project_box, inst.box()))
+    project = functools.partial(prox_box_indicator, inst.box(), t=1.0)
+    boxed = dataclasses.replace(p, omega_project=project)
     res = run_fista_baseline(boxed, cfg, np.zeros(16), 1.0 / p.lipschitz_L)
     assert (res.iterations, res.counters.grad_evals, res.counters.proj_evals) == (400, 401, 0)

@@ -57,6 +57,17 @@ def test_make_convex_qp_designed_spectrum():
         make_convex_qp(65, 3)
 
 
+@pytest.mark.parametrize("n,rows", [(5, 3), (3, 5)], ids=["wide", "tall"])
+def test_make_lasso_on_ball_designed_singular_values(n, rows):
+    # the tall case builds A from the first n columns of its rows x rows basis
+    svs = np.array([3.0, 1.0, 0.25])
+    _, inst = make_lasso_on_ball(n, rows, 4, singular_values=svs)
+    assert inst.A.shape == (rows, n)
+    np.testing.assert_allclose(np.linalg.svd(inst.A, compute_uv=False), svs, rtol=1e-12)
+    with pytest.raises(ValueError, match="need min"):
+        make_lasso_on_ball(n, rows, 4, singular_values=np.ones(4))
+
+
 def test_make_nonconvex_qp_constants():
     for seed in (0, 4):
         p, inst = make_nonconvex_qp(6, seed, negfrac=0.3)
@@ -168,6 +179,12 @@ def test_brute_force_hand_examples():
     assert abs(cert.y_star[0]) < 1e-14
     assert abs(abs(cert.y_star[1]) - 1.0) < 1e-14
     assert abs(cert.phi_star - (-0.5)) < 1e-14
+
+    # flat second coordinate: every face that frees it has a singular reduced
+    # system, so the optimum comes from its bound faces
+    cert = brute_force_optimum(qp(np.diag([1.0, 0.0]), [0.3, -0.2]))
+    np.testing.assert_allclose(cert.y_star, [-0.3, 1.0], atol=1e-15)
+    assert abs(cert.phi_star - (-0.245)) < 1e-15  # 0.045 - 0.09 - 0.2
 
 
 def test_brute_force_dimension_cap():
@@ -298,6 +315,16 @@ def test_support_polish_refuses_a_support_larger_than_the_rows():
     _, inst = make_lasso_on_ball(2, 1, 3, weight_scale=0.005)
     for signs in ((1.0, 1.0), (-1.0, -1.0), (1.0, -1.0), (-1.0, 1.0)):
         assert _support_polish(inst, np.array(signs)) is None
+
+
+def test_support_polish_refuses_a_point_past_the_dual_bound():
+    # A = I, target (1, 1), weight 0.1: the optimum is (0.9, 0.9).  On the
+    # support {0} the solve gives 0.9 with the right sign, but the dropped
+    # coordinate's correlation |(A'r)_1| = 1 exceeds the weight
+    inst = LassoOnBallInstance("lasso-ball", np.eye(2), np.ones(2), 0.1, 10.0, 1.0, seed=-1)
+    assert _support_polish(inst, np.array([1.0, 0.0])) is None
+    np.testing.assert_allclose(_support_polish(inst, np.array([1.0, 1.0])), [0.9, 0.9],
+                               rtol=1e-15)
 
 
 # --- serialization -----------------------------------------------------------

@@ -232,6 +232,27 @@ def test_solver_config_validation():
         SolverConfig(epsilon=0.0, max_iters=10)
     with pytest.raises(ValueError):
         SolverConfig(epsilon=1e-8, max_iters=0)
+    assert SolverConfig(epsilon=1e-8, max_iters=np.int64(3)).max_iters == 3
+
+
+@pytest.mark.parametrize("max_iters", [1e4, 10.0, True, "10", None])
+def test_solver_config_refuses_a_max_iters_that_is_not_an_integer(max_iters):
+    # unrefused, 1e4 would reach the loop's range() and fail there with a TypeError
+    with pytest.raises(ValueError, match="^max_iters must be an integer, got "):
+        SolverConfig(epsilon=1e-8, max_iters=max_iters)
+
+
+@pytest.mark.parametrize("step", [math.inf, math.nan, 0.0, -1.0])
+def test_fista_refuses_a_step_that_is_not_finite_and_positive(step):
+    # unrefused, an infinite step would fail inside the prox, naming the point
+    p = make_convex_qp(4, 1)[0]
+    with pytest.raises(ValueError, match="^step must be finite and positive, got "):
+        run_fista_baseline(p, SolverConfig(epsilon=1e-8, max_iters=10), np.zeros(4), step)
+
+
+def test_trace_column_refuses_an_unknown_name():
+    with pytest.raises(KeyError):
+        Trace(1.0).column("y")
 
 
 def test_oracle_failure_carries_iteration_index():

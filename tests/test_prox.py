@@ -108,6 +108,15 @@ def test_l1_on_ball_value_is_weighted_l1_norm(rng):
 
 # --- projections ---------------------------------------------------------
 
+def test_project_box_examples():
+    # the box projection is the box prox at t=1
+    b1 = BoxSet(np.array([-1.0]), np.array([1.0]))
+    assert prox_box_indicator(b1, np.array([0.3]), 1.0)[0] == 0.3
+    assert prox_box_indicator(b1, np.array([1.9]), 1.0)[0] == 1.0
+    np.testing.assert_array_equal(prox_box_indicator(UNIT_BOX, np.array([-3.0, 0.5]), 1.0),
+                                  [-1.0, 0.5])
+
+
 def test_project_ball_examples():
     np.testing.assert_array_equal(project_ball(UNIT_BALL, np.array([0.5, 0.0])), [0.5, 0.0])
     np.testing.assert_allclose(project_ball(UNIT_BALL, np.array([3.0, 4.0])), [0.6, 0.8], rtol=1e-15)
@@ -147,9 +156,6 @@ def test_projections_idempotent(x):
 def test_prox_box_examples():
     b1 = BoxSet(np.array([-1.0]), np.array([1.0]))
     assert prox_box_indicator(b1, np.array([2.0]), 0.25)[0] == 1.0
-    assert prox_box_indicator(b1, np.array([0.3]), 1.0)[0] == 0.3
-    np.testing.assert_array_equal(prox_box_indicator(UNIT_BOX, np.array([-3.0, 0.5]), 1.0),
-                                  [-1.0, 0.5])
     for t in (0.1, 1.0, 10.0):
         assert prox_box_indicator(b1, np.array([0.0]), t)[0] == 0.0
     b2 = BoxSet(np.zeros(2), 2.0 * np.ones(2))

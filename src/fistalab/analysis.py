@@ -90,28 +90,37 @@ def lyapunov_sequence(trace: Trace, certificate: OracleCertificate) -> np.ndarra
     """Energies E_k = a_{k-1}^2 (phi_k - phi*) + 2L || a_{k-1}(y_k - y_{k-1}) + y_{k-1} - y* ||^2,
     one per trace row (k = 1, 2, ...).
 
-    Needs a full-vector trace and a certificate of the iterates' length;
-    raises ValueError otherwise.
+    Needs a full-vector trace with its Lipschitz constant and a certificate
+    of the iterates' length; raises ValueError otherwise.
     """
-    if not trace.has_vectors:
-        raise ValueError("energy sequence needs a full-vector trace")
-    L = trace.lipschitz_L
-    y_star = _optimum(trace, certificate)
+    y_star, note = _energy_inputs(trace, certificate, trace.lipschitz_L)
+    if y_star is None:
+        raise ValueError(f"energy sequence {note}")
     energies = np.empty(len(trace))
     for i, a in enumerate(_momentum_before(trace)):
         y_prev = trace.y0 if i == 0 else trace.ys[i - 1]
         energies[i] = _energy(a, trace.phi[i] - certificate.phi_star, trace.ys[i], y_prev,
-                              y_star, L)
+                              y_star, trace.lipschitz_L)
     return energies
 
 
-def _optimum(trace: Trace, certificate: OracleCertificate) -> np.ndarray:
-    """The certificate's y_star, refused unless it has the length of the trace's iterates."""
+def _energy_inputs(trace: Trace, certificate: OracleCertificate, L: float) -> tuple:
+    """(y_star, note): the energy gates' preconditions in one order.  note says
+    why a gate cannot judge the trace (None when it can); y_star is None when
+    the trace holds no vectors.  Raises ValueError for an L that is not finite
+    and positive, and for a y_star of another length than the iterates."""
+    _check_lipschitz(L)
+    if not trace.has_vectors:
+        return None, "needs a full-vector trace"
     y_star = np.asarray(certificate.y_star, dtype=float)
     if y_star.shape != trace.y0.shape:
         raise ValueError(f"certificate y_star has {y_star.size} entries, "
                          f"the trace's iterates have {trace.y0.size}")
-    return y_star
+    if len(trace) == 0:
+        return y_star, "empty trace"
+    if not observed_convex(trace):
+        return y_star, "nonconvex run (L_k > 0 observed)"
+    return y_star, None
 
 
 def _energy(a, phi_gap: float, y_k: np.ndarray, y_prev: np.ndarray, y_star: np.ndarray,
@@ -130,17 +139,9 @@ def check_lyapunov_monotone(trace: Trace, certificate: OracleCertificate) -> Tra
     1e-8 * (1 + E_2) absolute per step.
     """
     name = "lyapunov_monotone"
-    if math.isnan(trace.lipschitz_L):  # read_trace_csv's default
-        raise ValueError("L must be finite and positive, got nan: the trace carries no "
-                         "Lipschitz constant (pass lipschitz_L to read_trace_csv)")
-    _check_lipschitz(trace.lipschitz_L)
-    if not trace.has_vectors:
-        return TraceCheckReport(name, NOT_APPLICABLE, note="needs a full-vector trace")
-    _optimum(trace, certificate)
-    if len(trace) == 0:
-        return TraceCheckReport(name, NOT_APPLICABLE, note="empty trace")
-    if not observed_convex(trace):
-        return TraceCheckReport(name, NOT_APPLICABLE, note="nonconvex run (L_k > 0 observed)")
+    note = _energy_inputs(trace, certificate, trace.lipschitz_L)[1]
+    if note is not None:
+        return TraceCheckReport(name, NOT_APPLICABLE, note=note)
     if len(trace) == 1:
         return TraceCheckReport(name, PASS, 0.0, trace.k[0], note="single row, vacuous")
     energies = lyapunov_sequence(trace, certificate)
@@ -153,6 +154,9 @@ def check_lyapunov_monotone(trace: Trace, certificate: OracleCertificate) -> Tra
 
 
 def _check_lipschitz(L: float) -> None:
+    if math.isnan(L):  # read_trace_csv's default
+        raise ValueError("L must be finite and positive, got nan: the trace carries no "
+                         "Lipschitz constant (pass lipschitz_L to read_trace_csv)")
     # an infinite L makes either bound hold on any trace
     if not 0 < L < math.inf:
         raise ValueError(f"L must be finite and positive, got {L!r}")
@@ -189,14 +193,9 @@ def check_function_value_bound(trace: Trace, certificate: OracleCertificate,
     run's starting constant phi_1 - phi* + 2L ||y_1 - y*||^2 (tol 1e-8).
     Applies, and refuses a certificate, as check_lyapunov_monotone does."""
     name = "function_value_bound"
-    _check_lipschitz(L)
-    if not trace.has_vectors:
-        return TraceCheckReport(name, NOT_APPLICABLE, note="needs a full-vector trace")
-    y_star = _optimum(trace, certificate)
-    if len(trace) < 1:
-        return TraceCheckReport(name, NOT_APPLICABLE, note="empty trace")
-    if not observed_convex(trace):
-        return TraceCheckReport(name, NOT_APPLICABLE, note="nonconvex run (L_k > 0 observed)")
+    y_star, note = _energy_inputs(trace, certificate, L)
+    if note is not None:
+        return TraceCheckReport(name, NOT_APPLICABLE, note=note)
     constant = _energy(1.0, trace.phi[0] - certificate.phi_star, trace.ys[0], trace.y0,
                        y_star, L)
     phis = trace.column("phi")

@@ -381,9 +381,9 @@ def _sweep_cells(matrix: dict, outdir: Path) -> list[list[tuple[str, RunConfig]]
     entries, count = [], 0
     for inst_spec in matrix["instances"]:
         if isinstance(inst_spec, str):
-            spec, label = {"instance": inst_spec}, Path(inst_spec).stem
+            spec = {"instance": inst_spec}
         else:
-            spec, label = dict(inst_spec), None
+            spec = dict(inst_spec)
             if "kind" in spec:
                 spec["problem"] = spec.pop("kind")
         cells = []
@@ -394,7 +394,9 @@ def _sweep_cells(matrix: dict, outdir: Path) -> list[list[tuple[str, RunConfig]]
                     **shared, **spec, "solver": solver, "eps": eps,
                     "out": str(outdir / f"cell-{count:03d}")})
                 cfg.validate()
-                cells.append((label or f"{cfg.problem}-n{cfg.n}-seed{cfg.seed}", cfg))
+                label = (Path(cfg.instance).stem if cfg.instance is not None
+                         else f"{cfg.problem}-n{cfg.n}-seed{cfg.seed}")
+                cells.append((label, cfg))
         entries.append(cells)
     return entries
 

@@ -188,6 +188,21 @@ def test_lyapunov_gate_names_a_trace_read_without_its_lipschitz_constant(tmp_pat
     assert check_lyapunov_monotone(read_trace_csv(path, p.lipschitz_L), cert).status == "PASS"
 
 
+def test_energy_sequence_refuses_a_trace_read_without_its_lipschitz_constant(tmp_path):
+    # it returned a NaN energy per row, where the gate built on it refused
+    p, inst = make_convex_qp(2, 0)
+    cfg = SolverConfig(epsilon=1e-300, max_iters=20, trace_vectors=True)
+    res = run_mfista(p, cfg, np.zeros(2))
+    cert = brute_force_optimum(inst)
+    path = tmp_path / "trace.csv"
+    write_trace_csv(res.trace, path)
+    with pytest.raises(ValueError, match="the trace carries no Lipschitz constant "
+                                         r"\(pass lipschitz_L to read_trace_csv\)"):
+        lyapunov_sequence(read_trace_csv(path), cert)
+    energies = lyapunov_sequence(read_trace_csv(path, p.lipschitz_L), cert)
+    assert energies.tobytes() == lyapunov_sequence(res.trace, cert).tobytes()
+
+
 @pytest.mark.parametrize("size", [1, 3])
 def test_energy_gates_refuse_a_certificate_of_another_length(size):
     # a 1-entry y_star would broadcast against every iterate and pass unnoticed;

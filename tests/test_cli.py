@@ -411,7 +411,8 @@ def test_sweep_summary(tmp_path, capsys):
     config = {
         "instances": [str(inst_file),
                       {"kind": "nonconvex-qp", "n": 4, "seed": 1},
-                      {"kind": "lasso-ball", "n": 6, "rows": 4, "seed": 2}],
+                      {"kind": "lasso-ball", "n": 6, "rows": 4, "seed": 2},
+                      {"instance": str(inst_file)}],
         "solvers": ["mfista", "proxgrad"],
         "epsilons": [1e-7],
         "max_iters": 4000,
@@ -421,7 +422,10 @@ def test_sweep_summary(tmp_path, capsys):
     code = run_cli("sweep", str(cfg_path), "--out", str(tmp_path / "sw"))
     lines = (tmp_path / "sw" / "summary.csv").read_text().splitlines()
     assert lines[0] == "instance,solver,eps,iterations,final_vnorm,slope,status"
-    assert len(lines) == 1 + 3 * 2  # instances x solvers x epsilons
+    assert len(lines) == 1 + 4 * 2  # instances x solvers x epsilons
+    # a file is labelled by its stem, whether named bare or under an instance key
+    labels = ["qp", "nonconvex-qp-n4-seed1", "lasso-ball-n6-seed2", "qp"]
+    assert [ln.split(",")[0] for ln in lines[1:]] == [lab for lab in labels for _ in range(2)]
     assert code in (0, 2)
     statuses = [ln.split(",")[-1] for ln in lines[1:]]
     assert all(s in ("converged", "max_iters_reached") for s in statuses)

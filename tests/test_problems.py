@@ -292,7 +292,12 @@ def test_lasso_polish_that_never_passes_keeps_the_full_loop():
     cert = lasso_optimum(inst)
     assert cert.y_star[j] != 0.0 and cert.y_star[1] != 0.0
     assert _support_polish(inst, cert.y_star) is None
-    assert_same_certificate(cert, lasso_optimum_full_loop(inst))
+    # with no polish the point is the iteration's own, which stops on another
+    # test than the full loop's, so the two agree to rounding, not bit for bit
+    y_ref, phi_ref, _ = lasso_optimum_full_loop(inst)
+    assert cert.kkt_residual <= 1e-13
+    assert np.max(np.abs(cert.y_star - y_ref)) <= 1e-12
+    assert abs(cert.phi_star - phi_ref) <= 4 * np.spacing(phi_ref)
 
 
 @pytest.mark.parametrize("n,seed,weight_scale", [(1, 7, 0.05), (2, 3, 0.005), (3, 2, 0.005),

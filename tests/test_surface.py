@@ -69,3 +69,20 @@ def test_check_spans_reach_the_benchmark_wraps(tmp_path, monkeypatch):
             assert cli.main(["check", str(rundir / "trace.csv"), *extra]) == 0
             assert calls("cli.read_trace_csv") - before[0] == 1
             assert calls("cli.npz_read") - before[1] == npz_reads
+
+
+def test_oracle_solves_stay_outside_the_benchmark_solver_spans(tmp_path, monkeypatch):
+    # lasso_optimum runs FISTA blocks of its own; the benchmark's solver
+    # metrics must count only the run `cli` makes
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import layers
+    import tracing
+    from fistalab import cli
+
+    rec = layers.Recorder()
+    with tracing.patched(rec.replacements()):
+        assert cli.main(["run", "--problem", "lasso-ball", "--n", "4", "--with-oracle",
+                         "--out", str(tmp_path / "run")]) == 0
+    table = rec.tracer.table()
+    assert table["problems.oracle"]["calls"] == 1
+    assert table["solver.run"]["calls"] == 1

@@ -323,6 +323,10 @@ def cmd_check(args) -> int:
               "manifest.json next to the trace)", file=sys.stderr)
         return EXIT_ERROR
     try:
+        # the flag is text, but the manifest holds L as a JSON number:
+        # float() would read a JSON true as 1.0 and a string "2.5" as 2.5
+        if source != "--lipschitz" and isinstance(raw, (bool, str)):
+            raise TypeError
         L = float(raw)
     except (TypeError, ValueError):
         L = math.nan

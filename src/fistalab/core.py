@@ -172,7 +172,16 @@ class CountedProblem:
         self.counters.grad_evals += 1
         self.counters.f_evals += 1
         val, g = fused(y)
-        return self._checked_value(val), self._checked_vector(g, "smooth_grad", "gradient")
+        # every traced iteration lands here, so the tests of _checked_value
+        # and _checked_vector are written out rather than called
+        val = float(val)
+        if not math.isfinite(val):
+            raise OracleError(f"smooth_value returned non-finite {val!r}")
+        if type(g) is not np.ndarray or g.dtype != np.float64:
+            g = np.asarray(g, dtype=float)
+        if g.shape != self._shape or not (math.isfinite(g.dot(g)) or np.isfinite(g).all()):
+            raise OracleError("smooth_grad returned a malformed gradient")
+        return val, g
 
     def _checked_value(self, val) -> float:
         val = float(val)
@@ -219,7 +228,15 @@ class CountedProblem:
             raise ValueError("prox step t must be positive")
         self.counters.prox_evals += 1
         y, val = fused(z, t)
-        return self._checked_vector(y, "h_prox", "point"), self._checked_h(val)
+        # the tests of _checked_vector and _checked_h, written out as in value_grad
+        if type(y) is not np.ndarray or y.dtype != np.float64:
+            y = np.asarray(y, dtype=float)
+        if y.shape != self._shape or not (math.isfinite(y.dot(y)) or np.isfinite(y).all()):
+            raise OracleError("h_prox returned a malformed point")
+        val = float(val)
+        if math.isnan(val):
+            raise OracleError("h_value returned NaN")
+        return y, val
 
     def project(self, x: np.ndarray) -> np.ndarray:
         if self.problem.omega_project is None:

@@ -270,48 +270,59 @@ def brute_force_optimum(inst: QuadraticInstance) -> OracleCertificate:
 
     Every face's stationary point is a candidate (coordinates free, at the
     lower bound, or at the upper bound); candidates failing feasibility or
-    the KKT sign conditions are dropped, and the best objective wins.  The
+    the KKT sign conditions are dropped, and the best objective wins, the
+    first in itertools.product((-1, 0, 1), repeat=n) order on a tie.  The
     global minimizer always appears: it is stationary on the face whose
-    relative interior contains it.
+    relative interior contains it.  Faces are taken by free set, whose
+    reduced matrix serves every lower/upper pattern of the fixed coordinates.
     """
     n = inst.dim
     if n > MAX_ENUM_DIM:
         raise ValueError(f"active-set enumeration supports n <= {MAX_ENUM_DIM}")
     Q, b, lo, hi = inst.Q, inst.b, inst.lower, inst.upper
-    best_y = None
+    best_y = best_pattern = None
     best_phi = math.inf
-    for pattern in itertools.product((-1, 0, 1), repeat=n):
-        y = np.where(np.array(pattern) < 0, lo, hi).astype(float)
-        free = [i for i in range(n) if pattern[i] == 0]
-        fixed = [i for i in range(n) if pattern[i] != 0]
+    for is_free in itertools.product((False, True), repeat=n):
+        free = [i for i in range(n) if is_free[i]]
+        fixed = [i for i in range(n) if not is_free[i]]
+        patterns = []
+        for sides in itertools.product((-1, 1), repeat=len(fixed)):
+            pattern = [0] * n
+            for i, side in zip(fixed, sides):
+                pattern[i] = side
+            patterns.append(pattern)
+        ys = [np.where(np.array(pattern) < 0, lo, hi).astype(float) for pattern in patterns]
         if free:
             F = np.asarray(free)
             rhs = -b[F]
             if fixed:
-                rhs = rhs - Q[np.ix_(F, fixed)] @ y[fixed]
+                coupling = Q[np.ix_(F, fixed)]
+                rhs = [rhs - coupling @ y[fixed] for y in ys]
             sub = Q[np.ix_(F, F)]
             try:
-                yF = np.linalg.solve(sub, rhs)
+                # one LAPACK solve per pattern, as for a single right-hand side
+                yFs = np.linalg.solve(np.broadcast_to(sub, (len(ys), *sub.shape)),
+                                      np.reshape(rhs, (len(ys), len(free), 1)))[..., 0]
             except np.linalg.LinAlgError:
                 # singular reduced system: face has no isolated stationary
                 # point; its minimizers live on sub-faces we also enumerate
                 continue
-            if np.any(yF < lo[F] - 1e-12) or np.any(yF > hi[F] + 1e-12):
+            inside = ~(np.any(yFs < lo[F] - 1e-12, axis=1) | np.any(yFs > hi[F] + 1e-12, axis=1))
+            patterns = [pt for pt, ok in zip(patterns, inside) if ok]
+            ys = [y for y, ok in zip(ys, inside) if ok]
+            for y, yF in zip(ys, yFs[inside]):
+                y[F] = np.clip(yF, lo[F], hi[F])
+        for pattern, y in zip(patterns, ys):
+            g = Q @ y + b
+            if any(pattern[i] < 0 and g[i] < -1e-10 or pattern[i] > 0 and g[i] > 1e-10
+                   for i in fixed):
                 continue
-            y[F] = np.clip(yF, lo[F], hi[F])
-        g = Q @ y + b
-        sign_ok = True
-        for i in fixed:
-            if pattern[i] < 0 and g[i] < -1e-10:
-                sign_ok = False
-            if pattern[i] > 0 and g[i] > 1e-10:
-                sign_ok = False
-        if not sign_ok:
-            continue
-        phi = inst.f(y)
-        if phi < best_phi:
-            best_phi = phi
-            best_y = y
+            phi = inst.f(y)
+            # (-1, 0, 1) sort as they are listed, so itertools.product order
+            # is the lexicographic order of the patterns
+            if phi < best_phi or (best_y is not None and phi == best_phi
+                                   and pattern < best_pattern):
+                best_phi, best_y, best_pattern = phi, y, pattern
     if best_y is None:
         raise RuntimeError("no feasible KKT candidate found (should be impossible on a box)")
     return OracleCertificate(best_y, best_phi, _box_kkt_residual(inst, best_y),
@@ -498,6 +509,9 @@ def load_certificate(path) -> OracleCertificate:
     payload = _load_json_object(path, ("y_star", "phi_star", "kkt_residual", "method"))
 
     def number(value, what):
+        # float() would read a JSON true as 1.0
+        if isinstance(value, bool):
+            raise ValueError(f"{path}: {what}: expected a number, got bool")
         try:
             return float(value)
         except (TypeError, ValueError) as e:

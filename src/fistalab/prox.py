@@ -152,7 +152,12 @@ def _prox_value_box(b: BoxSet, z: np.ndarray, t: float) -> tuple[np.ndarray, flo
     """(prox_box_indicator(b, z, t), b.h_value of it): the clip lies in the box."""
     if not t > 0:
         raise ValueError("t must be positive")
-    return as_vector(z, b.lower.size).clip(b.lower, b.upper), 0.0
+    # a native float64 vector of the box's shape whose square sums finitely
+    # is what as_vector would return unchanged
+    if (type(z) is not np.ndarray or z.dtype != np.float64 or z.shape != b.lower.shape
+            or not math.isfinite(z.dot(z))):
+        z = as_vector(z, b.lower.size)
+    return z.clip(b.lower, b.upper), 0.0
 
 
 def _l1_threshold(h: L1OnBall, z: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
@@ -160,7 +165,10 @@ def _l1_threshold(h: L1OnBall, z: np.ndarray, t: float) -> tuple[np.ndarray, np.
     which is sign(z) * m."""
     if not t > 0:
         raise ValueError("t must be positive")
-    z = as_vector(z, h.dim)
+    # the fast path of _prox_value_box
+    if (type(z) is not np.ndarray or z.dtype != np.float64 or z.shape != (h.ball.dim,)
+            or not math.isfinite(z.dot(z))):
+        z = as_vector(z, h.ball.dim)
     # a finite z thresholded by a positive tau stays finite and keeps its shape
     m = np.maximum(np.abs(z) - t * h.weight, 0.0)
     return m, np.sign(z) * m

@@ -347,8 +347,9 @@ def test_check_refuses_a_bad_lipschitz_flag(tmp_path, capsys, value):
     assert captured.out == ""
 
 
-@pytest.mark.parametrize("value", [-2.0, "abc", None, math.inf, [1.0]],
-                         ids=["negative", "string", "null", "infinite", "list"])
+@pytest.mark.parametrize("value", [-2.0, "abc", None, math.inf, [1.0], True, "2.5"],
+                         ids=["negative", "string", "null", "infinite", "list", "boolean",
+                              "numeric-string"])
 def test_check_refuses_a_bad_manifest_lipschitz_constant(tmp_path, capsys, value):
     rundir = tmp_path / "r"
     run_cli("run", "--problem", "convex-qp", "--n", "3", "--seed", "1", "--out", str(rundir))
@@ -631,7 +632,12 @@ def test_check_oracle_without_a_key_names_file_and_key(tmp_path, capsys):
     ("kkt_residual", None, "key 'kkt_residual': float() argument must be a string or a real"),
     ("y_star", ["0.5", "x", "0.0"], "key 'y_star' entry 1: could not convert string to float: 'x'"),
     ("y_star", 0.5, "key 'y_star': expected a list, got float"),
-], ids=["phi_star", "kkt_residual", "y_star-entry", "y_star-scalar"])
+    ("y_star", [True, False, True], "key 'y_star' entry 0: expected a number, got bool"),
+    ("y_star", ["0.5", 0.25, False], "key 'y_star' entry 2: expected a number, got bool"),
+    ("phi_star", True, "key 'phi_star': expected a number, got bool"),
+    ("kkt_residual", False, "key 'kkt_residual': expected a number, got bool"),
+], ids=["phi_star", "kkt_residual", "y_star-entry", "y_star-scalar", "y_star-booleans",
+        "y_star-last-boolean", "phi_star-boolean", "kkt_residual-boolean"])
 def test_check_oracle_with_a_bad_value_names_file_and_key(tmp_path, capsys, key, value, message):
     rundir = tmp_path / "r"
     assert run_cli("run", "--problem", "convex-qp", "--n", "3", "--seed", "4", "--trace", "full",

@@ -158,11 +158,20 @@ def laid_out(layout, *entries):
     return base[::2] if layout == "strided" else base[::2].copy()
 
 
-def constant_oracles(out):
-    """A 2-D problem whose gradient, prox and projection all return `out`."""
+def constant_oracles(out, value=0.0):
+    """A 2-D problem whose gradient, prox and projection all return `out`,
+    and whose fused oracles return it with `value`."""
     return CompositeProblem(dim=2, smooth_value=lambda y: 0.0, smooth_grad=lambda y: out,
                             h_value=lambda y: 0.0, h_prox=lambda z, t: out,
-                            lipschitz_L=1.0, omega_project=lambda x: out)
+                            lipschitz_L=1.0, omega_project=lambda x: out,
+                            smooth_value_grad=lambda y: (value, out),
+                            h_prox_value=lambda z, t: (out, value))
+
+
+def every_output(cp):
+    """The vector each of `cp`'s five vector-returning receivers makes of its oracle's result."""
+    return (cp.grad(np.zeros(2)), cp.prox(np.zeros(2), 1.0), cp.project(np.zeros(2)),
+            cp.value_grad(np.zeros(2))[1], cp.prox_value(np.zeros(2), 1.0)[0])
 
 
 @pytest.mark.parametrize("layout", ["contiguous", "strided"])
@@ -172,10 +181,7 @@ def test_finiteness_checks_accept_overflowing_squares(layout):
     big = laid_out(layout, 1e200, -1e200)
     with np.errstate(over="ignore"):
         assert as_vector(big, 2).tobytes() == big.tobytes()
-        cp = CountedProblem(constant_oracles(big))
-        for out in (cp.grad(np.zeros(2)), cp.prox(np.zeros(2), 1.0), cp.project(np.zeros(2)),
-                    CountedProblem(fused(constant_oracles(big), lambda y: (0.0, big)))
-                    .value_grad(np.zeros(2))[1]):
+        for out in every_output(CountedProblem(constant_oracles(big))):
             assert out.tobytes() == big.tobytes()
 
 
@@ -191,10 +197,22 @@ def test_finiteness_checks_reject_non_finite(bad, layout):
     for call, what in ((lambda: cp.grad(np.zeros(2)), "smooth_grad returned a malformed gradient"),
                        (lambda: cp.prox(np.zeros(2), 1.0), "h_prox returned a malformed point"),
                        (lambda: cp.project(np.zeros(2)), "omega_project returned a malformed point"),
-                       (lambda: CountedProblem(fused(constant_oracles(out), lambda y: (0.0, out)))
-                        .value_grad(np.zeros(2)), "smooth_grad returned a malformed gradient")):
+                       (lambda: cp.value_grad(np.zeros(2)),
+                        "smooth_grad returned a malformed gradient"),
+                       (lambda: cp.prox_value(np.zeros(2), 1.0),
+                        "h_prox returned a malformed point")):
         with pytest.raises(OracleError, match=f"^{what}$"):
             call()
+    # the fused oracles' values: f must be finite; h may be +-inf, not NaN
+    cp = CountedProblem(constant_oracles(np.zeros(2), bad))
+    with pytest.raises(OracleError) as info:
+        cp.value_grad(np.zeros(2))
+    assert str(info.value) == f"smooth_value returned non-finite {bad!r}"
+    if math.isnan(bad):
+        with pytest.raises(OracleError, match="^h_value returned NaN$"):
+            cp.prox_value(np.zeros(2), 1.0)
+    else:
+        assert cp.prox_value(np.zeros(2), 1.0)[1] == bad
 
 
 class Tagged(np.ndarray):
@@ -206,8 +224,10 @@ class Tagged(np.ndarray):
     lambda e: np.array(e, dtype=np.float32),
     lambda e: np.array(e, dtype=">f8"),
     lambda e: np.array(e, dtype=float).view(Tagged),
+    lambda e: np.array(e, dtype=np.int64),
     lambda e: np.array(e, dtype=float),
-], ids=["list", "float32", "big-endian", "subclass", "float64"])
+    lambda e: laid_out("strided", *e),
+], ids=["list", "float32", "big-endian", "subclass", "int64", "float64", "strided"])
 def test_checked_outputs_are_what_asarray_makes_of_them(make):
     # only a plain native float64 array skips the conversion, which would
     # return it unchanged; everything else is converted as before
@@ -215,13 +235,19 @@ def test_checked_outputs_are_what_asarray_makes_of_them(make):
 
     out = make([1.5, -0.25])
     want = np.asarray(out, dtype=float)
-    cp = CountedProblem(constant_oracles(out))
-    for got in (cp.grad(np.zeros(2)), cp.prox(np.zeros(2), 1.0), cp.project(np.zeros(2))):
+    for got in every_output(CountedProblem(constant_oracles(out))):
         assert type(got) is type(want) and got.dtype == want.dtype
         assert got.tobytes() == want.tobytes()
-    for bad in (make([1.5, math.nan]), make([1.5, -0.25, 3.0])):
-        with pytest.raises(OracleError, match="^smooth_grad returned a malformed gradient$"):
-            CountedProblem(constant_oracles(bad)).grad(np.zeros(2))
+    # a NaN (in a float form), a wrong length, a 0-d or a 2-D result is malformed
+    entries = [1.5, math.nan] if np.asarray(make([0.5])).dtype.kind == "f" else [1, 2, 3]
+    for bad in (make(entries), make([1.5, -0.25, 3.0]), np.asarray(make([1.5]))[0],
+                np.asarray(make([1.5, -0.25, 2.0, 0.0])).reshape(2, 2)):
+        cp = CountedProblem(constant_oracles(bad))
+        for call, what in ((cp.grad, "smooth_grad returned a malformed gradient"),
+                           (cp.value_grad, "smooth_grad returned a malformed gradient"),
+                           (lambda y: cp.prox_value(y, 1.0), "h_prox returned a malformed point")):
+            with pytest.raises(OracleError, match=f"^{what}$"):
+                call(np.zeros(2))
 
 
 def test_checked_integer_outputs_convert_and_keep_their_shape_check():

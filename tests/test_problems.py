@@ -1,3 +1,4 @@
+import itertools
 import math
 import re
 
@@ -185,6 +186,58 @@ def test_brute_force_hand_examples():
     cert = brute_force_optimum(qp(np.diag([1.0, 0.0]), [0.3, -0.2]))
     np.testing.assert_allclose(cert.y_star, [-0.3, 1.0], atol=1e-15)
     assert abs(cert.phi_star - (-0.245)) < 1e-15  # 0.045 - 0.09 - 0.2
+
+
+def brute_force_per_face(inst):
+    """brute_force_optimum as it was before it grouped the faces by free set:
+    one reduced solve per face, in itertools.product order."""
+    n = inst.dim
+    Q, b, lo, hi = inst.Q, inst.b, inst.lower, inst.upper
+    best_y, best_phi = None, math.inf
+    for pattern in itertools.product((-1, 0, 1), repeat=n):
+        y = np.where(np.array(pattern) < 0, lo, hi).astype(float)
+        free = [i for i in range(n) if pattern[i] == 0]
+        fixed = [i for i in range(n) if pattern[i] != 0]
+        if free:
+            F = np.asarray(free)
+            rhs = -b[F]
+            if fixed:
+                rhs = rhs - Q[np.ix_(F, fixed)] @ y[fixed]
+            try:
+                yF = np.linalg.solve(Q[np.ix_(F, F)], rhs)
+            except np.linalg.LinAlgError:
+                continue
+            if np.any(yF < lo[F] - 1e-12) or np.any(yF > hi[F] + 1e-12):
+                continue
+            y[F] = np.clip(yF, lo[F], hi[F])
+        g = Q @ y + b
+        if any(pattern[i] < 0 and g[i] < -1e-10 or pattern[i] > 0 and g[i] > 1e-10
+               for i in fixed):
+            continue
+        phi = inst.f(y)
+        if phi < best_phi:
+            best_phi, best_y = phi, y
+    return best_y, best_phi, float(np.linalg.norm(np.clip(best_y - inst.grad(best_y), lo, hi)
+                                                  - best_y))
+
+
+def test_brute_force_matches_the_per_face_loop():
+    # grouping the faces by free set changes no bit of the certificate; the
+    # flat and zero Hessians make faces singular, and the zero one ties every
+    # candidate, so that the first face in itertools.product order must win
+    insts = [qp(np.diag([1.0, 0.0]), [0.3, -0.2]), qp(np.zeros((2, 2)), [0.0, 0.0]),
+             qp([[-1.0]], [0.0]), qp([[1.0, 1.0], [1.0, 1.0]], [0.5, -0.5], [-1, 0], [2, 1]),
+             qp(np.diag([2.0, 0.0, -1.0]), [0.0, 0.1, 0.0])]
+    for n in (1, 2, 3, 4):
+        for seed in range(4):
+            insts += [make_convex_qp(n, seed)[1], make_nonconvex_qp(n, seed, negfrac=0.5)[1],
+                      make_convex_qp(n, seed, eigenvalues=np.geomspace(1e-3, 1.0, n))[1]]
+    for inst in insts:
+        cert = brute_force_optimum(inst)
+        y, phi, kkt = brute_force_per_face(inst)
+        assert cert.y_star.tobytes() == y.tobytes()
+        assert np.float64(cert.phi_star).tobytes() == np.float64(phi).tobytes()
+        assert np.float64(cert.kkt_residual).tobytes() == np.float64(kkt).tobytes()
 
 
 def test_brute_force_dimension_cap():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
+from fistalab.core import as_vector
 from fistalab.prox import (
     BallSet,
     BoxSet,
@@ -258,6 +259,21 @@ _PINS = [None, 0.0, -0.0, 1.0, -1.0]
 _TIES = [1.0, -1.0, 0.0, -0.0, None, None]
 
 
+def _input_forms(z):
+    """`z` as a list, as an int64, float32, big-endian, 0-d or 2-D array, one
+    entry short, and with NaN, +-inf or +-1e200 at each entry in turn, both
+    contiguous and as a strided view."""
+    yield from (list(z), z.astype(np.int64), z.astype(np.float32), z.astype(">f8"),
+                np.array(z[0]), z.reshape(2, 3), z[:-1])
+    for i in range(z.size):
+        for bad in (math.nan, math.inf, -math.inf, 1e200, -1e200):
+            wide = np.full(2 * z.size, 7.0)
+            wide[::2] = z
+            wide[2 * i] = bad
+            yield wide[::2].copy()
+            yield wide[::2]
+
+
 @pytest.mark.parametrize("name", sorted(_FUSED))
 @given(u=vec(6, -1, 1).filter(lambda u: np.linalg.norm(u) > 0.1),
        scale=st.sampled_from(_SCALES),
@@ -291,6 +307,21 @@ def test_fused_prox_value_is_prox_then_h_value(name, u, scale, pins, strided, t)
     assert math.isfinite(got_h)
     with pytest.raises(ValueError):
         fused(h, z, 0.0)
+    # any other input goes through as_vector: the prox of what it makes of
+    # the input, or its exception
+    with np.errstate(over="ignore"):
+        for form in _input_forms(z):
+            try:
+                want = prox(h, as_vector(form, h.dim), t)
+            except ValueError as e:
+                for call in (fused, prox):
+                    with pytest.raises(ValueError) as info:
+                        call(h, form, t)
+                    assert (type(info.value), str(info.value)) == (type(e), str(e))
+                continue
+            got_y, got_h = fused(h, form, t)
+            assert got_y.tobytes() == want.tobytes() == prox(h, form, t).tobytes()
+            assert np.float64(got_h).tobytes() == np.float64(h.h_value(want)).tobytes()
 
 
 def test_samplers_inside_sets(rng):

@@ -57,3 +57,26 @@ def test_inequality_audit_passes(capsys):
     # the battery's own regression gate: every check on every run passes
     assert load_script("inequality_audit").main() == 0
     assert capsys.readouterr().out.splitlines()[-1] == "all checks passed"
+
+
+def test_bench_pairs_statistics_count_ties_for_neither_side():
+    compare = load_script("bench_pairs").compare
+    parent = [10.0, 11.0, 12.0, 13.0, 14.0, 10.5, 11.5, 12.5, 13.5, 14.5]
+    # nine wins and one tie; the medians are 12.25 and 9.25, the parent's
+    # quartiles 11.125 and 13.375
+    change = [p - 3.0 for p in parent[:9]] + [14.5]
+    c = compare(parent, change, "lower")
+    assert (c["wins"], c["losses"], c["ties"]) == (9, 0, 1)
+    assert c["parent"] == (11.125, 12.25, 13.375)
+    assert c["change"][1] == 9.25
+    assert (c["gap"], c["spread"]) == (3.0, 2.25)
+    assert c["claim"]
+    # eight wins of ten are too few, however large the gap
+    assert not compare(parent, change[:8] + [14.0, 14.5], "lower")["claim"]
+    # ten wins whose median gap is inside the parent's spread are not a claim
+    assert not compare(parent, [p - 1.0 for p in parent], "lower")["claim"]
+    # "higher" flips the sign; all ties win nothing
+    c = compare(parent, [p + 3.0 for p in parent], "higher")
+    assert (c["wins"], c["gap"], c["claim"]) == (10, 3.0, True)
+    c = compare([1.0] * 4, [1.0] * 4, "higher")
+    assert (c["wins"], c["losses"], c["ties"], c["claim"]) == (0, 0, 4, False)

@@ -10,17 +10,20 @@ benchmark code.  Pair i runs seed S + i on both sides, and the side that
 runs first alternates from one pair to the next.
 
 For every end-to-end metric in BENCHMARK.json it prints each side's median
-and quartiles, the pairs the change won and lost, and whether the claim rule
-holds: the change better in at least 9 of every 10 pairs (ties count for
-neither side), and its median better than REV's by more than REV's
-interquartile spread.  Quartiles interpolate linearly between order
-statistics (statistics.quantiles, method "inclusive").
+and quartiles, the pairs the change won and lost, and two verdicts.  The
+claim rule: the change better in at least 9 of every 10 pairs (ties count
+for neither side), and its median better than REV's by more than REV's
+interquartile spread.  The no-regression rule: the change's median not worse
+than REV's by more than the metric's `bound` times REV's median.  Quartiles
+interpolate linearly between order statistics (statistics.quantiles, method
+"inclusive").
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import statistics
 import subprocess
 import sys
@@ -40,14 +43,15 @@ def quartiles(values) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
-def compare(parent, change, better: str) -> dict:
+def compare(parent, change, better: str, bound: float = math.inf) -> dict:
     """Pair-by-pair comparison of one metric; `better` is "lower" or "higher".
 
     `parent[i]` and `change[i]` come from pair i.  A pair is won when the
     change is strictly better, lost when strictly worse, and tied otherwise.
     The claim holds when the change wins at least 9 of every 10 pairs and its
     median is better than the parent's by more than the parent's
-    interquartile spread.
+    interquartile spread.  There is no regression when the change's median
+    is worse than the parent's by at most `bound` times the parent's median.
     """
     if len(parent) != len(change) or not parent:
         raise ValueError("need one parent and one change value per pair, and at least one pair")
@@ -59,7 +63,8 @@ def compare(parent, change, better: str) -> dict:
     spread = pq[2] - pq[0]
     return {"parent": pq, "change": cq, "wins": wins, "losses": losses,
             "ties": len(parent) - wins - losses, "gap": gap, "spread": spread,
-            "claim": 10 * wins >= 9 * len(parent) and gap > spread}
+            "claim": 10 * wins >= 9 * len(parent) and gap > spread,
+            "no_regression": -gap <= bound * abs(pq[1])}
 
 
 def extract(rev: str, dest: Path) -> Path:
@@ -123,11 +128,12 @@ def main(argv=None) -> int:
         if None in parent or None in change:
             print(f"{name}: n/a in some run")
             continue
-        c = compare(parent, change, spec["better"])
+        c = compare(parent, change, spec["better"], spec["bound"])
         print(f"{name} ({spec['unit']}, {spec['better']} is better): parent {fmt(c['parent'])}, "
               f"change {fmt(c['change'])}; change won {c['wins']}, lost {c['losses']}, "
               f"tied {c['ties']}; gap {c['gap']:.6g} against spread {c['spread']:.6g}; "
-              f"claim {'holds' if c['claim'] else 'does not hold'}")
+              f"claim {'holds' if c['claim'] else 'does not hold'}; no regression beyond "
+              f"bound {spec['bound']:g} {'holds' if c['no_regression'] else 'does not hold'}")
     for side in ("parent", "change"):
         runs = results[side]
         print(f"{side}: correct in {sum(r['correct'] for r in runs)}/{len(runs)} runs, "

@@ -25,6 +25,11 @@ __all__ = [
 ]
 
 
+# the descriptor of a native float64 array; the hot receivers test `dtype is
+# _F64`, and any other descriptor, equal to it or not, takes np.asarray's path
+_F64 = np.dtype(np.float64)
+
+
 class OracleError(RuntimeError):
     """A user-supplied oracle returned something unusable (wrong shape, NaN, ...)."""
 
@@ -177,7 +182,7 @@ class CountedProblem:
         val = float(val)
         if not math.isfinite(val):
             raise OracleError(f"smooth_value returned non-finite {val!r}")
-        if type(g) is not np.ndarray or g.dtype != np.float64:
+        if type(g) is not np.ndarray or g.dtype is not _F64:
             g = np.asarray(g, dtype=float)
         if g.shape != self._shape or not (math.isfinite(g.dot(g)) or np.isfinite(g).all()):
             raise OracleError("smooth_grad returned a malformed gradient")
@@ -192,7 +197,7 @@ class CountedProblem:
     def _checked_vector(self, out, oracle: str, what: str) -> np.ndarray:
         """`out` as a finite float array of shape (dim,), else an OracleError naming `oracle`."""
         # a native float64 ndarray is what np.asarray would return unchanged
-        if type(out) is not np.ndarray or out.dtype != np.float64:
+        if type(out) is not np.ndarray or out.dtype is not _F64:
             out = np.asarray(out, dtype=float)
         if out.shape != self._shape or not _all_finite(out):
             raise OracleError(f"{oracle} returned a malformed {what}")
@@ -229,7 +234,7 @@ class CountedProblem:
         self.counters.prox_evals += 1
         y, val = fused(z, t)
         # the tests of _checked_vector and _checked_h, written out as in value_grad
-        if type(y) is not np.ndarray or y.dtype != np.float64:
+        if type(y) is not np.ndarray or y.dtype is not _F64:
             y = np.asarray(y, dtype=float)
         if y.shape != self._shape or not (math.isfinite(y.dot(y)) or np.isfinite(y).all()):
             raise OracleError("h_prox returned a malformed point")

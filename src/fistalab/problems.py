@@ -105,12 +105,13 @@ class LassoOnBallInstance:
         return 0.5 * float(r.dot(r))
 
     def grad(self, y: np.ndarray) -> np.ndarray:
-        return self.A.T.dot(self.A.dot(y) - self.target)
+        # r.dot(A) is A'r without building the transposed view
+        return (self.A.dot(y) - self.target).dot(self.A)
 
     def value_grad(self, y: np.ndarray) -> tuple[float, np.ndarray]:
         """(f(y), grad(y)) bit for bit, from one residual A y - target."""
         r = self.A.dot(y) - self.target
-        return 0.5 * float(r.dot(r)), self.A.T.dot(r)
+        return 0.5 * float(r.dot(r)), r.dot(self.A)
 
     def regularizer(self) -> L1OnBall:
         return L1OnBall(self.weight, BallSet(self.dim, self.radius))
@@ -429,7 +430,10 @@ def save_instance(inst, path) -> None:
 
 
 def load_instance(path):
-    """Read a save_instance file; errors name the path and the bad field or line."""
+    """Read a save_instance file; errors name the path and the bad field or line.
+
+    Every number, in the header and the payload, must be finite.
+    """
     with open(path, encoding="ascii") as fh:
         lines = [(lineno, ln.split()) for lineno, ln in enumerate(fh, start=1) if ln.strip()]
     if not lines:
@@ -449,6 +453,12 @@ def load_instance(path):
         value = int(text)
         if value < 1:
             raise ValueError("must be a positive integer")
+        return value
+
+    def finite(text):
+        value = float(text)
+        if not math.isfinite(value):
+            raise ValueError("expected a finite number")
         return value
 
     # every payload line holds n numbers, except the lasso's target, which holds rows
@@ -471,11 +481,18 @@ def load_instance(path):
             body.append(np.array(values, dtype=float))
         except ValueError as e:
             raise ValueError(f"{path}: line {lineno}: {e}") from None
+    # one test over the whole payload; the lines are searched only to name a bad one
+    if not np.isfinite(np.concatenate(body)).all():
+        for (lineno, values), row in zip(lines[1:], body):
+            bad = np.flatnonzero(~np.isfinite(row))
+            if bad.size:
+                raise ValueError(f"{path}: line {lineno}: expected a finite number, "
+                                 f"got {values[bad[0]]!r}")
     if kind == "lasso-ball":
-        return LassoOnBallInstance(kind, np.vstack(body[:rows]), body[rows], field("lam", float),
-                                   field("radius", float), field("L", float), field("seed", int))
+        return LassoOnBallInstance(kind, np.vstack(body[:rows]), body[rows], field("lam", finite),
+                                   field("radius", finite), field("L", finite), field("seed", int))
     return QuadraticInstance(kind, np.vstack(body[:n]), body[n], body[n + 1], body[n + 2],
-                             field("L", float), field("m", float), field("seed", int))
+                             field("L", finite), field("m", finite), field("seed", int))
 
 
 def _load_json_object(path, keys=()) -> dict:
@@ -505,7 +522,10 @@ def save_certificate(cert: OracleCertificate, path) -> None:
 
 
 def load_certificate(path) -> OracleCertificate:
-    """Read a save_certificate file; errors name the path and the bad key."""
+    """Read a save_certificate file; errors name the path and the bad key.
+
+    Each number must be finite, given as a JSON number or a repr string.
+    """
     payload = _load_json_object(path, ("y_star", "phi_star", "kkt_residual", "method"))
 
     def number(value, what):
@@ -513,9 +533,13 @@ def load_certificate(path) -> OracleCertificate:
         if isinstance(value, bool):
             raise ValueError(f"{path}: {what}: expected a number, got bool")
         try:
-            return float(value)
+            value = float(value)
         except (TypeError, ValueError) as e:
             raise ValueError(f"{path}: {what}: {e}") from None
+        # json.load takes NaN and -Infinity, and float() takes "nan" and "-inf"
+        if not math.isfinite(value):
+            raise ValueError(f"{path}: {what}: expected a finite number, got {value!r}")
+        return value
 
     y_star = payload["y_star"]
     if not isinstance(y_star, list):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _norm, as_vector
+from .core import _F64, _norm, as_vector
 
 __all__ = [
     "BoxSet",
@@ -154,7 +154,7 @@ def _prox_value_box(b: BoxSet, z: np.ndarray, t: float) -> tuple[np.ndarray, flo
         raise ValueError("t must be positive")
     # a native float64 vector of the box's shape whose square sums finitely
     # is what as_vector would return unchanged
-    if (type(z) is not np.ndarray or z.dtype != np.float64 or z.shape != b.lower.shape
+    if (type(z) is not np.ndarray or z.dtype is not _F64 or z.shape != b.lower.shape
             or not math.isfinite(z.dot(z))):
         z = as_vector(z, b.lower.size)
     return z.clip(b.lower, b.upper), 0.0
@@ -166,7 +166,7 @@ def _l1_threshold(h: L1OnBall, z: np.ndarray, t: float) -> tuple[np.ndarray, np.
     if not t > 0:
         raise ValueError("t must be positive")
     # the fast path of _prox_value_box
-    if (type(z) is not np.ndarray or z.dtype != np.float64 or z.shape != (h.ball.dim,)
+    if (type(z) is not np.ndarray or z.dtype is not _F64 or z.shape != (h.ball.dim,)
             or not math.isfinite(z.dot(z))):
         z = as_vector(z, h.ball.dim)
     # a finite z thresholded by a positive tau stays finite and keeps its shape

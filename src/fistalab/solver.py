@@ -25,8 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import (CompositeProblem, CountedProblem, EvalCounters, OracleError, _all_finite,
-                   _norm, as_vector)
+from .core import CompositeProblem, CountedProblem, EvalCounters, OracleError, _norm, as_vector
 
 __all__ = [
     "InvalidStartError",
@@ -130,7 +129,9 @@ class SolveResult:
 def next_momentum(a_prev: float) -> float:
     """Positive root of a*(a - 1) = a_prev**2; strictly increasing from a_prev.
 
-    The sequence starts at 1, so inputs below 1 are rejected.
+    The sequence starts at 1, so inputs below 1 are rejected.  `_iterate`
+    writes out the same expression, whose inputs are never below 1, and
+    tests/test_loop_reference.py checks the a_k it traces bit for bit.
     """
     if not a_prev >= 1.0:
         raise ValueError("momentum coefficient must be >= 1")
@@ -169,6 +170,7 @@ def _iterate(p: CompositeProblem, cfg: SolverConfig, y0: np.ndarray, step: float
     of 1/step.
     """
     cp = CountedProblem(p)
+    counters = cp.counters
     y0 = as_vector(y0, p.dim)
     L = p.lipschitz_L
     # positive estimates at or below this are rounding noise, so that convex
@@ -221,7 +223,8 @@ def _iterate(p: CompositeProblem, cfg: SolverConfig, y0: np.ndarray, step: float
                 v = grad_y - grad_x + inv_step * dx
             if momentum:
                 dy = y - y_prev
-                a_cur = next_momentum(a_prev)
+                # next_momentum(a_prev), written out: a_prev >= 1 here
+                a_cur = (1.0 + sqrt(1.0 + 4.0 * a_prev * a_prev)) / 2.0
                 beta = (a_prev - 1.0) / a_cur
                 x_next = y + beta * dy
             else:
@@ -237,7 +240,7 @@ def _iterate(p: CompositeProblem, cfg: SolverConfig, y0: np.ndarray, step: float
                 # entry for entry and has the same norm bit for bit
                 rows.append((k, a_cur, curvature, vn, fy + hy, dxn,
                              sqrt(dy.dot(dy)) if momentum else dxn,
-                             cp.counters.grad_evals, cp.counters.prox_evals))
+                             counters.grad_evals, counters.prox_evals))
                 if trace.ys is not None:
                     trace.ys.append(y.copy())
                     trace.vs.append(v.copy())
@@ -249,7 +252,8 @@ def _iterate(p: CompositeProblem, cfg: SolverConfig, y0: np.ndarray, step: float
             if derive:
                 dgrad = beta * (grad_y - grad_yprev)
                 grad_xn = grad_y + dgrad
-                if not _all_finite(grad_xn):
+                # core._all_finite, written out
+                if not (math.isfinite(grad_xn.dot(grad_xn)) or np.isfinite(grad_xn).all()):
                     raise OracleError("derived gradient at x_{k+1} is not finite")
             elif track_curvature:
                 fxn, grad_xn = cp.value_grad(x_next)
@@ -291,7 +295,7 @@ def _iterate(p: CompositeProblem, cfg: SolverConfig, y0: np.ndarray, step: float
 
     if trace is not None:
         trace._fill_columns(rows)
-    return SolveResult(status, y, v, k, trace, cp.counters)
+    return SolveResult(status, y, v, k, trace, counters)
 
 
 def run_mfista(p: CompositeProblem, cfg: SolverConfig, y0: np.ndarray) -> SolveResult:

@@ -596,7 +596,11 @@ def test_run_empty_instance_file_names_it(tmp_path, capsys):
     ("convex-qp seed=0 L=1.0 m=0.0\n1.0\n0.5\n-1.0\n1.0\n", "header has no n= field"),
     ("convex-qp n=1 seed=0 L=1.0 m=0.0\n1.0\nx\n-1.0\n1.0\n",
      "line 3: could not convert string to float: 'x'"),
-], ids=["header-field", "payload-line"])
+    ("convex-qp n=1 seed=0 L=nan m=0.0\n1.0\n0.5\n-1.0\n1.0\n",
+     "header field L='nan': expected a finite number"),
+    ("convex-qp n=1 seed=0 L=1.0 m=0.0\nnan\n0.5\n-1.0\n1.0\n",
+     "line 2: expected a finite number, got 'nan'"),
+], ids=["header-field", "payload-line", "non-finite-header-field", "non-finite-payload-entry"])
 def test_run_malformed_instance_file_names_file_and_fault(tmp_path, capsys, content, message):
     path = tmp_path / "bad.txt"
     path.write_text(content)
@@ -636,8 +640,17 @@ def test_check_oracle_without_a_key_names_file_and_key(tmp_path, capsys):
     ("y_star", ["0.5", 0.25, False], "key 'y_star' entry 2: expected a number, got bool"),
     ("phi_star", True, "key 'phi_star': expected a number, got bool"),
     ("kkt_residual", False, "key 'kkt_residual': expected a number, got bool"),
+    # json.dumps writes these floats as the literals NaN and -Infinity, which json.load takes
+    ("phi_star", "nan", "key 'phi_star': expected a finite number, got nan"),
+    ("phi_star", -math.inf, "key 'phi_star': expected a finite number, got -inf"),
+    ("kkt_residual", math.nan, "key 'kkt_residual': expected a finite number, got nan"),
+    ("kkt_residual", "inf", "key 'kkt_residual': expected a finite number, got inf"),
+    ("y_star", ["0.5", "-inf", "0.0"], "key 'y_star' entry 1: expected a finite number, got -inf"),
+    ("y_star", [0.5, 0.25, math.nan], "key 'y_star' entry 2: expected a finite number, got nan"),
 ], ids=["phi_star", "kkt_residual", "y_star-entry", "y_star-scalar", "y_star-booleans",
-        "y_star-last-boolean", "phi_star-boolean", "kkt_residual-boolean"])
+        "y_star-last-boolean", "phi_star-boolean", "kkt_residual-boolean", "phi_star-nan-string",
+        "phi_star-minus-infinity", "kkt_residual-nan", "kkt_residual-inf-string",
+        "y_star-minus-inf-string", "y_star-last-nan"])
 def test_check_oracle_with_a_bad_value_names_file_and_key(tmp_path, capsys, key, value, message):
     rundir = tmp_path / "r"
     assert run_cli("run", "--problem", "convex-qp", "--n", "3", "--seed", "4", "--trace", "full",

@@ -223,11 +223,14 @@ class Tagged(np.ndarray):
     lambda e: list(e),
     lambda e: np.array(e, dtype=np.float32),
     lambda e: np.array(e, dtype=">f8"),
+    # equal to np.float64 but not numpy's own descriptor object
+    lambda e: np.array(e, dtype=np.dtype(np.float64, metadata={"k": 1})),
     lambda e: np.array(e, dtype=float).view(Tagged),
     lambda e: np.array(e, dtype=np.int64),
     lambda e: np.array(e, dtype=float),
     lambda e: laid_out("strided", *e),
-], ids=["list", "float32", "big-endian", "subclass", "int64", "float64", "strided"])
+], ids=["list", "float32", "big-endian", "float64-metadata", "subclass", "int64", "float64",
+        "strided"])
 def test_checked_outputs_are_what_asarray_makes_of_them(make):
     # only a plain native float64 array skips the conversion, which would
     # return it unchanged; everything else is converted as before

@@ -480,6 +480,19 @@ def test_load_rejects_malformed(tmp_path):
          "line 3: expected 2 numbers, got 1"),
         (LASSO_2D.replace("\n0.3\n", "\n0.3 0.4\n"), "line 3: expected 1 numbers, got 2"),
         (LASSO_2D.replace("1.0 0.5", "1.0"), "line 2: expected 2 numbers, got 1"),
+        # every number must be finite, in the header and in the payload
+        (QP_1D.replace("L=1.0", "L=nan"), "header field L='nan': expected a finite number"),
+        (QP_1D.replace("m=0.0", "m=-inf"), "header field m='-inf': expected a finite number"),
+        (LASSO_2D.replace("lam=0.1", "lam=inf"), "header field lam='inf': expected a finite"),
+        (LASSO_2D.replace("radius=10.0", "radius=1e999"),
+         "header field radius='1e999': expected a finite number"),
+        (LASSO_2D.replace("L=1.0", "L=NaN"), "header field L='NaN': expected a finite number"),
+        (QP_1D.replace("\n1.0\n0.5", "\nnan\n0.5"), "line 2: expected a finite number, got 'nan'"),
+        (QP_1D.replace("\n0.5\n", "\n-inf\n"), "line 3: expected a finite number, got '-inf'"),
+        (QP_2D_HEADER + "1.0 0.0\n0.0 1.0\n0.1 0.2\n-1.0 -1.0\n1.0 Infinity\n",
+         "line 6: expected a finite number, got 'Infinity'"),
+        (LASSO_2D.replace("1.0 0.5", "1.0 1e400"), "line 2: expected a finite number, got '1e400'"),
+        (LASSO_2D.replace("\n0.3\n", "\nNaN\n"), "line 3: expected a finite number, got 'NaN'"),
     ]
     for content, message in cases:
         path.write_text(content)

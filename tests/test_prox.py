@@ -259,12 +259,19 @@ _PINS = [None, 0.0, -0.0, 1.0, -1.0]
 _TIES = [1.0, -1.0, 0.0, -0.0, None, None]
 
 
+# a float64 descriptor equal to np.float64 that is not numpy's own object
+_F64_METADATA = np.dtype(np.float64, metadata={"k": 1})
+
+
 def _input_forms(z):
-    """`z` as a list, as an int64, float32, big-endian, 0-d or 2-D array, one
-    entry short, and with NaN, +-inf or +-1e200 at each entry in turn, both
+    """`z` as a list, as an int64, float32, big-endian, 0-d or 2-D array, as
+    float64 under a descriptor with metadata (also with a NaN), one entry
+    short, and with NaN, +-inf or +-1e200 at each entry in turn, both
     contiguous and as a strided view."""
+    meta_nan = z.astype(_F64_METADATA)
+    meta_nan[0] = math.nan
     yield from (list(z), z.astype(np.int64), z.astype(np.float32), z.astype(">f8"),
-                np.array(z[0]), z.reshape(2, 3), z[:-1])
+                z.astype(_F64_METADATA), meta_nan, np.array(z[0]), z.reshape(2, 3), z[:-1])
     for i in range(z.size):
         for bad in (math.nan, math.inf, -math.inf, 1e200, -1e200):
             wide = np.full(2 * z.size, 7.0)

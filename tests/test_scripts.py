@@ -80,3 +80,20 @@ def test_bench_pairs_statistics_count_ties_for_neither_side():
     assert (c["wins"], c["gap"], c["claim"]) == (10, 3.0, True)
     c = compare([1.0] * 4, [1.0] * 4, "higher")
     assert (c["wins"], c["losses"], c["ties"], c["claim"]) == (0, 0, 4, False)
+
+
+def test_bench_pairs_no_regression_rule_scales_the_bound_by_the_parent_median():
+    compare = load_script("bench_pairs").compare
+    parent = [10.0, 11.0, 12.0, 13.0, 14.0]  # median 12
+    # lower is better: 25% of 12 is 3, so a median of 15 is at the bound
+    assert compare(parent, [p + 3.0 for p in parent], "lower", 0.25)["no_regression"]
+    assert not compare(parent, [p + 3.5 for p in parent], "lower", 0.25)["no_regression"]
+    # a change that is better, or that loses every pair by little, passes
+    assert compare(parent, [p - 5.0 for p in parent], "lower", 0.0)["no_regression"]
+    c = compare(parent, [p + 0.5 for p in parent], "lower", 0.25)
+    assert (c["losses"], c["no_regression"], c["claim"]) == (5, True, False)
+    # higher is better: 1% of a median of 1.0 allows 0.995, not 0.98
+    assert compare([1.0] * 3, [0.995] * 3, "higher", 0.01)["no_regression"]
+    assert not compare([1.0] * 3, [0.98] * 3, "higher", 0.01)["no_regression"]
+    # with no bound given, nothing is a regression
+    assert compare(parent, [p * 100 for p in parent], "lower")["no_regression"]

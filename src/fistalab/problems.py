@@ -15,6 +15,7 @@ import functools
 import itertools
 import json
 import math
+import operator
 from dataclasses import dataclass
 from typing import Optional
 
@@ -47,11 +48,51 @@ MAX_ENUM_DIM = 4   # active-set enumeration is 3^n reduced solves
 POLISH_EVERY = 50  # lasso_optimum's first FISTA block; each later block is twice as long
 
 
+class _FieldError(ValueError):
+    """A field that breaks its instance class's rules, at flat `index` of an array."""
+
+    def __init__(self, field: str, reason: str, index=None):
+        self.field, self.reason, self.index = field, reason, index
+        super().__init__(f"{field}: {reason}" + ("" if index is None else f" at entry {index}"))
+
+
+def _check_fields(inst, names, square: bool, positive) -> None:
+    """Check the rules both classes state; store each field as int, float or float64 array."""
+    if inst.kind not in inst.KINDS:
+        raise _FieldError("kind", f"expected one of {inst.KINDS}, got {inst.kind!r}")
+    inst.seed = operator.index(inst.seed)
+    for name in (*positive, "known_m"):
+        value = float(getattr(inst, name))
+        if not math.isfinite(value):
+            raise _FieldError(name, "expected a finite number")
+        if not (value > 0 if name in positive else value >= 0):
+            sign = "positive" if name in positive else "nonnegative"
+            raise _FieldError(name, f"must be {sign}, got {value!r}")
+        setattr(inst, name, value)
+    arrays = [np.asarray(getattr(inst, name), dtype=float) for name in names]
+    shape = arrays[0].shape
+    if len(shape) != 2 or 0 in shape or square and shape[0] != shape[1]:
+        raise _FieldError(names[0], f"expected a nonempty {'square ' * square}matrix, got {shape}")
+    for name, a in zip(names, arrays):
+        if a is not arrays[0] and a.shape != shape[:1]:
+            raise _FieldError(name, f"expected shape {shape[:1]}, got {a.shape}")
+        if not np.isfinite(a).all():  # the bad entry is searched for only to name it
+            raise _FieldError(name, "expected a finite number", int(np.argmin(np.isfinite(a))))
+        setattr(inst, name, a)
+
+
 @dataclass
 class QuadraticInstance:
-    """f(y) = 0.5 y'Qy + b'y over a box; constants from the exact spectrum."""
+    """f(y) = 0.5 y'Qy + b'y over a box; constants from the exact spectrum.
 
-    kind: str                # "convex-qp" or "nonconvex-qp"
+    Rules, checked at construction by a ValueError naming the field: kind in KINDS; Q
+    (n, n) and b, lower, upper (n,), all finite; lower <= upper; lipschitz_L > 0 and
+    known_m >= 0, both finite.  The box is built then: fields are read at construction only.
+    """
+
+    KINDS = ("convex-qp", "nonconvex-qp")
+    __slots__ = ("_box", "__dict__", "__weakref__")  # vars(), like eq, sees the fields alone
+    kind: str
     Q: np.ndarray
     b: np.ndarray
     lower: np.ndarray
@@ -59,6 +100,13 @@ class QuadraticInstance:
     lipschitz_L: float
     known_m: float
     seed: int
+
+    def __post_init__(self):
+        _check_fields(self, ("Q", "b", "lower", "upper"), True, ("lipschitz_L",))
+        above = self.lower > self.upper
+        if above.any():
+            raise _FieldError("upper", "expected upper >= lower", int(np.argmax(above)))
+        self._box = BoxSet(self.lower, self.upper)
 
     @property
     def dim(self) -> int:
@@ -76,7 +124,7 @@ class QuadraticInstance:
         return 0.5 * float(y.dot(Qy)) + float(self.b.dot(y)), Qy + self.b
 
     def box(self) -> BoxSet:
-        return BoxSet(self.lower, self.upper)
+        return self._box
 
 
 @dataclass
@@ -85,9 +133,15 @@ class LassoOnBallInstance:
 
     The radius is padding only: it is set well clear of the unconstrained
     solution so the bounded-domain assumption holds without binding.
+
+    Rules, checked at construction by a ValueError naming the field: kind in KINDS; A
+    (rows, n) and target (rows,), all finite; weight, radius, lipschitz_L > 0 and
+    known_m >= 0, all finite.  The regularizer is built then: fields are read then only.
     """
 
-    kind: str                # always "lasso-ball"
+    KINDS = ("lasso-ball",)
+    __slots__ = ("_h", "__dict__", "__weakref__")  # vars(), like eq, sees the fields alone
+    kind: str
     A: np.ndarray
     target: np.ndarray
     weight: float
@@ -95,6 +149,10 @@ class LassoOnBallInstance:
     lipschitz_L: float
     seed: int
     known_m: float = 0.0
+
+    def __post_init__(self):
+        _check_fields(self, ("A", "target"), False, ("weight", "radius", "lipschitz_L"))
+        self._h = L1OnBall(self.weight, BallSet(self.dim, self.radius))
 
     @property
     def dim(self) -> int:
@@ -114,7 +172,7 @@ class LassoOnBallInstance:
         return 0.5 * float(r.dot(r)), r.dot(self.A)
 
     def regularizer(self) -> L1OnBall:
-        return L1OnBall(self.weight, BallSet(self.dim, self.radius))
+        return self._h
 
 
 @dataclass
@@ -407,24 +465,22 @@ def _fmt_floats(values) -> str:
     return " ".join(repr(float(v)) for v in np.asarray(values).ravel())
 
 
+# each class's file layout: header keys after n (and a lasso's rows) -> fields, then the
+# payload's fields in line order: the matrix, n numbers a line, then the vectors, one a line
+_CONSTANTS = {"seed": "seed", "L": "lipschitz_L", "m": "known_m"}
+_LAYOUT = {QuadraticInstance: (_CONSTANTS, ("Q", "b", "lower", "upper")),
+           LassoOnBallInstance: ({**_CONSTANTS, "lam": "weight", "radius": "radius"},
+                                 ("A", "target"))}
+
+
 def save_instance(inst, path) -> None:
-    lines = []
-    if isinstance(inst, QuadraticInstance):
-        lines.append(f"{inst.kind} n={inst.dim} seed={inst.seed} "
-                     f"L={inst.lipschitz_L!r} m={inst.known_m!r}")
-        for row in inst.Q:
-            lines.append(_fmt_floats(row))
-        lines.append(_fmt_floats(inst.b))
-        lines.append(_fmt_floats(inst.lower))
-        lines.append(_fmt_floats(inst.upper))
-    elif isinstance(inst, LassoOnBallInstance):
-        lines.append(f"{inst.kind} n={inst.dim} rows={inst.A.shape[0]} seed={inst.seed} "
-                     f"L={inst.lipschitz_L!r} m=0.0 lam={inst.weight!r} radius={inst.radius!r}")
-        for row in inst.A:
-            lines.append(_fmt_floats(row))
-        lines.append(_fmt_floats(inst.target))
-    else:
+    if type(inst) not in _LAYOUT:
         raise TypeError(f"unknown instance type {type(inst).__name__}")
+    header, payload = _LAYOUT[type(inst)]
+    rows = f" rows={inst.A.shape[0]}" if isinstance(inst, LassoOnBallInstance) else ""
+    lines = [" ".join([f"{inst.kind} n={inst.dim}{rows}"]
+                      + [f"{key}={getattr(inst, name)!r}" for key, name in header.items()])]
+    lines += [_fmt_floats(row) for name in payload for row in np.atleast_2d(getattr(inst, name))]
     with open(path, "w", encoding="ascii") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -432,14 +488,18 @@ def save_instance(inst, path) -> None:
 def load_instance(path):
     """Read a save_instance file; errors name the path and the bad field or line.
 
-    Every number, in the header and the payload, must be finite.
+    It only parses; a refusal by the instance class is given the header field or line.
     """
     with open(path, encoding="ascii") as fh:
         lines = [(lineno, ln.split()) for lineno, ln in enumerate(fh, start=1) if ln.strip()]
     if not lines:
         raise ValueError(f"{path}: no instance header (the file is empty)")
     kind, *tokens = lines[0][1]
-    hdr = dict(tok.partition("=")[::2] for tok in tokens)
+    hdr = {}
+    for key, _, raw in (tok.partition("=") for tok in tokens):
+        if key in hdr:
+            raise ValueError(f"{path}: header field {key} is given twice")
+        hdr[key] = raw
 
     def field(key, conv):
         try:
@@ -455,21 +515,13 @@ def load_instance(path):
             raise ValueError("must be a positive integer")
         return value
 
-    def finite(text):
-        value = float(text)
-        if not math.isfinite(value):
-            raise ValueError("expected a finite number")
-        return value
-
-    # every payload line holds n numbers, except the lasso's target, which holds rows
-    n = field("n", positive_int)
-    if kind in ("convex-qp", "nonconvex-qp"):
-        widths = [n] * (n + 3)
-    elif kind == "lasso-ball":
-        rows = field("rows", positive_int)
-        widths = [n] * rows + [rows]
-    else:
+    cls = next((c for c in _LAYOUT if kind in c.KINDS), None)
+    if cls is None:
         raise ValueError(f"{path}: unknown instance kind {kind!r}")
+    header, payload = _LAYOUT[cls]
+    n = field("n", positive_int)
+    rows = field("rows", positive_int) if cls is LassoOnBallInstance else n
+    widths = [n] * rows + [rows] * (len(payload) - 1)
     if len(lines) - 1 != len(widths):
         raise ValueError(f"{path}: expected {len(widths)} payload lines, got {len(lines) - 1}")
     body = []
@@ -481,18 +533,17 @@ def load_instance(path):
             body.append(np.array(values, dtype=float))
         except ValueError as e:
             raise ValueError(f"{path}: line {lineno}: {e}") from None
-    # one test over the whole payload; the lines are searched only to name a bad one
-    if not np.isfinite(np.concatenate(body)).all():
-        for (lineno, values), row in zip(lines[1:], body):
-            bad = np.flatnonzero(~np.isfinite(row))
-            if bad.size:
-                raise ValueError(f"{path}: line {lineno}: expected a finite number, "
-                                 f"got {values[bad[0]]!r}")
-    if kind == "lasso-ball":
-        return LassoOnBallInstance(kind, np.vstack(body[:rows]), body[rows], field("lam", finite),
-                                   field("radius", finite), field("L", finite), field("seed", int))
-    return QuadraticInstance(kind, np.vstack(body[:n]), body[n], body[n + 1], body[n + 2],
-                             field("L", finite), field("m", finite), field("seed", int))
+    constants = {name: field(key, int if key == "seed" else float) for key, name in header.items()}
+    try:
+        return cls(kind, np.vstack(body[:rows]), *body[rows:], **constants)
+    except _FieldError as e:
+        if e.index is None:
+            key = next(key for key, name in header.items() if name == e.field)
+            raise ValueError(f"{path}: header field {key}={hdr[key]!r}: {e.reason}") from None
+        at = payload.index(e.field)
+        line, col = divmod(e.index, n) if at == 0 else (rows + at - 1, e.index)
+        lineno, values = lines[1 + line]
+        raise ValueError(f"{path}: line {lineno}: {e.reason}, got {values[col]!r}") from None
 
 
 def _load_json_object(path, keys=()) -> dict:

@@ -433,6 +433,22 @@ def test_sweep_summary(tmp_path, capsys):
     float(lines[1].split(",")[5])  # slope column parses (may be nan)
 
 
+def test_sweep_records_an_invalid_instance_file_and_keeps_going(tmp_path, capsys):
+    good = tmp_path / "qp.txt"
+    run_cli("gen", "--kind", "convex-qp", "--n", "4", "--seed", "8", "--out", str(good))
+    bad = tmp_path / "zero-L.txt"
+    bad.write_text("convex-qp n=1 seed=0 L=0.0 m=0.0\n1.0\n0.5\n-1.0\n1.0\n")
+    cfg_path = tmp_path / "sweep.json"
+    cfg_path.write_text(json.dumps({"instances": [str(good), str(bad), str(good)],
+                                    "solvers": ["mfista"], "epsilons": [1e-7]}))
+    assert run_cli("sweep", str(cfg_path), "--out", str(tmp_path / "sw")) == 1
+    rows = (tmp_path / "sw" / "summary.csv").read_text().splitlines()[1:]
+    message = f"error: {bad}: header field L='0.0': must be positive, got 0.0"
+    assert [row.split(",", 6)[6] for row in rows] == ["converged", message, "converged"]
+    assert rows[1].startswith("zero-L,mfista,1e-07,-1,nan,nan,")
+    assert message in capsys.readouterr().err
+
+
 def test_sweep_slope_is_nan_on_short_traces(tmp_path):
     # a trace too short for fit_rate's grid gets slope nan, a long one a number
     config = {"instances": [{"kind": "convex-qp", "n": 4, "seed": 2}],
@@ -600,7 +616,14 @@ def test_run_empty_instance_file_names_it(tmp_path, capsys):
      "header field L='nan': expected a finite number"),
     ("convex-qp n=1 seed=0 L=1.0 m=0.0\nnan\n0.5\n-1.0\n1.0\n",
      "line 2: expected a finite number, got 'nan'"),
-], ids=["header-field", "payload-line", "non-finite-header-field", "non-finite-payload-entry"])
+    ("convex-qp n=1 seed=0 L=0.0 m=0.0\n1.0\n0.5\n-1.0\n1.0\n",
+     "header field L='0.0': must be positive, got 0.0"),
+    ("lasso-ball n=2 rows=1 seed=0 L=1.0 m=0.0 lam=0.1 radius=-1.0\n1.0 0.5\n0.3\n",
+     "header field radius='-1.0': must be positive, got -1.0"),
+    ("convex-qp n=2 seed=0 L=1.0 m=0.0\n1.0 0.0\n0.0 1.0\n0.1 0.2\n-1.0 0.0\n1.0 -1.0\n",
+     "line 6: expected upper >= lower, got '-1.0'"),
+], ids=["header-field", "payload-line", "non-finite-header-field", "non-finite-payload-entry",
+        "zero-lipschitz", "negative-radius", "upper-below-lower"])
 def test_run_malformed_instance_file_names_file_and_fault(tmp_path, capsys, content, message):
     path = tmp_path / "bad.txt"
     path.write_text(content)

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import re
@@ -26,7 +27,8 @@ def qp(Q, b, lo=None, hi=None, m=None):
     b = np.asarray(b, dtype=float)
     n = b.size
     ev = np.linalg.eigvalsh(Q)
-    L = float(np.max(np.abs(ev)))
+    # any positive number is a Lipschitz constant of a constant gradient
+    L = float(np.max(np.abs(ev))) or 1.0
     known_m = float(max(0.0, -ev[0])) if m is None else m
     kind = "convex-qp" if known_m == 0.0 else "nonconvex-qp"
     lo = -np.ones(n) if lo is None else np.asarray(lo, dtype=float)
@@ -423,6 +425,86 @@ def test_lasso_round_trip(tmp_path):
     assert p.smooth_value(y) == to_problem(inst).smooth_value(y)
 
 
+@pytest.mark.parametrize("number", [np.float64, np.int64])
+def test_round_trip_of_numpy_scalar_constants(tmp_path, number):
+    # the constants are stored as Python numbers, so the header holds their
+    # plain repr, never 'np.float64(1.0)', and the file loads back
+    seed = np.int64(3)
+    qp_inst = QuadraticInstance("nonconvex-qp", np.eye(2), np.zeros(2), -np.ones(2), np.ones(2),
+                                number(2), number(1), seed)
+    lasso = LassoOnBallInstance("lasso-ball", np.ones((1, 2)), np.ones(1), number(1),
+                                number(10), number(2), seed, number(0))
+    for inst, names in ((qp_inst, ("lipschitz_L", "known_m")),
+                        (lasso, ("lipschitz_L", "known_m", "weight", "radius"))):
+        assert type(inst.seed) is int and inst.seed == 3
+        for name in names:
+            assert type(getattr(inst, name)) is float, name
+        path = tmp_path / f"{inst.kind}.txt"
+        save_instance(inst, path)
+        assert " seed=3 L=2.0 " in path.read_text()
+        back = load_instance(path)
+        for name in ("seed", *names):
+            assert getattr(back, name) == getattr(inst, name), name
+        path2 = tmp_path / "again.txt"
+        save_instance(back, path2)
+        assert path2.read_bytes() == path.read_bytes()
+
+
+def test_sets_are_built_once_outside_the_fields():
+    # box() and regularizer() return the set built at construction, which
+    # sits in a slot: vars() holds the fields alone, so a field-by-field
+    # comparison of two instances never meets a set of arrays
+    _, qp_inst = make_convex_qp(3, 1)
+    _, lasso = make_lasso_on_ball(3, 2, 1)
+    assert qp_inst.box() is qp_inst.box()
+    assert lasso.regularizer() is lasso.regularizer()
+    for inst in (qp_inst, lasso):
+        assert set(vars(inst)) == {f.name for f in dataclasses.fields(inst)}
+
+
+def _valid_fields(cls):
+    if cls is QuadraticInstance:
+        return dict(kind="convex-qp", Q=np.eye(2), b=np.zeros(2), lower=-np.ones(2),
+                    upper=np.ones(2), lipschitz_L=1.0, known_m=0.0, seed=0)
+    return dict(kind="lasso-ball", A=np.ones((1, 2)), target=np.ones(1), weight=0.1,
+                radius=10.0, lipschitz_L=1.0, seed=0)
+
+
+@pytest.mark.parametrize("cls,field,value", [
+    (QuadraticInstance, "kind", "lasso-ball"),
+    (QuadraticInstance, "Q", np.ones((2, 3))),
+    (QuadraticInstance, "Q", np.ones(2)),
+    (QuadraticInstance, "Q", np.array([[1.0, 0.0], [0.0, np.nan]])),
+    (QuadraticInstance, "b", np.zeros(3)),
+    (QuadraticInstance, "b", np.array([0.0, np.inf])),
+    (QuadraticInstance, "lower", -np.ones((2, 1))),
+    (QuadraticInstance, "lower", np.array([-np.inf, -1.0])),
+    (QuadraticInstance, "upper", np.array([1.0, np.nan])),
+    (QuadraticInstance, "upper", np.array([1.0, -2.0])),  # below its lower bound
+    (QuadraticInstance, "lipschitz_L", 0.0),
+    (QuadraticInstance, "lipschitz_L", -1.0),
+    (QuadraticInstance, "lipschitz_L", np.inf),
+    (QuadraticInstance, "known_m", -0.5),
+    (QuadraticInstance, "known_m", np.nan),
+    (LassoOnBallInstance, "kind", "convex-qp"),
+    (LassoOnBallInstance, "A", np.ones(2)),
+    (LassoOnBallInstance, "A", np.ones((0, 2))),
+    (LassoOnBallInstance, "A", np.array([[1.0, np.nan]])),
+    (LassoOnBallInstance, "target", np.ones(2)),
+    (LassoOnBallInstance, "target", np.array([-np.inf])),
+    (LassoOnBallInstance, "weight", 0.0),
+    (LassoOnBallInstance, "weight", np.nan),
+    (LassoOnBallInstance, "radius", -1.0),
+    (LassoOnBallInstance, "radius", np.inf),
+    (LassoOnBallInstance, "lipschitz_L", 0.0),
+    (LassoOnBallInstance, "known_m", -1.0),
+])
+def test_construction_refuses_an_invalid_field_by_name(cls, field, value):
+    cls(**_valid_fields(cls))
+    with pytest.raises(ValueError, match=f"^{field}: "):
+        cls(**{**_valid_fields(cls), field: value})
+
+
 EDGE_FLOATS = [-0.0, 5e-324, 1.7976931348623157e308, -5e-324, -1.7976931348623157e308, 0.0]
 
 
@@ -431,7 +513,9 @@ def test_round_trip_keeps_signed_zero_subnormal_and_largest_double(tmp_path):
     # equate 0.0 with -0.0; the raw bytes do not)
     edge = np.array(EDGE_FLOATS)
     Q = np.array([np.roll(edge, i)[:3] for i in range(3)])
-    qp_inst = QuadraticInstance("nonconvex-qp", Q, edge[3:], edge[:3], edge[::2], 1.0, 0.5, 1)
+    # the bounds keep lower <= upper and stay clear of the largest doubles
+    qp_inst = QuadraticInstance("nonconvex-qp", Q, edge[3:], edge[[0, 3, 5]], edge[[5, 1, 5]],
+                                1.0, 0.5, 1)
     lasso = LassoOnBallInstance("lasso-ball", edge.reshape(2, 3), edge[:2], 0.1, 10.0, 1.0, 2)
     for inst, arrays in ((qp_inst, ("Q", "b", "lower", "upper")), (lasso, ("A", "target"))):
         path = tmp_path / f"{inst.kind}.txt"
@@ -469,6 +553,7 @@ def test_load_rejects_malformed(tmp_path):
         (QP_1D.replace("n=1", "n=0"), "header field n='0': must be a positive integer"),
         (QP_1D.replace("n=1", "n=-3"), "header field n='-3': must be a positive integer"),
         (LASSO_2D.replace("rows=1", "rows=0"), "header field rows='0': must be a positive integer"),
+        (LASSO_2D.replace(" m=0.0", ""), "header has no m= field"),
         (LASSO_2D.replace(" lam=0.1", ""), "header has no lam= field"),
         (LASSO_2D.replace("lam=0.1", "lam=x"), "header field lam='x': could not convert"),
         (LASSO_2D.replace(" radius=10.0", ""), "header has no radius= field"),
@@ -493,6 +578,18 @@ def test_load_rejects_malformed(tmp_path):
          "line 6: expected a finite number, got 'Infinity'"),
         (LASSO_2D.replace("1.0 0.5", "1.0 1e400"), "line 2: expected a finite number, got '1e400'"),
         (LASSO_2D.replace("\n0.3\n", "\nNaN\n"), "line 3: expected a finite number, got 'NaN'"),
+        (QP_2D_HEADER + "1.0 0.0\n0.0 nan\n0.1 0.2\n-1.0 -1.0\n1.0 1.0\n",
+         "line 3: expected a finite number, got 'nan'"),
+        # in range: L, lam and radius positive, m nonnegative, every lower <= its upper
+        (QP_1D.replace("L=1.0", "L=0.0"), "header field L='0.0': must be positive, got 0.0"),
+        (QP_1D.replace("m=0.0", "m=-0.5"), "header field m='-0.5': must be nonnegative, got -0.5"),
+        (LASSO_2D.replace("lam=0.1", "lam=0.0"), "header field lam='0.0': must be positive, got 0.0"),
+        (LASSO_2D.replace("radius=10.0", "radius=-1.0"),
+         "header field radius='-1.0': must be positive, got -1.0"),
+        (QP_2D_HEADER + "1.0 0.0\n0.0 1.0\n0.1 0.2\n-1.0 0.0\n1.0 -1.0\n",
+         "line 6: expected upper >= lower, got '-1.0'"),
+        # a header key given twice
+        (QP_1D.replace("m=0.0", "m=0.0 L=5.0"), "header field L is given twice"),
     ]
     for content, message in cases:
         path.write_text(content)

@@ -17,6 +17,10 @@ interquartile spread.  The no-regression rule: the change's median not worse
 than REV's by more than the metric's `bound` times REV's median.  Quartiles
 interpolate linearly between order statistics (statistics.quantiles, method
 "inclusive").
+
+A run that exits nonzero ends the comparison: the script prints its side,
+seed, exit code and the end of its stderr, then the summary over the pairs
+that completed, and exits 1.
 """
 
 from __future__ import annotations
@@ -33,6 +37,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
+# how much of a failed run's stderr is printed
+STDERR_TAIL_LINES = 20
 
 
 def quartiles(values) -> tuple[float, float, float]:
@@ -80,13 +86,23 @@ def extract(rev: str, dest: Path) -> Path:
     return root
 
 
+class RunFailed(Exception):
+    """A benchmark run exited nonzero."""
+
+    def __init__(self, returncode: int, stderr: str):
+        super().__init__(f"benchmark exited {returncode}")
+        self.returncode = returncode
+        self.stderr = stderr
+
+
 def run_side(root: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One benchmark run with `root` as working directory; its final JSON object."""
+    """One benchmark run with `root` as working directory; its final JSON
+    object.  Raises RunFailed when the run exits nonzero."""
     cmd = [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", workload,
            "--seed", str(seed), "--seconds", f"{seconds:g}", "--trace", "0"]
     proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
     if proc.returncode != 0:
-        raise SystemExit(f"error: benchmark in {root} exited {proc.returncode}:\n{proc.stderr}")
+        raise RunFailed(proc.returncode, proc.stderr)
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
@@ -106,20 +122,35 @@ def main(argv=None) -> int:
         ap.error("--pairs must be >= 1")
 
     results = {"parent": [], "change": []}
+    failed = False
     with tempfile.TemporaryDirectory(prefix="bench_pairs-") as tmp:
         sides = {"parent": extract(args.rev, Path(tmp)), "change": ROOT}
         for i in range(args.pairs):
             seed = args.seed0 + i
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-            for side in order:
-                out = run_side(sides[side], args.workload, seed, args.seconds)
+            pair = {}
+            try:
+                for side in order:
+                    out = pair[side] = run_side(sides[side], args.workload, seed, args.seconds)
+                    vals = " ".join(f"{k}={v['value']}" for k, v in out["metrics"].items())
+                    print(f"pair {i + 1} seed {seed} {side}: correct={out['correct']} "
+                          f"failed={out['failed']}/{out['attempted']} {vals}", flush=True)
+            except RunFailed as e:
+                # the pairs already finished are still summarised below
+                tail = "\n".join(e.stderr.splitlines()[-STDERR_TAIL_LINES:])
+                print(f"error: pair {i + 1} seed {seed} {side}: {e}; its stderr ends:\n{tail}",
+                      file=sys.stderr, flush=True)
+                failed = True
+                break
+            for side, out in pair.items():
                 results[side].append(out)
-                vals = " ".join(f"{k}={v['value']}" for k, v in out["metrics"].items())
-                print(f"pair {i + 1} seed {seed} {side}: correct={out['correct']} "
-                      f"failed={out['failed']}/{out['attempted']} {vals}", flush=True)
 
+    done = len(results["parent"])
+    if not done:
+        print(f"# {args.workload}: no pair completed")
+        return 1
     print(f"# {args.workload}: {args.rev} (parent) against this tree (change), "
-          f"{args.pairs} pairs, seeds {args.seed0}-{args.seed0 + args.pairs - 1}, "
+          f"{done} pairs, seeds {args.seed0}-{args.seed0 + done - 1}, "
           f"--seconds {args.seconds:g}; median [first quartile, third quartile]")
     for spec in SPEC["end_to_end"]:
         name = spec["name"]
@@ -139,7 +170,7 @@ def main(argv=None) -> int:
         print(f"{side}: correct in {sum(r['correct'] for r in runs)}/{len(runs)} runs, "
               f"failed operations {sum(r['failed'] for r in runs)}"
               f"/{sum(r['attempted'] for r in runs)}")
-    return 0
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

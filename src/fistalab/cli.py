@@ -7,6 +7,7 @@ repr, so files round-trip bit-identically.
 from __future__ import annotations
 
 import argparse
+import csv
 import functools
 import json
 import math
@@ -398,8 +399,11 @@ def _sweep_cells(matrix: dict, outdir: Path) -> list[list[tuple[str, RunConfig]]
                     **shared, **spec, "solver": solver, "eps": eps,
                     "out": str(outdir / f"cell-{count:03d}")})
                 cfg.validate()
+                # plus the generator settings the entry sets, which tell its instance apart
                 label = (Path(cfg.instance).stem if cfg.instance is not None
-                         else f"{cfg.problem}-n{cfg.n}-seed{cfg.seed}")
+                         else f"{cfg.problem}-n{cfg.n}-seed{cfg.seed}" + "".join(
+                             f"-{key}{getattr(cfg, key)}" for key in ("rows", "negfrac", "cond")
+                             if spec.get(key) is not None))
                 cells.append((label, cfg))
         entries.append(cells)
     return entries
@@ -443,10 +447,10 @@ def cmd_sweep(args) -> int:
             worst = max(worst, EXIT_OK if result.converged else EXIT_NOT_CONVERGED)
 
     summary = outdir / "summary.csv"
-    with open(summary, "w", encoding="ascii", newline="\n") as fh:
+    with open(summary, "w", encoding="ascii", newline="") as fh:
         fh.write("instance,solver,eps,iterations,final_vnorm,slope,status\n")
-        for r in rows:
-            fh.write(f"{r[0]},{r[1]},{r[2]!r},{r[3]},{r[4]!r},{r[5]!r},{r[6]}\n")
+        # quotes a field that holds a comma or a quote; a float is written as its repr
+        csv.writer(fh, lineterminator="\n").writerows(rows)
     print(f"sweep finished: {len(rows)} cells, summary in {summary}")
     return worst
 

@@ -92,7 +92,7 @@ class CompositeProblem:
     smooth_grad(y))` from one shared computation, the same numbers as the
     two separate calls; the solvers use it wherever they need both at one
     point.  `h_prox_value(z, t)`, when given, likewise returns `(h_prox(z, t),
-    h_value(h_prox(z, t)))` bit for bit from one computation; a traced run
+    h_value(h_prox(z, t)))` bit for bit from one computation; every run
     uses it for the prox step.  None means separate calls.  A fused field is
     not derived from the fields it fuses: a `dataclasses.replace` that swaps
     `smooth_value` or `smooth_grad` must replace `smooth_value_grad` too or

@@ -143,13 +143,11 @@ def _project_ball(s: BallSet, z: np.ndarray) -> np.ndarray:
 
 def prox_box_indicator(b: BoxSet, z: np.ndarray, t: float) -> np.ndarray:
     """Prox of the box indicator: projection, for every step t > 0."""
-    if not t > 0:
-        raise ValueError("t must be positive")
-    return as_vector(z, b.dim).clip(b.lower, b.upper)
+    return _prox_value_box(b, z, t)[0]
 
 
 def _prox_value_box(b: BoxSet, z: np.ndarray, t: float) -> tuple[np.ndarray, float]:
-    """(prox_box_indicator(b, z, t), b.h_value of it): the clip lies in the box."""
+    """(the projection of z onto the box, b.h_value of it): the clip lies in the box."""
     if not t > 0:
         raise ValueError("t must be positive")
     # a native float64 vector of the box's shape whose square sums finitely

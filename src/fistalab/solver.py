@@ -160,14 +160,14 @@ def _iterate(p: CompositeProblem, cfg: SolverConfig, y0: np.ndarray, step: float
     method's arithmetic is written.
 
     Per iteration: a prox step at x_k from the gradient in hand (which
-    also returns h(y_k) when the run is traced), the gradient at y_k, the
-    residual v_k and the stopping test, then x_{k+1} (y_k extrapolated with
-    `momentum` and, past the stopping test, projected with `project`, else
-    y_k itself) and its gradient, which is derived when f is declared
-    quadratic and x_{k+1} is not projected.  With `track_curvature` the
-    shift is re-estimated from the linearization gap at x_{k+1}.  `inv_step`
-    comes separately from `step` so that each solver keeps its own rounding
-    of 1/step.
+    also returns h(y_k), so that every run refuses a y_k outside dom h),
+    the gradient at y_k, the residual v_k and the stopping test, then
+    x_{k+1} (y_k extrapolated with `momentum` and, past the stopping test,
+    projected with `project`, else y_k itself) and its gradient, which is
+    derived when f is declared quadratic and x_{k+1} is not projected.
+    With `track_curvature` the shift is re-estimated from the linearization
+    gap at x_{k+1}.  `inv_step` comes separately from `step` so that each
+    solver keeps its own rounding of 1/step.
     """
     cp = CountedProblem(p)
     counters = cp.counters
@@ -205,11 +205,10 @@ def _iterate(p: CompositeProblem, cfg: SolverConfig, y0: np.ndarray, step: float
             # 0.0 * w, which could turn a -0.0 entry into +0.0: the iterates
             # stay those of curvature-free FISTA bit for bit
             model_grad = grad_x + curvature * (x - y_prev) if curvature else grad_x
-            if trace is None:
-                y = cp.prox(x - step * model_grad, step)
-            else:
-                # h(y_k) for phi, from the call that produced y_k
-                y, hy = cp.prox_value(x - step * model_grad, step)
+            # h(y_k) from the call that produced y_k; v certifies nothing outside dom h
+            y, hy = cp.prox_value(x - step * model_grad, step)
+            if math.isinf(hy):
+                raise OracleError("iterate left dom h (h_value is +inf)")
             if need_f:
                 fy, grad_y = cp.value_grad(y)
             else:
@@ -233,8 +232,6 @@ def _iterate(p: CompositeProblem, cfg: SolverConfig, y0: np.ndarray, step: float
             # root of one dot product, as _norm and np.linalg.norm take it
             vn = sqrt(v.dot(v))
             if trace is not None:
-                if math.isinf(hy):
-                    raise OracleError("iterate left dom h (h_value is +inf)")
                 dxn = sqrt(dx.dot(dx))
                 # without momentum x_k is y_{k-1}, so y_k - y_{k-1} is -(x_k - y_k)
                 # entry for entry and has the same norm bit for bit

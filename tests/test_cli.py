@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import json
 import math
@@ -424,8 +425,9 @@ def test_sweep_summary(tmp_path, capsys):
     lines = (tmp_path / "sw" / "summary.csv").read_text().splitlines()
     assert lines[0] == "instance,solver,eps,iterations,final_vnorm,slope,status"
     assert len(lines) == 1 + 4 * 2  # instances x solvers x epsilons
-    # a file is labelled by its stem, whether named bare or under an instance key
-    labels = ["qp", "nonconvex-qp-n4-seed1", "lasso-ball-n6-seed2", "qp"]
+    # a file is labelled by its stem, whether named bare or under an instance key;
+    # a generated instance by its kind, n, seed and the generator settings it sets
+    labels = ["qp", "nonconvex-qp-n4-seed1", "lasso-ball-n6-seed2-rows4", "qp"]
     assert [ln.split(",")[0] for ln in lines[1:]] == [lab for lab in labels for _ in range(2)]
     assert code in (0, 2)
     statuses = [ln.split(",")[-1] for ln in lines[1:]]
@@ -443,10 +445,33 @@ def test_sweep_records_an_invalid_instance_file_and_keeps_going(tmp_path, capsys
                                     "solvers": ["mfista"], "epsilons": [1e-7]}))
     assert run_cli("sweep", str(cfg_path), "--out", str(tmp_path / "sw")) == 1
     rows = (tmp_path / "sw" / "summary.csv").read_text().splitlines()[1:]
+    # the message holds a comma, so its field is quoted and the row still
+    # reads as the header's 7 fields
     message = f"error: {bad}: header field L='0.0': must be positive, got 0.0"
-    assert [row.split(",", 6)[6] for row in rows] == ["converged", message, "converged"]
+    fields = list(csv.reader(rows))
+    assert [len(f) for f in fields] == [7, 7, 7]
+    assert [f[6] for f in fields] == ["converged", message, "converged"]
     assert rows[1].startswith("zero-L,mfista,1e-07,-1,nan,nan,")
     assert message in capsys.readouterr().err
+
+
+def test_sweep_labels_each_generated_instance_by_the_settings_it_sets(tmp_path):
+    # entries differing only in cond, negfrac or rows are different instances;
+    # a setting shared by every cell is not part of any entry's label
+    config = {"instances": [{"kind": "convex-qp", "n": 8, "cond": 10.0},
+                            {"kind": "convex-qp", "n": 8, "cond": 1000.0},
+                            {"kind": "convex-qp", "n": 8},
+                            {"kind": "nonconvex-qp", "n": 8, "negfrac": 0.5},
+                            {"kind": "lasso-ball", "n": 8, "rows": 6, "seed": 1}],
+              "solvers": ["mfista"], "epsilons": [1e-6], "max_iters": 5}
+    cfg_path = tmp_path / "sweep.json"
+    cfg_path.write_text(json.dumps(config))
+    run_cli("sweep", str(cfg_path), "--out", str(tmp_path / "sw"))
+    with open(tmp_path / "sw" / "summary.csv", newline="") as fh:
+        labels = [row[0] for row in csv.reader(fh)][1:]
+    assert labels == ["convex-qp-n8-seed0-cond10.0", "convex-qp-n8-seed0-cond1000.0",
+                      "convex-qp-n8-seed0", "nonconvex-qp-n8-seed0-negfrac0.5",
+                      "lasso-ball-n8-seed1-rows6"]
 
 
 def test_sweep_slope_is_nan_on_short_traces(tmp_path):

@@ -295,7 +295,7 @@ def _input_forms(z):
 @settings(max_examples=150, deadline=None)
 def test_fused_prox_value_is_prox_then_h_value(name, u, scale, pins, strided, t):
     # the fused operator returns the prox and h at it, bit for bit, which is
-    # what lets a traced run skip the separate h_value call
+    # what lets a run skip the separate h_value call
     h, prox, fused, edge = _FUSED[name]
     z = scale * edge(h, u)
     tau = t * getattr(h, "weight", 1.0)

@@ -97,3 +97,44 @@ def test_bench_pairs_no_regression_rule_scales_the_bound_by_the_parent_median():
     assert not compare([1.0] * 3, [0.98] * 3, "higher", 0.01)["no_regression"]
     # with no bound given, nothing is a regression
     assert compare(parent, [p * 100 for p in parent], "lower")["no_regression"]
+
+
+def test_bench_pairs_summarises_the_finished_pairs_when_a_run_fails(monkeypatch, capsys):
+    bp = load_script("bench_pairs")
+    calls = []
+
+    def run_side(root, workload, seed, seconds):
+        calls.append((root, seed))
+        if len(calls) == 6:  # pair 3's second run, the change's
+            raise bp.RunFailed(3, "".join(f"line {i}\n" for i in range(30)))
+        value = 10.0 if root == bp.ROOT else 11.0
+        return {"correct": True, "failed": 0, "attempted": 4,
+                "metrics": {m["name"]: {"value": value} for m in bp.SPEC["end_to_end"]}}
+
+    monkeypatch.setattr(bp, "extract", lambda rev, dest: dest / "rev")
+    monkeypatch.setattr(bp, "run_side", run_side)
+    assert bp.main(["HEAD", "--workload", "small-batch", "--pairs", "5", "--seed0", "7"]) == 1
+    assert len(calls) == 6  # no run after the failed one
+    out, err = capsys.readouterr()
+    assert err.startswith("error: pair 3 seed 9 change: benchmark exited 3; its stderr ends:\n")
+    assert err.splitlines()[1:] == [f"line {i}" for i in range(30 - bp.STDERR_TAIL_LINES, 30)]
+    # pair 3's parent run finished, but its pair did not, so it is left out
+    assert "2 pairs, seeds 7-8," in out
+    assert "parent: correct in 2/2 runs, failed operations 0/8" in out
+    assert "change: correct in 2/2 runs, failed operations 0/8" in out
+    assert sum(ln.startswith(m["name"] + " (") for ln in out.splitlines()
+               for m in bp.SPEC["end_to_end"]) == len(bp.SPEC["end_to_end"])
+
+
+def test_bench_pairs_exits_1_when_no_pair_finishes(monkeypatch, capsys):
+    bp = load_script("bench_pairs")
+
+    def run_side(root, workload, seed, seconds):
+        raise bp.RunFailed(2, "boom\n")
+
+    monkeypatch.setattr(bp, "extract", lambda rev, dest: dest / "rev")
+    monkeypatch.setattr(bp, "run_side", run_side)
+    assert bp.main(["HEAD", "--workload", "artifacts"]) == 1
+    out, err = capsys.readouterr()
+    assert err == "error: pair 1 seed 1 parent: benchmark exited 2; its stderr ends:\nboom\n"
+    assert out == "# artifacts: no pair completed\n"

@@ -328,7 +328,7 @@ def test_non_finite_oracle_output_names_its_iteration(field, bad_call, iteration
 
 
 def test_h_value_nan_names_its_iteration():
-    # h is evaluated once at the start point, then once per traced iteration
+    # h is evaluated once at the start point, then once per iteration
     p = convex_1d()
     p = dataclasses.replace(p, h_value=fail_on_call(p.h_value, 4, math.nan))
     with pytest.raises(OracleError, match="^iteration 3: h_value returned NaN$"):
@@ -349,20 +349,42 @@ def test_h_value_at_the_start_point_is_validated(record_trace):
         run_mfista(inf_first, cfg, np.zeros(1))
 
 
-@pytest.mark.parametrize("solve", [
-    lambda p, cfg, y0: run_mfista(p, cfg, y0),
-    lambda p, cfg, y0: run_fista_baseline(p, cfg, y0, 1.0 / p.lipschitz_L),
-    lambda p, cfg, y0: run_proxgrad_baseline(p, cfg, y0),
-], ids=["mfista", "fista", "proxgrad"])
-def test_iterate_outside_dom_h_names_its_iteration_once(solve):
+# the three solvers at their canonical steps, each traced (id: its name) and
+# untraced (id: its name and "-untraced")
+SOLVE_CASES = [pytest.param(solve, record_trace, id=name if record_trace else f"{name}-untraced")
+               for record_trace in (True, False) for name, solve in (
+                   ("mfista", lambda p, cfg, y0: run_mfista(p, cfg, y0)),
+                   ("fista", lambda p, cfg, y0: run_fista_baseline(p, cfg, y0,
+                                                                   1.0 / p.lipschitz_L)),
+                   ("proxgrad", lambda p, cfg, y0: run_proxgrad_baseline(p, cfg, y0)))]
+
+
+@pytest.mark.parametrize("solve,record_trace", SOLVE_CASES)
+def test_iterate_outside_dom_h_names_its_iteration_once(solve, record_trace):
     # a finite prox output outside the box passes the oracle checks and is
-    # caught when the trace evaluates h at it, in the 3rd iteration; with L
-    # above the curvature no solver converges before that
+    # caught when h is evaluated at it, in the 3rd iteration, whether or not
+    # the run is traced; with L above the curvature no solver converges
+    # before that
     p = dataclasses.replace(convex_1d(), lipschitz_L=4.0)
     p = dataclasses.replace(p, h_prox=fail_on_call(p.h_prox, 3, np.array([5.0])))
+    cfg = SolverConfig(epsilon=1e-12, max_iters=50, record_trace=record_trace)
     with pytest.raises(OracleError) as info:
-        solve(p, SolverConfig(epsilon=1e-12, max_iters=50), np.zeros(1))
+        solve(p, cfg, np.zeros(1))
     assert str(info.value) == "iteration 3: iterate left dom h (h_value is +inf)"
+
+
+@pytest.mark.parametrize("record_trace", [False, True], ids=["untraced", "traced"])
+def test_prox_that_ignores_dom_h_certifies_nothing(record_trace):
+    # f(y) = (y - 3)^2 / 2 on [-1, 1] with an h_prox that forgets the box:
+    # its iterates run to y = 3, where v = 0 but h is +inf, so a converged
+    # status there would certify a point outside dom h
+    p = dataclasses.replace(box_problem(1, lambda y: 0.5 * float((y[0] - 3.0) ** 2),
+                                        lambda y: y - 3.0, 1.0),
+                            h_prox=lambda z, t: np.array(z, dtype=float))
+    cfg = SolverConfig(epsilon=1e-8, max_iters=500, record_trace=record_trace)
+    with pytest.raises(OracleError) as info:
+        run_mfista(p, cfg, np.zeros(1))
+    assert str(info.value) == "iteration 2: iterate left dom h (h_value is +inf)"
 
 
 def run_solver(solver, p, cfg, y0):
@@ -406,33 +428,45 @@ def fused_box_1d_prox(bad_call, bad_value):
     return prox_value
 
 
-@pytest.mark.parametrize("solve", [
-    lambda p, cfg, y0: run_mfista(p, cfg, y0),
-    lambda p, cfg, y0: run_fista_baseline(p, cfg, y0, 1.0 / p.lipschitz_L),
-    lambda p, cfg, y0: run_proxgrad_baseline(p, cfg, y0),
-], ids=["mfista", "fista", "proxgrad"])
+@pytest.mark.parametrize("solve,record_trace", SOLVE_CASES)
 @pytest.mark.parametrize("bad,message", [
     (math.inf, "iterate left dom h (h_value is +inf)"),
     (math.nan, "h_value returned NaN"),
 ], ids=["inf", "nan"])
-def test_fused_prox_value_failure_names_its_iteration(solve, bad, message):
-    # one fused prox per traced iteration, so its 3rd call is in iteration 3
+def test_fused_prox_value_failure_names_its_iteration(solve, record_trace, bad, message):
+    # one fused prox per iteration, so its 3rd call is in iteration 3
     p = dataclasses.replace(convex_1d(), lipschitz_L=4.0, h_prox_value=fused_box_1d_prox(3, bad))
+    cfg = SolverConfig(epsilon=1e-12, max_iters=50, record_trace=record_trace)
     with pytest.raises(OracleError) as info:
-        solve(p, SolverConfig(epsilon=1e-12, max_iters=50), np.zeros(1))
+        solve(p, cfg, np.zeros(1))
     assert str(info.value) == f"iteration 3: {message}"
 
 
-@pytest.mark.parametrize("make", [lambda: make_convex_qp(12, 3), lambda: make_nonconvex_qp(12, 3),
-                                  lambda: make_lasso_on_ball(12, 8, 3)],
-                         ids=["convex-qp", "nonconvex-qp", "lasso"])
-@pytest.mark.parametrize("solver", ["mfista", "fista", "fista-quarter", "proxgrad"])
+over_generated_families = pytest.mark.parametrize(
+    "make", [lambda: make_convex_qp(12, 3), lambda: make_nonconvex_qp(12, 3),
+             lambda: make_lasso_on_ball(12, 8, 3)], ids=["convex-qp", "nonconvex-qp", "lasso"])
+over_solvers = pytest.mark.parametrize("solver", ["mfista", "fista", "fista-quarter", "proxgrad"])
+
+
+@over_generated_families
+@over_solvers
 def test_traced_run_takes_h_from_the_fused_prox(make, solver, tmp_path):
-    # the generated problems fuse h into the prox, so a traced run evaluates
-    # h_value only at the start point; without the fused oracle it does so
-    # once more per iteration, and the run is the same bit for bit
+    assert_h_comes_from_the_fused_prox(make, solver, True, tmp_path)
+
+
+@over_generated_families
+@over_solvers
+def test_untraced_run_takes_h_from_the_fused_prox(make, solver, tmp_path):
+    assert_h_comes_from_the_fused_prox(make, solver, False, tmp_path)
+
+
+def assert_h_comes_from_the_fused_prox(make, solver, record_trace, tmp_path):
+    # the generated problems fuse h into the prox, so a run, traced or not,
+    # evaluates h_value only at the start point; without the fused oracle it
+    # does so once more per iteration, and the run is the same bit for bit
     p, _ = make()
-    cfg = SolverConfig(epsilon=1e-7, max_iters=400, trace_vectors=True)
+    cfg = SolverConfig(epsilon=1e-7, max_iters=400, record_trace=record_trace,
+                       trace_vectors=record_trace)
     y0 = p.h_prox(np.zeros(p.dim), 1.0)
     runs = []
     for fused_prox in (p.h_prox_value, None):

@@ -31,6 +31,12 @@ solves rarely or never reach some of these branches, such as the lasso
 ball's projection, so this line is their bit-for-bit guard.  It uses only
 the generators and the problems' `h_prox`/`h_value`; that the fused
 `h_prox_value` returns the same bits is tested in tests/test_prox.py.
+
+A fifth line runs the first battery again with the fused oracles
+`smooth_value_grad` and `h_prox_value` set to None, so that every run
+reaches f and grad f, and the prox and h, through separate calls.  It must
+equal the first line: the fused oracles return the same bits, and the
+counters count a fused call as the separate calls it replaces.
 """
 
 import dataclasses
@@ -91,10 +97,11 @@ def _hash_result(h, res) -> None:
 
 
 def trace_fingerprint(dims=DIMS, seeds=SEEDS, epsilon: float = EPSILON,
-                      quadratic: bool = True) -> str:
+                      quadratic: bool = True, fused: bool = True) -> str:
     """sha256 prefix over every solve of dims x seeds x problems x solvers x traces.
 
-    With `quadratic` False the problems' `smooth_is_quadratic` is forced off.
+    With `quadratic` False the problems' `smooth_is_quadratic` is forced off;
+    with `fused` False their `smooth_value_grad` and `h_prox_value` are None.
     """
     h = hashlib.sha256()
     for n in dims:
@@ -103,6 +110,8 @@ def trace_fingerprint(dims=DIMS, seeds=SEEDS, epsilon: float = EPSILON,
                 p = make(n, seed)[0]
                 if not quadratic:
                     p = dataclasses.replace(p, smooth_is_quadratic=False)
+                if not fused:
+                    p = dataclasses.replace(p, smooth_value_grad=None, h_prox_value=None)
                 # the prox of the origin is a feasible start for every family
                 y0 = p.h_prox(np.zeros(n), 1.0)
                 for sname, solve in SOLVERS.items():
@@ -184,3 +193,5 @@ if __name__ == "__main__":
           "(every gradient from the oracle)")
     print(f"{oracle_fingerprint()} oracle certificates (lasso_optimum, brute_force_optimum)")
     print(f"{operator_fingerprint()} h operators (h_prox, h_value at fixed points)")
+    print(f"{trace_fingerprint(fused=False)} fused oracles set to None (separate calls; "
+          "must equal the first line)")

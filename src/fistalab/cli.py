@@ -447,7 +447,7 @@ def cmd_sweep(args) -> int:
             worst = max(worst, EXIT_OK if result.converged else EXIT_NOT_CONVERGED)
 
     summary = outdir / "summary.csv"
-    with open(summary, "w", encoding="ascii", newline="") as fh:
+    with open(summary, "w", encoding="utf-8", newline="") as fh:
         fh.write("instance,solver,eps,iterations,final_vnorm,slope,status\n")
         # quotes a field that holds a comma or a quote; a float is written as its repr
         csv.writer(fh, lineterminator="\n").writerows(rows)

@@ -93,11 +93,12 @@ class CompositeProblem:
     two separate calls; the solvers use it wherever they need both at one
     point.  `h_prox_value(z, t)`, when given, likewise returns `(h_prox(z, t),
     h_value(h_prox(z, t)))` bit for bit from one computation; every run
-    uses it for the prox step.  None means separate calls.  A fused field is
-    not derived from the fields it fuses: a `dataclasses.replace` that swaps
-    `smooth_value` or `smooth_grad` must replace `smooth_value_grad` too or
-    set it to None, and one that swaps `h_prox` or `h_value` must do the same
-    with `h_prox_value`.
+    uses it for the prox step.  None means separate calls: the gradient then
+    the value, or the prox then h, the first result checked before the
+    second call.  A fused field is not derived from the fields it fuses: a
+    `dataclasses.replace` that swaps `smooth_value` or `smooth_grad` must
+    replace `smooth_value_grad` too or set it to None, and one that swaps
+    `h_prox` or `h_value` must do the same with `h_prox_value`.
 
     `smooth_is_quadratic` declares that smooth_grad is affine, that is, f is
     `0.5 y'Qy + b'y` for some symmetric Q; set it only then.  The
@@ -151,34 +152,29 @@ class CountedProblem:
     def __init__(self, problem: CompositeProblem):
         self.problem = problem
         self.counters = EvalCounters()
-        # fixed for the run, so looked up once
+        # fixed for the run, so chosen once: the fused oracles or the separate calls
         self._shape = (problem.dim,)
-        self._fused = problem.smooth_value_grad
-        self._fused_prox = problem.h_prox_value
+        self._value_grad = problem.smooth_value_grad or self._grad_then_value
+        self._prox_value = problem.h_prox_value or self._prox_then_h
 
     def f(self, y: np.ndarray) -> float:
         self.counters.f_evals += 1
-        return self._checked_value(self.problem.smooth_value(y))
+        val = float(self.problem.smooth_value(y))
+        if not math.isfinite(val):
+            raise OracleError(f"smooth_value returned non-finite {val!r}")
+        return val
 
     def grad(self, y: np.ndarray) -> np.ndarray:
         self.counters.grad_evals += 1
         return self._checked_vector(self.problem.smooth_grad(y), "smooth_grad", "gradient")
 
     def value_grad(self, y: np.ndarray) -> tuple[float, np.ndarray]:
-        """(f(y), grad f(y)), counted as one value plus one gradient.
-
-        Uses the problem's fused oracle when it has one; otherwise the
-        gradient, then the value, exactly as two separate calls would.
-        """
-        fused = self._fused
-        if fused is None:
-            g = self.grad(y)
-            return self.f(y), g
+        """(f(y), grad f(y)), counted as one value plus one gradient."""
         self.counters.grad_evals += 1
         self.counters.f_evals += 1
-        val, g = fused(y)
-        # every traced iteration lands here, so the tests of _checked_value
-        # and _checked_vector are written out rather than called
+        val, g = self._value_grad(y)
+        # every traced iteration lands here, so the tests of f and
+        # _checked_vector are written out rather than called
         val = float(val)
         if not math.isfinite(val):
             raise OracleError(f"smooth_value returned non-finite {val!r}")
@@ -188,11 +184,10 @@ class CountedProblem:
             raise OracleError("smooth_grad returned a malformed gradient")
         return val, g
 
-    def _checked_value(self, val) -> float:
-        val = float(val)
-        if not math.isfinite(val):
-            raise OracleError(f"smooth_value returned non-finite {val!r}")
-        return val
+    def _grad_then_value(self, y: np.ndarray) -> tuple[float, np.ndarray]:
+        """smooth_value_grad from the separate oracles; no value after a malformed gradient."""
+        g = self._checked_vector(self.problem.smooth_grad(y), "smooth_grad", "gradient")
+        return self.problem.smooth_value(y), g
 
     def _checked_vector(self, out, oracle: str, what: str) -> np.ndarray:
         """`out` as a finite float array of shape (dim,), else an OracleError naming `oracle`."""
@@ -204,11 +199,8 @@ class CountedProblem:
         return out
 
     def h(self, y: np.ndarray) -> float:
-        return self._checked_h(self.problem.h_value(y))
-
-    def _checked_h(self, val) -> float:
         # extended-real: +inf allowed, NaN is not
-        val = float(val)
+        val = float(self.problem.h_value(y))
         if math.isnan(val):
             raise OracleError("h_value returned NaN")
         return val
@@ -220,20 +212,12 @@ class CountedProblem:
         return self._checked_vector(self.problem.h_prox(z, t), "h_prox", "point")
 
     def prox_value(self, z: np.ndarray, t: float) -> tuple[np.ndarray, float]:
-        """(prox(z, t), h at that point), counted as one prox.
-
-        Uses the problem's fused oracle when it has one; otherwise the prox,
-        then h, exactly as two separate calls would.
-        """
-        fused = self._fused_prox
-        if fused is None:
-            y = self.prox(z, t)
-            return y, self.h(y)
+        """(prox(z, t), h at that point), counted as one prox."""
         if not t > 0:
             raise ValueError("prox step t must be positive")
         self.counters.prox_evals += 1
-        y, val = fused(z, t)
-        # the tests of _checked_vector and _checked_h, written out as in value_grad
+        y, val = self._prox_value(z, t)
+        # the tests of _checked_vector and h, written out as in value_grad
         if type(y) is not np.ndarray or y.dtype is not _F64:
             y = np.asarray(y, dtype=float)
         if y.shape != self._shape or not (math.isfinite(y.dot(y)) or np.isfinite(y).all()):
@@ -242,6 +226,11 @@ class CountedProblem:
         if math.isnan(val):
             raise OracleError("h_value returned NaN")
         return y, val
+
+    def _prox_then_h(self, z: np.ndarray, t: float) -> tuple[np.ndarray, float]:
+        """h_prox_value from the separate oracles; no h_value of a malformed point."""
+        y = self._checked_vector(self.problem.h_prox(z, t), "h_prox", "point")
+        return y, self.problem.h_value(y)
 
     def project(self, x: np.ndarray) -> np.ndarray:
         if self.problem.omega_project is None:

@@ -491,14 +491,27 @@ def load_instance(path):
     It only parses; a refusal by the instance class is given the header field or line.
     """
     with open(path, encoding="ascii") as fh:
-        lines = [(lineno, ln.split()) for lineno, ln in enumerate(fh, start=1) if ln.strip()]
+        try:
+            lines = [(lineno, ln.split()) for lineno, ln in enumerate(fh, start=1) if ln.strip()]
+        except UnicodeDecodeError as e:
+            raise ValueError(f"{path}: {e}") from None
     if not lines:
         raise ValueError(f"{path}: no instance header (the file is empty)")
     kind, *tokens = lines[0][1]
+    cls = next((c for c in _LAYOUT if kind in c.KINDS), None)
+    if cls is None:
+        raise ValueError(f"{path}: unknown instance kind {kind!r}")
+    header, payload = _LAYOUT[cls]
+    # the keys of n and of the matrix's row count, which is n for a quadratic
+    sizes = ("n", "rows") if cls is LassoOnBallInstance else ("n", "n")
     hdr = {}
-    for key, _, raw in (tok.partition("=") for tok in tokens):
+    for key, eq, raw in (tok.partition("=") for tok in tokens):
+        if not eq:
+            raise ValueError(f"{path}: header field {key} has no '=' and value")
         if key in hdr:
             raise ValueError(f"{path}: header field {key} is given twice")
+        if key not in sizes and key not in header:
+            raise ValueError(f"{path}: header field {key} is not a {kind} field")
         hdr[key] = raw
 
     def field(key, conv):
@@ -515,12 +528,7 @@ def load_instance(path):
             raise ValueError("must be a positive integer")
         return value
 
-    cls = next((c for c in _LAYOUT if kind in c.KINDS), None)
-    if cls is None:
-        raise ValueError(f"{path}: unknown instance kind {kind!r}")
-    header, payload = _LAYOUT[cls]
-    n = field("n", positive_int)
-    rows = field("rows", positive_int) if cls is LassoOnBallInstance else n
+    n, rows = (field(key, positive_int) for key in sizes)
     widths = [n] * rows + [rows] * (len(payload) - 1)
     if len(lines) - 1 != len(widths):
         raise ValueError(f"{path}: expected {len(widths)} payload lines, got {len(lines) - 1}")

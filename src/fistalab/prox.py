@@ -158,20 +158,6 @@ def _prox_value_box(b: BoxSet, z: np.ndarray, t: float) -> tuple[np.ndarray, flo
     return z.clip(b.lower, b.upper), 0.0
 
 
-def _l1_threshold(h: L1OnBall, z: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
-    """(m, s): the magnitudes max(|z| - t*weight, 0) and soft_threshold(z, t*weight),
-    which is sign(z) * m."""
-    if not t > 0:
-        raise ValueError("t must be positive")
-    # the fast path of _prox_value_box
-    if (type(z) is not np.ndarray or z.dtype is not _F64 or z.shape != (h.ball.dim,)
-            or not math.isfinite(z.dot(z))):
-        z = as_vector(z, h.ball.dim)
-    # a finite z thresholded by a positive tau stays finite and keeps its shape
-    m = np.maximum(np.abs(z) - t * h.weight, 0.0)
-    return m, np.sign(z) * m
-
-
 def prox_l1_on_ball(h: L1OnBall, z: np.ndarray, t: float) -> np.ndarray:
     """Exact prox of weight*||.||_1 + indicator of the ball, which is centred
     at the origin.
@@ -180,7 +166,7 @@ def prox_l1_on_ball(h: L1OnBall, z: np.ndarray, t: float) -> np.ndarray:
     is exact because the ball's normal cone at any boundary point is a
     positive multiple of the point itself, which commutes with the threshold.
     """
-    return _project_ball(h.ball, _l1_threshold(h, z, t)[1])
+    return _prox_value_l1_on_ball(h, z, t)[0]
 
 
 def _prox_value_l1_on_ball(h: L1OnBall, z: np.ndarray, t: float) -> tuple[np.ndarray, float]:
@@ -192,7 +178,15 @@ def _prox_value_l1_on_ball(h: L1OnBall, z: np.ndarray, t: float) -> tuple[np.nda
     bit for bit (a zero z_i has sign 0.0 and m_i = 0.0), so the term is
     summed from m, as ndarray.sum would sum |y|.
     """
-    m, s = _l1_threshold(h, z, t)
+    if not t > 0:
+        raise ValueError("t must be positive")
+    # the fast path of _prox_value_box
+    if (type(z) is not np.ndarray or z.dtype is not _F64 or z.shape != (h.ball.dim,)
+            or not math.isfinite(z.dot(z))):
+        z = as_vector(z, h.ball.dim)
+    # a finite z thresholded by a positive tau stays finite and keeps its shape
+    m = np.maximum(np.abs(z) - t * h.weight, 0.0)
+    s = np.sign(z) * m
     y = _project_ball(h.ball, s)
     if y is s:
         return y, h.weight * float(np.add.reduce(m))

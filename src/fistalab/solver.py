@@ -32,7 +32,6 @@ __all__ = [
     "SolverConfig",
     "Trace",
     "SolveResult",
-    "next_momentum",
     "momentum_sequence",
     "run_mfista",
     "run_fista_baseline",
@@ -126,20 +125,10 @@ class SolveResult:
         return self.status == "converged"
 
 
-def next_momentum(a_prev: float) -> float:
-    """Positive root of a*(a - 1) = a_prev**2; strictly increasing from a_prev.
-
-    The sequence starts at 1, so inputs below 1 are rejected.  `_iterate`
-    writes out the same expression, whose inputs are never below 1, and
-    tests/test_loop_reference.py checks the a_k it traces bit for bit.
-    """
-    if not a_prev >= 1.0:
-        raise ValueError("momentum coefficient must be >= 1")
-    return (1.0 + math.sqrt(1.0 + 4.0 * a_prev * a_prev)) / 2.0
-
-
 def momentum_sequence(count: int) -> np.ndarray:
-    """First `count`+1 momentum coefficients a_0..a_count (a_0 = 1)."""
+    """First `count`+1 momentum coefficients a_0..a_count: a_0 = 1, and a_k is
+    the positive root of a*(a - 1) = a_{k-1}**2, which `_iterate` writes out
+    (tests/test_loop_reference.py checks the a_k it traces bit for bit)."""
     if count < 0:
         raise ValueError("count must be nonnegative")
     out = np.empty(count + 1)
@@ -147,7 +136,6 @@ def momentum_sequence(count: int) -> np.ndarray:
     cur = 1.0
     sqrt = math.sqrt
     for i in range(1, count + 1):
-        # same root as next_momentum, written to keep this loop cheap
         cur = 0.5 + sqrt(0.25 + cur * cur)
         out[i] = cur
     return out
@@ -222,8 +210,8 @@ def _iterate(p: CompositeProblem, cfg: SolverConfig, y0: np.ndarray, step: float
                 v = grad_y - grad_x + inv_step * dx
             if momentum:
                 dy = y - y_prev
-                # next_momentum(a_prev), written out: a_prev >= 1 here
-                a_cur = (1.0 + sqrt(1.0 + 4.0 * a_prev * a_prev)) / 2.0
+                # the root of momentum_sequence, written out
+                a_cur = 0.5 + sqrt(0.25 + a_prev * a_prev)
                 beta = (a_prev - 1.0) / a_cur
                 x_next = y + beta * dy
             else:

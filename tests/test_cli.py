@@ -455,6 +455,23 @@ def test_sweep_records_an_invalid_instance_file_and_keeps_going(tmp_path, capsys
     assert message in capsys.readouterr().err
 
 
+def test_sweep_keeps_the_row_of_a_cell_whose_error_is_not_ascii(tmp_path, capsys):
+    good = tmp_path / "good.txt"
+    run_cli("gen", "--kind", "convex-qp", "--n", "4", "--seed", "8", "--out", str(good))
+    missing = tmp_path / "caf\u00e9.txt"
+    cfg_path = tmp_path / "sweep.json"
+    cfg_path.write_text(json.dumps({"instances": [str(good), str(missing)],
+                                    "solvers": ["mfista"], "epsilons": [1e-7]}))
+    capsys.readouterr()
+    assert run_cli("sweep", str(cfg_path), "--out", str(tmp_path / "sw")) == 1
+    message = f"error: [Errno 2] No such file or directory: {str(missing)!r}"
+    # every cell's row is written, the failed one with the cell's own error
+    rows = (tmp_path / "sw" / "summary.csv").read_text(encoding="utf-8").splitlines()[1:]
+    fields = list(csv.reader(rows))
+    assert [(f[0], f[6]) for f in fields] == [("good", "converged"), ("caf\u00e9", message)]
+    assert capsys.readouterr().err == message + "\n"
+
+
 def test_sweep_labels_each_generated_instance_by_the_settings_it_sets(tmp_path):
     # entries differing only in cond, negfrac or rows are different instances;
     # a setting shared by every cell is not part of any entry's label
@@ -647,11 +664,18 @@ def test_run_empty_instance_file_names_it(tmp_path, capsys):
      "header field radius='-1.0': must be positive, got -1.0"),
     ("convex-qp n=2 seed=0 L=1.0 m=0.0\n1.0 0.0\n0.0 1.0\n0.1 0.2\n-1.0 0.0\n1.0 -1.0\n",
      "line 6: expected upper >= lower, got '-1.0'"),
+    ("convex-qp n=1 seed=0 L=1.0 m=0.0 lam=3 junk\n1.0\n0.5\n-1.0\n1.0\n",
+     "header field lam is not a convex-qp field"),
+    ("convex-qp n=1 seed=0 L=1.0 m=0.0 junk\n1.0\n0.5\n-1.0\n1.0\n",
+     "header field junk has no '=' and value"),
+    ("convex-qp n=1 seed=0 L=1.0 m=0.0 caf\u00e9=1\n1.0\n0.5\n-1.0\n1.0\n",
+     "'ascii' codec can't decode byte 0xc3 in position 36: ordinal not in range(128)"),
 ], ids=["header-field", "payload-line", "non-finite-header-field", "non-finite-payload-entry",
-        "zero-lipschitz", "negative-radius", "upper-below-lower"])
+        "zero-lipschitz", "negative-radius", "upper-below-lower", "unknown-header-field",
+        "token-without-equals", "non-ascii-byte"])
 def test_run_malformed_instance_file_names_file_and_fault(tmp_path, capsys, content, message):
     path = tmp_path / "bad.txt"
-    path.write_text(content)
+    path.write_text(content, encoding="utf-8")
     assert run_cli("run", "--instance", str(path), "--out", str(tmp_path / "r")) == 1
     assert capsys.readouterr().err == f"error: {path}: {message}\n"
     assert not (tmp_path / "r").exists()

@@ -590,9 +590,19 @@ def test_load_rejects_malformed(tmp_path):
          "line 6: expected upper >= lower, got '-1.0'"),
         # a header key given twice
         (QP_1D.replace("m=0.0", "m=0.0 L=5.0"), "header field L is given twice"),
+        # a header key the kind does not have, and a token that is no key=value
+        (QP_1D.replace("m=0.0", "m=0.0 lam=3 junk"), "header field lam is not a convex-qp field"),
+        (QP_1D.replace("n=1", "n=1 rows=1"), "header field rows is not a convex-qp field"),
+        (LASSO_2D.replace("lam=0.1", "lam=0.1 cond=3"),
+         "header field cond is not a lasso-ball field"),
+        (QP_1D.replace("m=0.0", "m=0.0 junk"), "header field junk has no '=' and value"),
+        (LASSO_2D.replace("rows=1", "rows"), "header field rows has no '=' and value"),
+        # bytes that are not ASCII
+        (QP_1D.replace("m=0.0", "m=0.0 caf\u00e9=1"),
+         "'ascii' codec can't decode byte 0xc3 in position 36: ordinal not in range(128)"),
     ]
     for content, message in cases:
-        path.write_text(content)
+        path.write_text(content, encoding="utf-8")
         with pytest.raises(ValueError, match="^" + re.escape(f"{path}: {message}")):
             load_instance(path)
 

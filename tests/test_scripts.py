@@ -21,6 +21,8 @@ def test_trace_fingerprint_repeats_and_sees_epsilon():
     assert fp.trace_fingerprint(dims=(4,), seeds=(1,)) == digest
     assert fp.trace_fingerprint(dims=(4,), seeds=(1,), epsilon=1e-6) != digest
     assert fp.trace_fingerprint(dims=(4,), seeds=(1,), quadratic=False) != digest
+    # separate oracle calls leave the same traces and counters as the fused ones
+    assert fp.trace_fingerprint(dims=(4,), seeds=(1,), fused=False) == digest
 
 
 def test_oracle_fingerprint_repeats_and_sees_seeds():

@@ -3,7 +3,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from fistalab import (
     CompositeProblem,
@@ -23,7 +22,8 @@ from conftest import grid_min_1d_vec, sample_feasible
 from fistalab import solver as solver_mod
 from fistalab.core import CountedProblem
 from fistalab.problems import lasso_optimum
-from fistalab.solver import Trace, momentum_sequence, next_momentum
+from fistalab.prox import BoxSet
+from fistalab.solver import Trace, momentum_sequence
 from fistalab.cli import write_trace_csv
 
 
@@ -49,35 +49,14 @@ def concave_1d():
 
 # --- momentum coefficients ----------------------------------------------
 
-def test_next_momentum_frozen_values():
+def test_momentum_sequence_frozen_values_and_recurrence():
+    a = momentum_sequence(2)
+    assert a[0] == 1.0
     # frozen from a 40-digit decimal evaluation of the closed-form root
-    assert math.isclose(next_momentum(1.0), 1.618033988749895, rel_tol=1e-15)
-    out = next_momentum(1.6180339887)
-    assert math.isclose(out, 2.1935270852833835, rel_tol=1e-12)
+    assert math.isclose(a[1], 1.618033988749895, rel_tol=1e-15)
     # the recurrence itself is the cross-check
-    assert abs(out * (out - 1.0) - 1.6180339887**2) <= 1e-10
-
-
-def test_next_momentum_rejects_below_one():
-    with pytest.raises(ValueError):
-        next_momentum(0.99)
-
-
-@given(a=st.floats(1.0, 1e8))
-@settings(max_examples=200, deadline=None)
-def test_next_momentum_recurrence_property(a):
-    out = next_momentum(a)
-    assert out > a
-    assert abs(out * (out - 1.0) - a * a) <= 1e-12 * a * a
-
-
-def test_momentum_sequence_matches_single_steps():
-    seq = momentum_sequence(200)
-    assert seq[0] == 1.0
-    cur = 1.0
-    for i in range(1, 201):
-        cur = next_momentum(cur)
-        assert math.isclose(seq[i], cur, rel_tol=5e-15)
+    assert a[2] > a[1]
+    assert abs(a[2] * (a[2] - 1.0) - a[1] * a[1]) <= 1e-12 * a[1] * a[1]
     with pytest.raises(ValueError):
         momentum_sequence(-1)
 
@@ -325,6 +304,49 @@ def test_non_finite_oracle_output_names_its_iteration(field, bad_call, iteration
                                                       np.array([bad]))})
     with pytest.raises(OracleError, match=f"^iteration {iteration}: {what}$"):
         run_mfista(p, SolverConfig(epsilon=1e-12, max_iters=50), np.zeros(1))
+
+
+def test_separate_oracles_run_in_order_and_check_the_first_result():
+    # without fused oracles, value_grad calls the gradient and then the value,
+    # prox_value the prox and then h; a malformed first result ends the call
+    box = BoxSet(-np.ones(2), np.ones(2))
+    box_clip = lambda z: np.clip(z, -1.0, 1.0)
+    calls = []
+
+    def logged(name, oracle):
+        def call(*args):
+            calls.append(name)
+            return oracle(*args)
+        return call
+
+    def problem(grad_out=None, prox_out=None):
+        return CompositeProblem(
+            dim=2, smooth_value=logged("smooth_value", lambda y: 0.5 * float(y.dot(y))),
+            smooth_grad=logged("smooth_grad", lambda y: y.copy() if grad_out is None else grad_out),
+            h_value=logged("h_value", box.h_value),
+            h_prox=logged("h_prox", lambda z, t: box_clip(z) if prox_out is None else prox_out),
+            lipschitz_L=1.0)
+
+    z = np.array([2.0, -0.5])
+    cp = CountedProblem(problem())
+    val, g = cp.value_grad(z)
+    assert (val, g.tobytes(), calls) == (2.125, z.tobytes(), ["smooth_grad", "smooth_value"])
+    calls.clear()
+    y, val = cp.prox_value(z, 0.5)
+    assert (y.tobytes(), val, calls) == (box_clip(z).tobytes(), 0.0, ["h_prox", "h_value"])
+    for bad in (np.array([np.nan, 0.0]), np.zeros(3), np.zeros((2, 1))):
+        calls.clear()
+        with pytest.raises(OracleError, match="^smooth_grad returned a malformed gradient$"):
+            CountedProblem(problem(grad_out=bad)).value_grad(z)
+        with pytest.raises(OracleError, match="^h_prox returned a malformed point$"):
+            CountedProblem(problem(prox_out=bad)).prox_value(z, 0.5)
+        assert calls == ["smooth_grad", "h_prox"]
+    # BoxSet.h_value raises its own ValueError on a point of another shape, so
+    # only the check before it names the oracle and the iteration
+    p = problem()
+    p = dataclasses.replace(p, h_prox=fail_on_call(p.h_prox, 3, np.zeros(3)))
+    with pytest.raises(OracleError, match="^iteration 3: h_prox returned a malformed point$"):
+        run_mfista(p, SolverConfig(epsilon=1e-12, max_iters=50), np.array([0.9, -0.9]))
 
 
 def test_h_value_nan_names_its_iteration():

@@ -12,11 +12,14 @@ runs first alternates from one pair to the next.
 For every end-to-end metric in BENCHMARK.json it prints each side's median
 and quartiles, the pairs the change won and lost, and two verdicts.  The
 claim rule: the change better in at least 9 of every 10 pairs (ties count
-for neither side), and its median better than REV's by more than REV's
-interquartile spread.  The no-regression rule: the change's median not worse
-than REV's by more than the metric's `bound` times REV's median.  Quartiles
-interpolate linearly between order statistics (statistics.quantiles, method
-"inclusive").
+for neither side), its median better than REV's by more than REV's
+interquartile spread, and no more failed operations, summed over its runs,
+than REV's.  The no-regression rule: the change's median not worse than
+REV's by more than the metric's `bound` times REV's median; where REV's
+interquartile spread is wider than that allowance, the verdict is
+"unresolved" unless every run of the change is better than every run of
+REV.  Quartiles interpolate linearly between order statistics
+(statistics.quantiles, method "inclusive").
 
 A run that exits nonzero ends the comparison: the script prints its side,
 seed, exit code and the end of its stderr, then the summary over the pairs
@@ -49,15 +52,19 @@ def quartiles(values) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
-def compare(parent, change, better: str, bound: float = math.inf) -> dict:
+def compare(parent, change, better: str, bound: float = math.inf,
+            parent_failed: int = 0, change_failed: int = 0) -> dict:
     """Pair-by-pair comparison of one metric; `better` is "lower" or "higher".
 
     `parent[i]` and `change[i]` come from pair i.  A pair is won when the
     change is strictly better, lost when strictly worse, and tied otherwise.
-    The claim holds when the change wins at least 9 of every 10 pairs and its
+    The claim holds when the change wins at least 9 of every 10 pairs, its
     median is better than the parent's by more than the parent's
-    interquartile spread.  There is no regression when the change's median
-    is worse than the parent's by at most `bound` times the parent's median.
+    interquartile spread, and its failed operations (summed over its runs)
+    are no more than the parent's.  There is no regression when the change's
+    median is worse than the parent's by at most `bound` times the parent's
+    median.  That verdict is unresolved when the parent's spread exceeds the
+    allowance and not every change run is better than every parent run.
     """
     if len(parent) != len(change) or not parent:
         raise ValueError("need one parent and one change value per pair, and at least one pair")
@@ -67,10 +74,14 @@ def compare(parent, change, better: str, bound: float = math.inf) -> dict:
     pq, cq = quartiles(parent), quartiles(change)
     gap = sign * (cq[1] - pq[1])
     spread = pq[2] - pq[0]
+    allowance = bound * abs(pq[1])
+    unresolved = (-gap <= allowance and spread > allowance
+                  and not all(sign * (c - p) > 0 for p in parent for c in change))
     return {"parent": pq, "change": cq, "wins": wins, "losses": losses,
             "ties": len(parent) - wins - losses, "gap": gap, "spread": spread,
-            "claim": 10 * wins >= 9 * len(parent) and gap > spread,
-            "no_regression": -gap <= bound * abs(pq[1])}
+            "claim": (10 * wins >= 9 * len(parent) and gap > spread
+                      and change_failed <= parent_failed),
+            "no_regression": -gap <= allowance and not unresolved, "unresolved": unresolved}
 
 
 def extract(rev: str, dest: Path) -> Path:
@@ -152,6 +163,7 @@ def main(argv=None) -> int:
     print(f"# {args.workload}: {args.rev} (parent) against this tree (change), "
           f"{done} pairs, seeds {args.seed0}-{args.seed0 + done - 1}, "
           f"--seconds {args.seconds:g}; median [first quartile, third quartile]")
+    failed_ops = {side: sum(r["failed"] for r in runs) for side, runs in results.items()}
     for spec in SPEC["end_to_end"]:
         name = spec["name"]
         parent = [r["metrics"][name]["value"] for r in results["parent"]]
@@ -159,16 +171,19 @@ def main(argv=None) -> int:
         if None in parent or None in change:
             print(f"{name}: n/a in some run")
             continue
-        c = compare(parent, change, spec["better"], spec["bound"])
+        c = compare(parent, change, spec["better"], spec["bound"],
+                    failed_ops["parent"], failed_ops["change"])
+        verdict = ("holds" if c["no_regression"] else
+                   "unresolved" if c["unresolved"] else "does not hold")
         print(f"{name} ({spec['unit']}, {spec['better']} is better): parent {fmt(c['parent'])}, "
               f"change {fmt(c['change'])}; change won {c['wins']}, lost {c['losses']}, "
               f"tied {c['ties']}; gap {c['gap']:.6g} against spread {c['spread']:.6g}; "
               f"claim {'holds' if c['claim'] else 'does not hold'}; no regression beyond "
-              f"bound {spec['bound']:g} {'holds' if c['no_regression'] else 'does not hold'}")
+              f"bound {spec['bound']:g} {verdict}")
     for side in ("parent", "change"):
         runs = results[side]
         print(f"{side}: correct in {sum(r['correct'] for r in runs)}/{len(runs)} runs, "
-              f"failed operations {sum(r['failed'] for r in runs)}"
+              f"failed operations {failed_ops[side]}"
               f"/{sum(r['attempted'] for r in runs)}")
     return 1 if failed else 0
 

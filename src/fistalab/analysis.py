@@ -3,9 +3,9 @@
 The residual-aggregation check is the workhorse: the inequality it verifies
 is an algebraic consequence of how the residual is assembled, so any failure
 on a genuine trace means an implementation bug, not an unlucky instance.
-The energy-monotonicity and function-value checks apply to convex runs with
-a certified optimum; rate fitting is a plain least-squares slope on the
-log-log curve of the best residual so far.
+Both energy checks apply to convex runs with a certified optimum and take
+the energy's two terms from the helper lyapunov_sequence uses; rate fitting
+is a least-squares slope on the log-log curve of the best residual so far.
 """
 
 from __future__ import annotations
@@ -81,11 +81,6 @@ def observed_convex(trace: Trace) -> bool:
     return bool(np.all(trace.column("L_k") == 0.0))
 
 
-def _momentum_before(trace: Trace) -> np.ndarray:
-    """Per row, the coefficient in force when its iteration started (1 at the first)."""
-    return np.concatenate(([1.0], trace.column("a_k")))[:-1]
-
-
 def lyapunov_sequence(trace: Trace, certificate: OracleCertificate) -> np.ndarray:
     """Energies E_k = a_{k-1}^2 (phi_k - phi*) + 2L || a_{k-1}(y_k - y_{k-1}) + y_{k-1} - y* ||^2,
     one per trace row (k = 1, 2, ...).
@@ -93,41 +88,35 @@ def lyapunov_sequence(trace: Trace, certificate: OracleCertificate) -> np.ndarra
     Needs a full-vector trace with its Lipschitz constant and a certificate
     of the iterates' length; raises ValueError otherwise.
     """
-    y_star, note = _energy_inputs(trace, certificate, trace.lipschitz_L)
-    if y_star is None:
+    note, value, drift = _energy_terms(trace, certificate, trace.lipschitz_L)
+    if drift is None:
         raise ValueError(f"energy sequence {note}")
-    energies = np.empty(len(trace))
-    for i, a in enumerate(_momentum_before(trace)):
-        y_prev = trace.y0 if i == 0 else trace.ys[i - 1]
-        energies[i] = _energy(a, trace.phi[i] - certificate.phi_star, trace.ys[i], y_prev,
-                              y_star, trace.lipschitz_L)
-    return energies
+    # one dot per row, the sum a lone drift vector gets: E_k keeps its bits
+    return value + 2.0 * trace.lipschitz_L * np.array([d.dot(d) for d in drift])
 
 
-def _energy_inputs(trace: Trace, certificate: OracleCertificate, L: float) -> tuple:
-    """(y_star, note): the energy gates' preconditions in one order.  note says
-    why a gate cannot judge the trace (None when it can); y_star is None when
-    the trace holds no vectors.  Raises ValueError for an L that is not finite
-    and positive, and for a y_star of another length than the iterates."""
+def _energy_terms(trace: Trace, certificate: OracleCertificate, L: float) -> tuple:
+    """(note, value, drift): the energy gates' refusals and notes in one order,
+    and per row the two terms of lyapunov_sequence's E_k (a_0 = 1), value
+    a_{k-1}^2 (phi_k - phi*) and drift a_{k-1}(y_k - y_{k-1}) + y_{k-1} - y*
+    as a C-contiguous (rows, n) array, or None for a trace without vectors.
+    note is None when a gate can judge the trace.  Raises ValueError for an
+    L that is not finite and positive or a y_star not of the iterates' length."""
     _check_lipschitz(L)
     if not trace.has_vectors:
-        return None, "needs a full-vector trace"
+        return "needs a full-vector trace", None, None
     y_star = np.asarray(certificate.y_star, dtype=float)
     if y_star.shape != trace.y0.shape:
         raise ValueError(f"certificate y_star has {y_star.size} entries, "
                          f"the trace's iterates have {trace.y0.size}")
     if len(trace) == 0:
-        return y_star, "empty trace"
-    if not observed_convex(trace):
-        return y_star, "nonconvex run (L_k > 0 observed)"
-    return y_star, None
-
-
-def _energy(a, phi_gap: float, y_k: np.ndarray, y_prev: np.ndarray, y_star: np.ndarray,
-            L: float) -> float:
-    """a^2 phi_gap + 2L || a(y_k - y_prev) + y_prev - y* ||^2, one term of lyapunov_sequence."""
-    drift = a * (y_k - y_prev) + y_prev - y_star
-    return a * a * phi_gap + 2.0 * L * float(drift @ drift)
+        return "empty trace", np.empty(0), np.empty((0, y_star.size))
+    note = None if observed_convex(trace) else "nonconvex run (L_k > 0 observed)"
+    a = np.concatenate(([1.0], trace.column("a_k")))[:-1]
+    ys = np.array(trace.ys, dtype=float)
+    prev = np.concatenate((trace.y0[None], ys))[:-1]
+    drift = a[:, None] * (ys - prev) + prev - y_star
+    return note, a * a * (trace.column("phi") - certificate.phi_star), drift
 
 
 def check_lyapunov_monotone(trace: Trace, certificate: OracleCertificate) -> TraceCheckReport:
@@ -139,12 +128,12 @@ def check_lyapunov_monotone(trace: Trace, certificate: OracleCertificate) -> Tra
     1e-8 * (1 + E_2) absolute per step.
     """
     name = "lyapunov_monotone"
-    note = _energy_inputs(trace, certificate, trace.lipschitz_L)[1]
+    note, value, drift = _energy_terms(trace, certificate, trace.lipschitz_L)
     if note is not None:
         return TraceCheckReport(name, NOT_APPLICABLE, note=note)
     if len(trace) == 1:
         return TraceCheckReport(name, PASS, 0.0, trace.k[0], note="single row, vacuous")
-    energies = lyapunov_sequence(trace, certificate)
+    energies = value + 2.0 * trace.lipschitz_L * np.array([d.dot(d) for d in drift])
     tol = 1e-8 * (1.0 + abs(energies[1]))
     rises = np.diff(energies)
     worst_idx = int(np.argmax(rises))
@@ -193,13 +182,10 @@ def check_function_value_bound(trace: Trace, certificate: OracleCertificate,
     run's starting constant phi_1 - phi* + 2L ||y_1 - y*||^2 (tol 1e-8).
     Applies, and refuses a certificate, as check_lyapunov_monotone does."""
     name = "function_value_bound"
-    y_star, note = _energy_inputs(trace, certificate, L)
+    note, lhs, drift = _energy_terms(trace, certificate, L)
     if note is not None:
         return TraceCheckReport(name, NOT_APPLICABLE, note=note)
-    constant = _energy(1.0, trace.phi[0] - certificate.phi_star, trace.ys[0], trace.y0,
-                       y_star, L)
-    phis = trace.column("phi")
-    lhs = _momentum_before(trace) ** 2 * (phis - certificate.phi_star)
+    constant = lhs[0] + 2.0 * L * drift[0].dot(drift[0])  # E_1, since a_0 = 1
     gap = lhs - (constant + 1e-8)
     worst_idx = int(np.argmax(gap))
     worst = float(lhs[worst_idx] - constant)

@@ -105,8 +105,8 @@ class RunConfig:
             raise ValueError(f"unknown solver {self.solver!r}")
         if self.step_mode not in STEP_MODES:
             raise ValueError(f"unknown step mode {self.step_mode!r}")
-        if not self.eps > 0:
-            raise ValueError("epsilon must be positive")
+        if not 0 < self.eps < math.inf:  # NaN fails too; inf stops at any point
+            raise ValueError(f"epsilon must be positive and finite, got {self.eps!r}")
         if self.max_iters < 1:
             raise ValueError("max-iters must be >= 1")
         if self.trace not in ("norms", "full"):

@@ -321,7 +321,7 @@ def to_problem(inst) -> CompositeProblem:
 def _box_kkt_residual(inst: QuadraticInstance, y: np.ndarray) -> float:
     """Projected-gradient fixed-point residual ||P_box(y - grad) - y||."""
     g = inst.grad(y)
-    return float(np.linalg.norm(np.clip(y - g, inst.lower, inst.upper) - y))
+    return float(np.linalg.norm(prox_box_indicator(inst.box(), y - g, 1.0) - y))
 
 
 def brute_force_optimum(inst: QuadraticInstance) -> OracleCertificate:

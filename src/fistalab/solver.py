@@ -59,8 +59,8 @@ class SolverConfig:
     trace_vectors: bool = False
 
     def __post_init__(self):
-        if not self.epsilon > 0:
-            raise ValueError("epsilon must be positive")
+        if not 0 < self.epsilon < math.inf:  # NaN fails too; inf stops at any point
+            raise ValueError(f"epsilon must be positive and finite, got {self.epsilon!r}")
         # the loop's range() takes only integers; a bool is one, but not a count
         if isinstance(self.max_iters, bool) or not isinstance(self.max_iters, numbers.Integral):
             raise ValueError(f"max_iters must be an integer, got {self.max_iters!r}")

@@ -14,10 +14,13 @@ from fistalab import (
     fit_rate,
     iterates_settled,
     make_convex_qp,
+    make_lasso_on_ball,
     make_nonconvex_qp,
     run_mfista,
 )
-from fistalab.analysis import best_residual_curve, lyapunov_sequence
+from fistalab.analysis import (TraceCheckReport, best_residual_curve, lyapunov_sequence,
+                               observed_convex)
+from fistalab.problems import lasso_optimum
 from fistalab.cli import read_trace_csv, write_trace_csv
 
 
@@ -222,6 +225,89 @@ def test_energy_gates_refuse_a_certificate_of_another_length(size):
             check_function_value_bound(trace, cert, p.lipschitz_L)
     with pytest.raises(ValueError, match=message):
         lyapunov_sequence(res.trace, cert)
+
+
+def reference_energies(trace, cert):
+    """lyapunov_sequence as a loop over rows, one drift vector at a time: the
+    reference the one-array computation must match bit for bit."""
+    a_before = np.concatenate(([1.0], trace.column("a_k")))[:-1]
+    y_star = np.asarray(cert.y_star, dtype=float)
+    energies = np.empty(len(trace))
+    for i, a in enumerate(a_before):
+        y_prev = trace.y0 if i == 0 else trace.ys[i - 1]
+        drift = a * (trace.ys[i] - y_prev) + y_prev - y_star
+        energies[i] = (a * a * (trace.phi[i] - cert.phi_star)
+                       + 2.0 * trace.lipschitz_L * float(drift @ drift))
+    return energies
+
+
+def reference_gate_reports(trace, cert):
+    """Both energy gates' reports, built from reference_energies."""
+    if len(trace) == 0:
+        return [TraceCheckReport(name, "N/A", note="empty trace")
+                for name in ("lyapunov_monotone", "function_value_bound")]
+    if not observed_convex(trace):
+        return [TraceCheckReport(name, "N/A", note="nonconvex run (L_k > 0 observed)")
+                for name in ("lyapunov_monotone", "function_value_bound")]
+    energies = reference_energies(trace, cert)
+    if len(trace) == 1:
+        mono = TraceCheckReport("lyapunov_monotone", "PASS", 0.0, trace.k[0],
+                                note="single row, vacuous")
+    else:
+        rises = np.diff(energies)
+        i = int(np.argmax(rises))
+        ok = rises[i] <= 1e-8 * (1.0 + abs(energies[1]))
+        mono = TraceCheckReport("lyapunov_monotone", "PASS" if ok else "FAIL",
+                                float(rises[i]), trace.k[i + 1])
+    a_before = np.concatenate(([1.0], trace.column("a_k")))[:-1]
+    lhs = a_before ** 2 * (trace.column("phi") - cert.phi_star)
+    i = int(np.argmax(lhs - (energies[0] + 1e-8)))  # E_1 is the constant
+    ok = lhs[i] - (energies[0] + 1e-8) <= 0.0
+    value = TraceCheckReport("function_value_bound", "PASS" if ok else "FAIL",
+                             float(lhs[i] - energies[0]), trace.k[i])
+    return [mono, value]
+
+
+def energy_battery():
+    """(label, trace, certificate): full mfista traces of every shape the
+    energy code meets, from convex QPs, a lasso, a nonconvex QP, one row and none."""
+    full = SolverConfig(epsilon=1e-300, max_iters=600, trace_vectors=True)
+    for n in (1, 2, 4):
+        p, inst = make_convex_qp(n, n + 10, eigenvalues=np.geomspace(1e-4, 1.0, n),
+                                 interior_opt=True)
+        yield f"convex-qp-n{n}", run_mfista(p, full, p.h_prox(np.zeros(n), 1.0)).trace, \
+            brute_force_optimum(inst)
+    p, inst = make_lasso_on_ball(8, 16, 3)
+    yield "lasso-n8", run_mfista(p, full, p.h_prox(np.zeros(8), 1.0)).trace, lasso_optimum(inst)
+    p, inst = make_nonconvex_qp(3, 5)
+    yield "nonconvex-qp", run_mfista(p, full, p.h_prox(np.zeros(3), 1.0)).trace, \
+        brute_force_optimum(inst)
+    p, inst = make_convex_qp(4, 2)
+    one = SolverConfig(epsilon=1e-300, max_iters=1, trace_vectors=True)
+    cert = brute_force_optimum(inst)
+    yield "one-row", run_mfista(p, one, np.zeros(4)).trace, cert
+    yield "empty", Trace(p.lipschitz_L, np.zeros(4), keep_vectors=True), cert
+
+
+def test_energies_and_gates_match_the_row_by_row_reference():
+    # the energies are one array expression and one dot per drift row; a
+    # batched sum of squares (einsum) moves some of them by an ulp
+    labels = []
+    for label, trace, cert in energy_battery():
+        labels.append(label)
+        if label not in ("one-row", "empty"):
+            assert len(trace) >= 2, label  # so the monotone gate compares energies
+        assert observed_convex(trace) == (label != "nonconvex-qp"), label
+        energies = lyapunov_sequence(trace, cert)
+        assert energies.dtype == np.float64 and energies.shape == (len(trace),)
+        assert energies.tobytes() == reference_energies(trace, cert).tobytes(), label
+        reports = [check_lyapunov_monotone(trace, cert),
+                   check_function_value_bound(trace, cert, trace.lipschitz_L)]
+        for got, want in zip(reports, reference_gate_reports(trace, cert)):
+            assert (got.name, got.status, np.float64(got.worst).tobytes(), got.at_k,
+                    got.note) == (want.name, want.status, np.float64(want.worst).tobytes(),
+                                  want.at_k, want.note), label
+    assert len(labels) == 7
 
 
 # --- function-value bound -------------------------------------------------------

@@ -40,9 +40,25 @@ def test_run_smoke(tmp_path, capsys):
 
 
 def test_run_rejects_bad_epsilon(tmp_path, capsys):
-    code = run_cli("run", "--problem", "convex-qp", "--n", "2", "--eps", "0")
-    assert code == 1
-    assert "epsilon must be positive" in capsys.readouterr().err
+    # an infinite epsilon used to converge after one iteration and write
+    # "eps": Infinity, which is not JSON, into the manifest
+    for eps in ("0", "inf", "nan", "-1e-8"):
+        out = tmp_path / f"r{eps}"
+        code = run_cli("run", "--problem", "convex-qp", "--n", "2", f"--eps={eps}",
+                       "--out", str(out))
+        assert code == 1, eps
+        assert "epsilon must be positive" in capsys.readouterr().err, eps
+        assert not out.exists(), eps
+
+
+def test_sweep_refuses_an_infinite_epsilon_before_any_cell_runs(tmp_path, capsys):
+    # json reads Infinity as float("inf"); the good first cell must not run either
+    cfg_path = tmp_path / "sweep.json"
+    cfg_path.write_text('{"instances": [{"kind": "convex-qp", "n": 3}], '
+                        '"solvers": ["mfista"], "epsilons": [1e-6, Infinity]}')
+    assert run_cli("sweep", str(cfg_path), "--out", str(tmp_path / "sw")) == 1
+    assert capsys.readouterr().err == "error: epsilon must be positive and finite, got inf\n"
+    assert not (tmp_path / "sw").exists()
 
 
 @pytest.mark.parametrize("cond", ["0", "nan", "inf", "-5", "0.5"])

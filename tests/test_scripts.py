@@ -101,6 +101,53 @@ def test_bench_pairs_no_regression_rule_scales_the_bound_by_the_parent_median():
     assert compare(parent, [p * 100 for p in parent], "lower")["no_regression"]
 
 
+def test_bench_pairs_no_regression_is_unresolved_when_the_parent_spreads_past_the_bound():
+    compare = load_script("bench_pairs").compare
+    parent = [10.0, 11.0, 12.0, 13.0, 14.0]  # median 12, quartiles 11 and 13: spread 2
+    # 10% of 12 allows 1.2, less than the spread: a median 0.5 worse, or even
+    # 0.5 better, cannot be told from the parent's own scatter
+    for shift in (0.5, -0.5):
+        c = compare(parent, [p + shift for p in parent], "lower", 0.1)
+        assert (c["no_regression"], c["unresolved"]) == (False, True)
+    # every change run below every parent run resolves it
+    c = compare(parent, [p - 4.5 for p in parent], "lower", 0.1)
+    assert (c["no_regression"], c["unresolved"]) == (True, False)
+    # a median worse by more than the allowance is a regression, spread or not
+    c = compare(parent, [p + 2.0 for p in parent], "lower", 0.1)
+    assert (c["no_regression"], c["unresolved"]) == (False, False)
+    # higher is better: spread 1 against an allowance of 0.2
+    assert compare([1.0, 2.0, 3.0], [2.5, 2.5, 2.5], "higher", 0.1)["unresolved"]
+    c = compare([1.0, 2.0, 3.0], [3.5, 4.0, 5.0], "higher", 0.1)
+    assert (c["no_regression"], c["unresolved"]) == (True, False)
+
+
+def test_bench_pairs_claim_needs_no_more_failed_operations_than_the_parent(monkeypatch,
+                                                                          capsys):
+    bp = load_script("bench_pairs")
+    parent = [10.0, 11.0, 12.0, 13.0, 14.0, 10.5, 11.5, 12.5, 13.5, 14.5]
+    change = [p - 3.0 for p in parent]
+    assert bp.compare(parent, change, "lower")["claim"]
+    assert bp.compare(parent, change, "lower", parent_failed=2, change_failed=2)["claim"]
+    assert not bp.compare(parent, change, "lower", parent_failed=2, change_failed=3)["claim"]
+
+    def run_side(root, workload, seed, seconds):
+        # the change is better on every metric, by far, but fails one operation a run
+        is_change = root == bp.ROOT
+        return {"correct": True, "failed": int(is_change), "attempted": 4,
+                "metrics": {m["name"]: {"value": 2.0 + seed * 1e-3 + is_change * (
+                    1.0 if m["better"] == "higher" else -1.0)} for m in bp.SPEC["end_to_end"]}}
+
+    monkeypatch.setattr(bp, "extract", lambda rev, dest: dest / "rev")
+    monkeypatch.setattr(bp, "run_side", run_side)
+    assert bp.main(["HEAD", "--workload", "small-batch", "--pairs", "10"]) == 0
+    lines = [ln for ln in capsys.readouterr().out.splitlines()
+             if ln.split(" (")[0] in {m["name"] for m in bp.SPEC["end_to_end"]}]
+    assert len(lines) == len(bp.SPEC["end_to_end"])
+    for ln in lines:
+        assert "change won 10, lost 0" in ln and "claim does not hold" in ln
+        assert ln.endswith(" holds")
+
+
 def test_bench_pairs_summarises_the_finished_pairs_when_a_run_fails(monkeypatch, capsys):
     bp = load_script("bench_pairs")
     calls = []

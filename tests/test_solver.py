@@ -209,6 +209,9 @@ def test_mfista_vector_trace_storage():
 def test_solver_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(epsilon=0.0, max_iters=10)
+    # an infinite epsilon would call any first point converged
+    with pytest.raises(ValueError, match="^epsilon must be positive and finite, got inf$"):
+        SolverConfig(epsilon=math.inf, max_iters=10)
     with pytest.raises(ValueError):
         SolverConfig(epsilon=1e-8, max_iters=0)
     assert SolverConfig(epsilon=1e-8, max_iters=np.int64(3)).max_iters == 3

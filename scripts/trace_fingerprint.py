@@ -37,10 +37,28 @@ A fifth line runs the first battery again with the fused oracles
 reaches f and grad f, and the prox and h, through separate calls.  It must
 equal the first line: the fused oracles return the same bits, and the
 counters count a fused call as the separate calls it replaces.
+
+A sixth line digests what the `fistalab` command prints and writes.  In a
+temporary working directory, with relative paths, it runs through
+`cli.main`: a full-trace mfista run with its oracle for seeds 1-3 on a
+convex QP (n=4, cond 10), a lasso (n=8, 16 rows) and a nonconvex QP (n=4),
+each checked with and without `--oracle`; a fista and a proxgrad run,
+checked the same way; and one `check` refusal of each kind.  It hashes
+each command's argv, exit code, stdout and stderr, and every trace.csv,
+oracle.json and manifest.json a run writes, the manifest without its
+`wall_time_s`.  A refactor of `cli` that must keep its output
+byte-identical must print the same sixth line before and after.
 """
 
+import contextlib
 import dataclasses
 import hashlib
+import io
+import json
+import os
+import shutil
+import tempfile
+from pathlib import Path
 
 import numpy as np
 
@@ -55,6 +73,7 @@ from fistalab import (
     run_mfista,
     run_proxgrad_baseline,
 )
+from fistalab.cli import main as cli_main
 from fistalab.problems import MAX_ENUM_DIM, lasso_optimum
 
 DIMS = (4, 8, 32, 64)
@@ -187,6 +206,105 @@ def operator_fingerprint(dims=DIMS, seeds=SEEDS) -> str:
     return h.hexdigest()[:16]
 
 
+# the mfista runs' problems: (kind, generator flags)
+CLI_PROBLEMS = (
+    ("convex-qp", ("--n", "4", "--cond", "10")),
+    ("lasso-ball", ("--n", "8", "--rows", "16")),
+    ("nonconvex-qp", ("--n", "4")),
+)
+
+
+def _cli_call(h, *argv) -> None:
+    """Run one command through cli.main and hash its argv, exit code, stdout
+    and stderr, and for `run` the files it wrote (the manifest without its
+    wall time)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli_main(list(argv))
+    h.update(repr((argv, code, out.getvalue(), err.getvalue())).encode())
+    if argv[0] == "run":
+        outdir = Path(argv[argv.index("--out") + 1])
+        for name in ("trace.csv", "oracle.json", "manifest.json"):
+            if (outdir / name).exists():
+                lines = (outdir / name).read_text().splitlines(keepends=True)
+                h.update(name.encode())
+                h.update("".join(ln for ln in lines
+                                 if not ln.startswith(' "wall_time_s": ')).encode())
+
+
+def _refusal_dir(name: str, run: str, manifest=None) -> str:
+    """A copy of `run`'s trace.csv in directory `name`, beside a manifest.json
+    holding `manifest` (JSON text, or an object to dump) unless it is None;
+    returns the trace's path."""
+    Path(name).mkdir()
+    shutil.copy(Path(run) / "trace.csv", Path(name) / "trace.csv")
+    if manifest is not None:
+        text = manifest if isinstance(manifest, str) else json.dumps(manifest)
+        (Path(name) / "manifest.json").write_text(text)
+    return f"{name}/trace.csv"
+
+
+def _cli_battery(h, seeds, epsilon: float) -> None:
+    common = ("--eps", repr(epsilon), "--max-iters", "100000", "--trace", "full",
+              "--with-oracle")
+    for kind, flags in CLI_PROBLEMS:
+        for seed in seeds:
+            out = f"{kind}-{seed}"
+            _cli_call(h, "run", "--problem", kind, *flags, "--seed", str(seed), *common,
+                      "--out", out)
+            _cli_call(h, "check", f"{out}/trace.csv")
+            _cli_call(h, "check", f"{out}/trace.csv", "--oracle", f"{out}/oracle.json")
+    kind, flags = CLI_PROBLEMS[0]
+    for solver in ("fista", "proxgrad"):
+        _cli_call(h, "run", "--problem", kind, *flags, "--seed", str(seeds[0]),
+                  "--solver", solver, *common, "--out", solver)
+        _cli_call(h, "check", f"{solver}/trace.csv")
+        _cli_call(h, "check", f"{solver}/trace.csv", "--oracle", f"{solver}/oracle.json")
+
+    # one refusal of each kind, on copies of the first convex run
+    run = f"{kind}-{seeds[0]}"
+    manifest = json.loads((Path(run) / "manifest.json").read_text())
+    broken = {
+        "not-json": "{",
+        "no-lipschitz-key": {k: v for k, v in manifest.items() if k != "lipschitz_L"},
+        "config-not-object": {**manifest, "config": "mfista"},
+        "no-solver": {**manifest, "config": {}},
+        "unknown-solver": {**manifest, "config": {"solver": "newton"}},
+        "string-lipschitz": {**manifest, "lipschitz_L": "2.5"},
+        "null-lipschitz": {**manifest, "lipschitz_L": None},
+        "no-manifest": None,
+    }
+    for name, text in broken.items():
+        _cli_call(h, "check", _refusal_dir(name, run, text))
+    _cli_call(h, "check", "missing/trace.csv")
+    _cli_call(h, "check", f"{run}/trace.csv", "--lipschitz", "-1")
+    certificate = json.loads((Path(run) / "oracle.json").read_text())
+    Path("bad-oracle.json").write_text(json.dumps({**certificate, "phi_star": "abc"}))
+    _cli_call(h, "check", f"{run}/trace.csv", "--oracle", "bad-oracle.json")
+    # a certificate of another dimension does not fit the trace
+    _cli_call(h, "check", f"{run}/trace.csv", "--oracle",
+              f"{CLI_PROBLEMS[1][0]}-{seeds[0]}/oracle.json")
+    short = _refusal_dir("short-row", run)
+    lines = Path(short).read_text().splitlines()
+    lines[2] = ",".join(lines[2].split(",")[:5])
+    Path(short).write_text("\n".join(lines) + "\n")
+    _cli_call(h, "check", short, "--lipschitz", "1")
+
+
+def cli_fingerprint(seeds=(1, 2, 3), epsilon: float = EPSILON) -> str:
+    """sha256 prefix over the output and files of a fixed battery of `fistalab`
+    commands, run in a temporary working directory."""
+    h = hashlib.sha256()
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            _cli_battery(h, seeds, epsilon)
+        finally:
+            os.chdir(cwd)
+    return h.hexdigest()[:16]
+
+
 if __name__ == "__main__":
     print(f"{trace_fingerprint()} as generated (gradient at x_{{k+1}} derived)")
     print(f"{trace_fingerprint(quadratic=False)} smooth_is_quadratic forced off "
@@ -195,3 +313,4 @@ if __name__ == "__main__":
     print(f"{operator_fingerprint()} h operators (h_prox, h_value at fixed points)")
     print(f"{trace_fingerprint(fused=False)} fused oracles set to None (separate calls; "
           "must equal the first line)")
+    print(f"{cli_fingerprint()} fistalab run and check (output, files and refusals)")

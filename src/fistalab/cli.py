@@ -92,8 +92,9 @@ class RunConfig:
             value = getattr(self, key)
             if isinstance(value, bool):  # an int subclass, taken only by bool fields
                 ok = bool in allowed
-            else:
-                ok = isinstance(value, allowed) or (float in allowed and isinstance(value, int))
+            else:  # a JSON int for a float key, if float() can hold it
+                ok = isinstance(value, allowed) or (float in allowed and isinstance(value, int)
+                                                    and abs(value) <= sys.float_info.max)
             if not ok:
                 names = " or ".join("null" if t is type(None) else t.__name__ for t in allowed)
                 raise ValueError(f"config key {key!r} must be {names}, got {value!r}")
@@ -215,8 +216,12 @@ def read_trace_csv(path, lipschitz_L: float = math.nan, vectors: bool = True) ->
 
 def write_manifest(path, cfg: RunConfig, result: SolveResult, L: float,
                    wall_time: float) -> None:
+    config = asdict(cfg)
+    if cfg.instance is not None:  # the file fixed the instance; no generator setting was used
+        for key in ("n", "seed", "rows", "negfrac", "cond"):
+            del config[key]
     payload = {
-        "config": asdict(cfg),
+        "config": config,
         "version": __version__,
         "wall_time_s": wall_time,
         "status": result.status,
@@ -241,9 +246,12 @@ def _run(cfg: RunConfig, inst=None) -> SolveResult:
     cfg.validate()
     if inst is None:
         inst = _instance_from_config(cfg)
-    if cfg.with_oracle and isinstance(inst, QuadraticInstance) and inst.dim > MAX_ENUM_DIM:
-        # checked before solving, so that a failed run leaves no trace behind
-        raise ValueError(f"oracle needs n <= {MAX_ENUM_DIM} for quadratics")
+    oracle = None
+    if cfg.with_oracle:
+        oracle = brute_force_optimum if isinstance(inst, QuadraticInstance) else lasso_optimum
+        if oracle is brute_force_optimum and inst.dim > MAX_ENUM_DIM:
+            # checked before solving, so that a failed run leaves no trace behind
+            raise ValueError(f"oracle needs n <= {MAX_ENUM_DIM} for quadratics")
     p = to_problem(inst)
     if cfg.out is not None:
         outdir = Path(cfg.out)
@@ -264,12 +272,8 @@ def _run(cfg: RunConfig, inst=None) -> SolveResult:
     for stale in ("manifest.json", "oracle.json"):
         (outdir / stale).unlink(missing_ok=True)
     write_trace_csv(result.trace, outdir / "trace.csv")
-    if cfg.with_oracle:
-        if isinstance(inst, QuadraticInstance):
-            cert = brute_force_optimum(inst)
-        else:
-            cert = lasso_optimum(inst)
-        save_certificate(cert, outdir / "oracle.json")
+    if oracle is not None:
+        save_certificate(oracle(inst), outdir / "oracle.json")
     write_manifest(outdir / "manifest.json", cfg, result, p.lipschitz_L, wall)
     print(f"{result.status} after {result.iterations} iterations, "
           f"final residual {np.linalg.norm(result.v):.3e}, trace in {outdir}")
@@ -298,12 +302,11 @@ def _default_grid(length: int) -> np.ndarray:
 def cmd_check(args) -> int:
     trace_path = Path(args.trace)
     if not trace_path.exists():
-        print(f"error: no such trace {trace_path}", file=sys.stderr)
-        return EXIT_ERROR
+        raise ValueError(f"no such trace {trace_path}")
     manifest_path = trace_path.with_name("manifest.json")
     # without a manifest the trace is taken to be run_mfista's, whose step
     # 1/(4L) and curvature column the inequalities and trends assume
-    manifest, solver = None, "mfista"
+    L, source, solver = args.lipschitz, "--lipschitz", "mfista"
     if manifest_path.exists():
         manifest = _load_json_object(manifest_path, ("config", "lipschitz_L"))
         config = manifest["config"]
@@ -315,52 +318,43 @@ def cmd_check(args) -> int:
         solver = config["solver"]
         if solver not in SOLVERS:
             raise ValueError(f"{manifest_path}: key 'config': unknown solver {solver!r}")
-    if args.lipschitz is not None:
-        raw, source = args.lipschitz, "--lipschitz"
-    elif manifest is not None:
-        raw, source = manifest["lipschitz_L"], f"{manifest_path}: key 'lipschitz_L'"
-    else:
-        print("error: Lipschitz constant unavailable (pass --lipschitz or keep "
-              "manifest.json next to the trace)", file=sys.stderr)
-        return EXIT_ERROR
-    try:
-        # the flag is text, but the manifest holds L as a JSON number:
-        # float() would read a JSON true as 1.0 and a string "2.5" as 2.5
-        if source != "--lipschitz" and isinstance(raw, (bool, str)):
-            raise TypeError
-        L = float(raw)
-    except (TypeError, ValueError):
-        L = math.nan
-    # the residual bound takes sqrt(L): an infinite L passes any trace, a
-    # negative one has no root
-    if not 0 < L < math.inf:
-        print(f"error: {source}: Lipschitz constant must be a finite positive number, "
-              f"got {raw!r}", file=sys.stderr)
-        return EXIT_ERROR
+        if L is None:
+            L, source = manifest["lipschitz_L"], f"{manifest_path}: key 'lipschitz_L'"
+    elif L is None:
+        raise ValueError("Lipschitz constant unavailable (pass --lipschitz or keep "
+                         "manifest.json next to the trace)")
+    # a JSON number: float() would read true as 1.0 and "2.5" as 2.5.  The
+    # residual bound takes sqrt(L): an infinite L passes any trace, a negative
+    # one has no root
+    if isinstance(L, bool) or not isinstance(L, (int, float)) or not 0 < L <= sys.float_info.max:
+        raise ValueError(f"{source}: Lipschitz constant must be a finite positive number, "
+                         f"got {L!r}")
     certificate = load_certificate(args.oracle) if args.oracle else None
-    # the two energy gates are the only readers of the trace's vectors
-    energy_gates = solver == "mfista" and certificate is not None
-    try:
-        trace = read_trace_csv(trace_path, L, vectors=energy_gates)
+    # None when the energy gates run, else the note of their N/A lines; the
+    # trend needs no certificate, so it shares only the mfista-only note
+    no_certificate = "needs an oracle certificate"
+    if solver != "mfista":
+        why = f"holds for mfista traces only, this one is from {solver}"
+    else:
+        why = no_certificate if certificate is None else None
+    try:  # the energy gates are the only readers of the trace's vectors
+        trace = read_trace_csv(trace_path, float(L), vectors=why is None)
     except (OSError, ValueError) as e:
-        print(f"error: unreadable trace: {e}", file=sys.stderr)
-        return EXIT_ERROR
+        raise ValueError(f"unreadable trace: {e}") from None
 
     gates = [check_residual_bound(trace, trace.lipschitz_L)]
-    mfista_only = f"holds for mfista traces only, this one is from {solver}"
-    if energy_gates:
+    if why is None:
         try:
             gates.append(check_lyapunov_monotone(trace, certificate))
             gates.append(check_function_value_bound(trace, certificate, trace.lipschitz_L))
         except ValueError as e:  # L is valid by now: the certificate does not fit the trace
             raise ValueError(f"{args.oracle}: {e}") from None
     else:
-        why = "needs an oracle certificate" if solver == "mfista" else mfista_only
-        gates.append(TraceCheckReport("lyapunov_monotone", NOT_APPLICABLE, note=why))
-        gates.append(TraceCheckReport("function_value_bound", NOT_APPLICABLE, note=why))
+        gates += [TraceCheckReport(name, NOT_APPLICABLE, note=why)
+                  for name in ("lyapunov_monotone", "function_value_bound")]
     # the trend line is advisory: printed, never part of the exit code
-    if solver != "mfista":
-        trend = TraceCheckReport("scaled_trend", NOT_APPLICABLE, note=mfista_only)
+    if why not in (None, no_certificate):
+        trend = TraceCheckReport("scaled_trend", NOT_APPLICABLE, note=why)
     elif observed_convex(trace):  # the curvature shift never switched on
         trend = check_scaled_trend(trace, 1.5, _default_grid(len(trace)))
     elif iterates_settled(trace):

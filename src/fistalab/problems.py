@@ -593,7 +593,7 @@ def load_certificate(path) -> OracleCertificate:
             raise ValueError(f"{path}: {what}: expected a number, got bool")
         try:
             value = float(value)
-        except (TypeError, ValueError) as e:
+        except (TypeError, ValueError, OverflowError) as e:  # a JSON int past the float range
             raise ValueError(f"{path}: {what}: {e}") from None
         # json.load takes NaN and -Infinity, and float() takes "nan" and "-inf"
         if not math.isfinite(value):

@@ -61,6 +61,15 @@ def test_sweep_refuses_an_infinite_epsilon_before_any_cell_runs(tmp_path, capsys
     assert not (tmp_path / "sw").exists()
 
 
+def test_sweep_refuses_an_epsilon_beyond_the_float_range_before_any_cell_runs(tmp_path, capsys):
+    cfg_path = tmp_path / "sweep.json"
+    cfg_path.write_text(json.dumps({"instances": [{"kind": "convex-qp", "n": 3}],
+                                    "solvers": ["mfista"], "epsilons": [1e-6, 10**400]}))
+    assert run_cli("sweep", str(cfg_path), "--out", str(tmp_path / "sw")) == 1
+    assert capsys.readouterr().err == f"error: config key 'eps' must be float, got {10**400!r}\n"
+    assert not (tmp_path / "sw").exists()
+
+
 @pytest.mark.parametrize("cond", ["0", "nan", "inf", "-5", "0.5"])
 @pytest.mark.parametrize("command", ["run", "gen"])
 def test_cond_must_be_finite_and_at_least_one(tmp_path, capsys, command, cond):
@@ -336,7 +345,9 @@ def test_manifest_final_vnorm_is_the_traced_one(tmp_path, problem, solver):
 
 def test_check_missing_trace(capsys):
     assert run_cli("check", "/nonexistent/trace.csv") == 1
-    assert "no such trace" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert captured.err == "error: no such trace /nonexistent/trace.csv\n"
+    assert captured.out == ""
 
 
 def test_check_without_manifest_or_lipschitz_is_an_error(tmp_path, capsys):
@@ -346,7 +357,8 @@ def test_check_without_manifest_or_lipschitz_is_an_error(tmp_path, capsys):
     capsys.readouterr()
     assert run_cli("check", str(rundir / "trace.csv")) == 1
     captured = capsys.readouterr()
-    assert captured.err.startswith("error: Lipschitz constant unavailable")
+    assert captured.err == ("error: Lipschitz constant unavailable (pass --lipschitz or keep "
+                            "manifest.json next to the trace)\n")
     assert captured.out == ""
 
 
@@ -359,14 +371,14 @@ def test_check_refuses_a_bad_lipschitz_flag(tmp_path, capsys, value):
     capsys.readouterr()
     assert run_cli("check", str(rundir / "trace.csv"), "--lipschitz", value) == 1
     captured = capsys.readouterr()
-    assert captured.err.startswith("error: --lipschitz: Lipschitz constant must be a finite "
-                                   "positive number")
+    assert captured.err == ("error: --lipschitz: Lipschitz constant must be a finite positive "
+                            f"number, got {float(value)!r}\n")
     assert captured.out == ""
 
 
-@pytest.mark.parametrize("value", [-2.0, "abc", None, math.inf, [1.0], True, "2.5"],
+@pytest.mark.parametrize("value", [-2.0, "abc", None, math.inf, [1.0], True, "2.5", 10**400],
                          ids=["negative", "string", "null", "infinite", "list", "boolean",
-                              "numeric-string"])
+                              "numeric-string", "int-beyond-float"])
 def test_check_refuses_a_bad_manifest_lipschitz_constant(tmp_path, capsys, value):
     rundir = tmp_path / "r"
     run_cli("run", "--problem", "convex-qp", "--n", "3", "--seed", "1", "--out", str(rundir))
@@ -377,8 +389,9 @@ def test_check_refuses_a_bad_manifest_lipschitz_constant(tmp_path, capsys, value
     capsys.readouterr()
     assert run_cli("check", str(rundir / "trace.csv")) == 1
     captured = capsys.readouterr()
-    assert captured.err.startswith(f"error: {manifest_path}: key 'lipschitz_L': Lipschitz "
-                                   "constant must be a finite positive number")
+    # json reads its Infinity back as inf
+    assert captured.err == (f"error: {manifest_path}: key 'lipschitz_L': Lipschitz constant "
+                            f"must be a finite positive number, got {value!r}\n")
     assert captured.out == ""
 
 
@@ -609,6 +622,13 @@ def test_run_config_file_types_checked(tmp_path, capsys, cfg, key):
     ("trace", "all", "trace verbosity must be 'norms' or 'full'"),
     ("max_iters", 0, "max-iters must be >= 1"),
     ("seeed", 3, "unknown config key 'seeed'"),
+    # JSON integers float() cannot hold: eps used to stop after one iteration
+    pytest.param("eps", 10**400, f"config key 'eps' must be float, got {10**400!r}",
+                 id="eps-int-beyond-float"),
+    pytest.param("cond", 10**400, f"config key 'cond' must be float or null, got {10**400!r}",
+                 id="cond-int-beyond-float"),
+    pytest.param("negfrac", -10**400, f"config key 'negfrac' must be float, got {-10**400!r}",
+                 id="negfrac-int-beyond-float"),
 ])
 def test_run_config_file_values_checked(tmp_path, capsys, key, value, message):
     # a config file reaches these values without argparse's choices
@@ -637,12 +657,17 @@ def test_check_short_trace_row(tmp_path, capsys):
         read_trace_csv(rundir / "trace.csv")
     capsys.readouterr()
     assert run_cli("check", str(rundir / "trace.csv")) == 1
-    assert "unreadable trace: line 3" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert captured.err == "error: unreadable trace: line 3: expected 9 fields, got 5\n"
+    assert captured.out == ""
 
 
-@pytest.mark.parametrize("row,field,bad,lineno", [(0, 0, "x", 2), (2, 4, "1.0.0", 4)],
-                         ids=["int-field", "float-field"])
-def test_check_unparsable_trace_field_names_its_line(tmp_path, capsys, row, field, bad, lineno):
+@pytest.mark.parametrize("row,field,bad,lineno,why", [
+    (0, 0, "x", 2, "k: invalid literal for int() with base 10: 'x'"),
+    (2, 4, "1.0.0", 4, "phi: could not convert string to float: '1.0.0'"),
+], ids=["int-field", "float-field"])
+def test_check_unparsable_trace_field_names_its_line(tmp_path, capsys, row, field, bad, lineno,
+                                                     why):
     rundir = tmp_path / "r10"
     run_cli("run", "--problem", "convex-qp", "--n", "3", "--seed", "1", "--eps", "1e-7",
             "--out", str(rundir))
@@ -656,7 +681,9 @@ def test_check_unparsable_trace_field_names_its_line(tmp_path, capsys, row, fiel
         read_trace_csv(rundir / "trace.csv")
     capsys.readouterr()
     assert run_cli("check", "--lipschitz", "1", str(rundir / "trace.csv")) == 1
-    assert f"error: unreadable trace: line {lineno}: " in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert captured.err == f"error: unreadable trace: line {lineno}: {why}\n"
+    assert captured.out == ""
 
 
 def test_run_empty_instance_file_names_it(tmp_path, capsys):
@@ -706,6 +733,18 @@ def test_default_run_dir_names_the_instance_files_seed(tmp_path):
     assert [d.name for d in (tmp_path / "out").iterdir()] == ["i2-n3-seed2-mfista"]
 
 
+def test_file_run_manifest_names_no_generator_setting(tmp_path):
+    # the instance file fixes n and the seed; --seed 9 and RunConfig's n=8 went unused
+    inst_file = tmp_path / "i.txt"
+    assert run_cli("gen", "--kind", "convex-qp", "--n", "4", "--out", str(inst_file)) == 0
+    out = tmp_path / "r"
+    assert run_cli("run", "--instance", str(inst_file), "--seed", "9", "--out", str(out)) == 0
+    config = json.loads((out / "manifest.json").read_text())["config"]
+    assert config["instance"] == str(inst_file)
+    assert not {"n", "seed", "rows", "negfrac", "cond"} & set(config)
+    assert run_cli("check", str(out / "trace.csv")) == 0
+
+
 def test_check_oracle_without_a_key_names_file_and_key(tmp_path, capsys):
     rundir = tmp_path / "r"
     assert run_cli("run", "--problem", "convex-qp", "--n", "3", "--seed", "4", "--trace", "full",
@@ -735,10 +774,14 @@ def test_check_oracle_without_a_key_names_file_and_key(tmp_path, capsys):
     ("kkt_residual", "inf", "key 'kkt_residual': expected a finite number, got inf"),
     ("y_star", ["0.5", "-inf", "0.0"], "key 'y_star' entry 1: expected a finite number, got -inf"),
     ("y_star", [0.5, 0.25, math.nan], "key 'y_star' entry 2: expected a finite number, got nan"),
+    # a JSON integer float() cannot hold
+    ("phi_star", 10**400, "key 'phi_star': int too large to convert to float\n"),
+    ("y_star", [0.5, -10**400, 0.0], "key 'y_star' entry 1: int too large to convert to float\n"),
 ], ids=["phi_star", "kkt_residual", "y_star-entry", "y_star-scalar", "y_star-booleans",
         "y_star-last-boolean", "phi_star-boolean", "kkt_residual-boolean", "phi_star-nan-string",
         "phi_star-minus-infinity", "kkt_residual-nan", "kkt_residual-inf-string",
-        "y_star-minus-inf-string", "y_star-last-nan"])
+        "y_star-minus-inf-string", "y_star-last-nan", "phi_star-int-beyond-float",
+        "y_star-int-beyond-float"])
 def test_check_oracle_with_a_bad_value_names_file_and_key(tmp_path, capsys, key, value, message):
     rundir = tmp_path / "r"
     assert run_cli("run", "--problem", "convex-qp", "--n", "3", "--seed", "4", "--trace", "full",

@@ -1,6 +1,7 @@
 """Smoke tests for the runnable scripts under scripts/."""
 
 import importlib.util
+import os
 import sys
 from pathlib import Path
 
@@ -39,6 +40,16 @@ def test_operator_fingerprint_repeats_and_sees_seeds():
     assert len(digest) == 16
     assert fp.operator_fingerprint(dims=(4, 8), seeds=(1,)) == digest
     assert fp.operator_fingerprint(dims=(4, 8), seeds=(2,)) != digest
+
+
+def test_cli_fingerprint_repeats_and_sees_epsilon():
+    fp = load_script("trace_fingerprint")
+    cwd = os.getcwd()
+    digest = fp.cli_fingerprint(seeds=(1,))
+    assert len(digest) == 16
+    assert os.getcwd() == cwd  # the battery runs in a temporary directory
+    assert fp.cli_fingerprint(seeds=(1,)) == digest
+    assert fp.cli_fingerprint(seeds=(1,), epsilon=1e-6) != digest
 
 
 def test_rate_study_runs(monkeypatch, capsys):

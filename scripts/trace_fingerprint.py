@@ -43,11 +43,14 @@ temporary working directory, with relative paths, it runs through
 `cli.main`: a full-trace mfista run with its oracle for seeds 1-3 on a
 convex QP (n=4, cond 10), a lasso (n=8, 16 rows) and a nonconvex QP (n=4),
 each checked with and without `--oracle`; a fista and a proxgrad run,
-checked the same way; and one `check` refusal of each kind.  It hashes
-each command's argv, exit code, stdout and stderr, and every trace.csv,
-oracle.json and manifest.json a run writes, the manifest without its
-`wall_time_s`.  A refactor of `cli` that must keep its output
-byte-identical must print the same sixth line before and after.
+checked the same way; one `check` refusal of each kind; and three `run`
+refusals: a quadratic beyond the oracle's n <= 4, an n beyond the
+generators' cap and an out-of-range `--negfrac`.  It hashes each command's
+argv, exit code, stdout and stderr, and for each run whether its output
+directory exists and every trace.csv, oracle.json and manifest.json it
+writes, the manifest without its `wall_time_s`.  A refactor of `cli` that
+must keep its output byte-identical must print the same sixth line before
+and after.
 """
 
 import contextlib
@@ -216,14 +219,15 @@ CLI_PROBLEMS = (
 
 def _cli_call(h, *argv) -> None:
     """Run one command through cli.main and hash its argv, exit code, stdout
-    and stderr, and for `run` the files it wrote (the manifest without its
-    wall time)."""
+    and stderr, and for `run` whether its output directory exists and the
+    files it wrote (the manifest without its wall time)."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli_main(list(argv))
     h.update(repr((argv, code, out.getvalue(), err.getvalue())).encode())
     if argv[0] == "run":
         outdir = Path(argv[argv.index("--out") + 1])
+        h.update(repr(outdir.exists()).encode())
         for name in ("trace.csv", "oracle.json", "manifest.json"):
             if (outdir / name).exists():
                 lines = (outdir / name).read_text().splitlines(keepends=True)
@@ -289,6 +293,13 @@ def _cli_battery(h, seeds, epsilon: float) -> None:
     lines[2] = ",".join(lines[2].split(",")[:5])
     Path(short).write_text("\n".join(lines) + "\n")
     _cli_call(h, "check", short, "--lipschitz", "1")
+
+    # run refusals: the oracle's dimension limit, the generators' size cap
+    # and an out-of-range generator setting
+    _cli_call(h, "run", "--problem", "convex-qp", "--n", "8", "--with-oracle", "--out", "big")
+    _cli_call(h, "run", "--problem", "convex-qp", "--n", "65", "--out", "cap")
+    _cli_call(h, "run", "--problem", "nonconvex-qp", "--n", "4", "--negfrac", "1.5",
+              "--out", "neg")
 
 
 def cli_fingerprint(seeds=(1, 2, 3), epsilon: float = EPSILON) -> str:

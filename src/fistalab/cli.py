@@ -45,7 +45,6 @@ from .problems import (
     save_certificate,
     save_instance,
     to_problem,
-    MAX_ENUM_DIM,
     _load_json_object,
 )
 from .solver import (
@@ -102,6 +101,11 @@ class RunConfig:
             raise ValueError("exactly one of --problem / --instance is required")
         if self.problem is not None and self.problem not in PROBLEM_KINDS:
             raise ValueError(f"unknown problem kind {self.problem!r}")
+        for key, kind in (("cond", "convex-qp"), ("rows", "lasso-ball")):  # else never read
+            if getattr(self, key) is not None and self.problem != kind:
+                raise ValueError(f"config key {key!r} applies only to --problem {kind}")
+        if self.seed < 0:
+            raise ValueError(f"config key 'seed' must be >= 0, got {self.seed!r}")
         if self.solver not in SOLVERS:
             raise ValueError(f"unknown solver {self.solver!r}")
         if self.step_mode not in STEP_MODES:
@@ -246,12 +250,11 @@ def _run(cfg: RunConfig, inst=None) -> SolveResult:
     cfg.validate()
     if inst is None:
         inst = _instance_from_config(cfg)
-    oracle = None
+    certificate = None
     if cfg.with_oracle:
+        # taken before solving, so that a refused certificate leaves no file behind
         oracle = brute_force_optimum if isinstance(inst, QuadraticInstance) else lasso_optimum
-        if oracle is brute_force_optimum and inst.dim > MAX_ENUM_DIM:
-            # checked before solving, so that a failed run leaves no trace behind
-            raise ValueError(f"oracle needs n <= {MAX_ENUM_DIM} for quadratics")
+        certificate = oracle(inst)
     p = to_problem(inst)
     if cfg.out is not None:
         outdir = Path(cfg.out)
@@ -272,8 +275,8 @@ def _run(cfg: RunConfig, inst=None) -> SolveResult:
     for stale in ("manifest.json", "oracle.json"):
         (outdir / stale).unlink(missing_ok=True)
     write_trace_csv(result.trace, outdir / "trace.csv")
-    if oracle is not None:
-        save_certificate(oracle(inst), outdir / "oracle.json")
+    if certificate is not None:
+        save_certificate(certificate, outdir / "oracle.json")
     write_manifest(outdir / "manifest.json", cfg, result, p.lipschitz_L, wall)
     print(f"{result.status} after {result.iterations} iterations, "
           f"final residual {np.linalg.norm(result.v):.3e}, trace in {outdir}")

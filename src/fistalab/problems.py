@@ -337,7 +337,7 @@ def brute_force_optimum(inst: QuadraticInstance) -> OracleCertificate:
     """
     n = inst.dim
     if n > MAX_ENUM_DIM:
-        raise ValueError(f"active-set enumeration supports n <= {MAX_ENUM_DIM}")
+        raise ValueError(f"oracle needs n <= {MAX_ENUM_DIM} for quadratics")
     Q, b, lo, hi = inst.Q, inst.b, inst.lower, inst.upper
     best_y = best_pattern = None
     best_phi = math.inf

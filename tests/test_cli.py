@@ -3,6 +3,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -598,6 +599,126 @@ def test_run_with_oracle_checked_before_solving(tmp_path, capsys):
     assert code == 1
     assert "oracle needs n <= 4" in capsys.readouterr().err
     assert not (rundir / "trace.csv").exists()
+
+
+@pytest.mark.parametrize("refused,message", [
+    ("lasso", "lasso optimum touched the padding ball; radius too small"),
+    ("quadratic", "oracle needs n <= 4 for quadratics"),
+], ids=["lasso", "quadratic"])
+def test_refused_certificate_leaves_the_earlier_run_untouched(tmp_path, capsys, refused,
+                                                              message):
+    # the certificate is taken before the solve: a refused one writes nothing,
+    # so the earlier run's files still pair with each other
+    out = tmp_path / "r"
+    assert run_cli("run", "--problem", "lasso-ball", "--n", "8", "--rows", "16", "--seed", "1",
+                   "--with-oracle", "--trace", "full", "--out", str(out)) == 0
+    names = ("trace.csv", "trace_vectors.npz", "oracle.json", "manifest.json")
+    before = {name: (out / name).read_bytes() for name in names}
+    assert sorted(p.name for p in out.iterdir()) == sorted(names)
+    if refused == "lasso":
+        inst = tmp_path / "small-ball.txt"
+        assert run_cli("gen", "--kind", "lasso-ball", "--n", "8", "--rows", "16", "--seed", "1",
+                       "--out", str(inst)) == 0
+        header, rest = inst.read_text().split("\n", 1)
+        inst.write_text(re.sub(r"radius=\S+", "radius=0.05", header) + "\n" + rest)
+        argv = ("--instance", str(inst))
+    else:
+        argv = ("--problem", "convex-qp", "--n", "8")
+    capsys.readouterr()
+    assert run_cli("run", *argv, "--with-oracle", "--trace", "full", "--out", str(out)) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+GENERATOR_REFUSALS = [
+    (("run", "--problem", "lasso-ball", "--n", "8", "--rows", "16", "--cond", "10"),
+     "config key 'cond' applies only to --problem convex-qp"),
+    (("run", "--problem", "convex-qp", "--n", "4", "--rows", "7"),
+     "config key 'rows' applies only to --problem lasso-ball"),
+    (("run", "--problem", "nonconvex-qp", "--n", "4", "--cond", "5"),
+     "config key 'cond' applies only to --problem convex-qp"),
+    (("gen", "--kind", "nonconvex-qp", "--n", "4", "--rows", "3", "--cond", "5"),
+     "config key 'cond' applies only to --problem convex-qp"),
+    (("gen", "--kind", "convex-qp", "--n", "4", "--rows", "3"),
+     "config key 'rows' applies only to --problem lasso-ball"),
+    (("gen", "--kind", "lasso-ball", "--n", "4", "--cond", "2"),
+     "config key 'cond' applies only to --problem convex-qp"),
+]
+
+
+@pytest.mark.parametrize("argv,message", GENERATOR_REFUSALS,
+                         ids=[f"{argv[0]}-{argv[2]}-{message.split()[2]}"
+                              for argv, message in GENERATOR_REFUSALS])
+def test_generator_settings_the_problem_never_reads_are_refused(tmp_path, capsys, argv,
+                                                                message):
+    # a setting that never reaches the generator used to be recorded in the manifest
+    out = tmp_path / "out-file"
+    assert run_cli(*argv, "--out", str(out)) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("settings,message", [
+    ({"problem": "nonconvex-qp", "rows": 4},
+     "config key 'rows' applies only to --problem lasso-ball"),
+    ({"problem": "lasso-ball", "cond": 10.0},
+     "config key 'cond' applies only to --problem convex-qp"),
+    ({"instance": "inst.txt", "cond": 10.0},
+     "config key 'cond' applies only to --problem convex-qp"),
+    ({"instance": "inst.txt", "rows": 4},
+     "config key 'rows' applies only to --problem lasso-ball"),
+], ids=["nonconvex-rows", "lasso-cond", "instance-cond", "instance-rows"])
+def test_run_config_and_sweep_refuse_settings_the_problem_never_reads(tmp_path, capsys,
+                                                                      settings, message):
+    inst = tmp_path / "inst.txt"
+    assert run_cli("gen", "--kind", "lasso-ball", "--n", "4", "--out", str(inst)) == 0
+    settings = {k: str(inst) if k == "instance" else v for k, v in settings.items()}
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps(settings))
+    capsys.readouterr()
+    assert run_cli("run", "--config", str(cfg_path), "--out", str(tmp_path / "r")) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not (tmp_path / "r").exists()
+    # a sweep entry is refused the same way, before its good first entry runs
+    entry = {("kind" if k == "problem" else k): v for k, v in settings.items()}
+    cfg_path.write_text(json.dumps({"instances": [{"kind": "convex-qp", "n": 3}, entry],
+                                    "solvers": ["mfista"], "epsilons": [1e-6]}))
+    assert run_cli("sweep", str(cfg_path), "--out", str(tmp_path / "sw")) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not (tmp_path / "sw").exists()
+
+
+def test_negative_seed_is_refused_by_name(tmp_path, capsys):
+    # numpy's own refusal, "expected non-negative integer", named no field
+    message = "error: config key 'seed' must be >= 0, got -1\n"
+    out = tmp_path / "out-file"
+    for argv in (("run", "--problem", "convex-qp", "--n", "4"),
+                 ("gen", "--kind", "lasso-ball", "--n", "4")):
+        assert run_cli(*argv, "--seed", "-1", "--out", str(out)) == 1
+        assert capsys.readouterr() == ("", message)
+        assert not out.exists()
+    cfg_path = tmp_path / "sweep.json"
+    cfg_path.write_text(json.dumps({
+        "instances": [{"kind": "convex-qp", "n": 3}, {"kind": "nonconvex-qp", "n": 3, "seed": -1}],
+        "solvers": ["mfista"], "epsilons": [1e-6]}))
+    assert run_cli("sweep", str(cfg_path), "--out", str(tmp_path / "sw")) == 1
+    assert capsys.readouterr() == ("", message)
+    assert not (tmp_path / "sw").exists()
+
+
+SIZE_REFUSALS = [*[(kind, "--n", n) for kind in cli.PROBLEM_KINDS for n in ("0", "65")],
+                 *[("lasso-ball", "--n", "4", "--rows", rows) for rows in ("0", "65")]]
+
+
+@pytest.mark.parametrize("flags", SIZE_REFUSALS, ids=[" ".join(f) for f in SIZE_REFUSALS])
+@pytest.mark.parametrize("command", ["run", "gen"])
+def test_generator_size_refusals_through_the_cli(tmp_path, capsys, command, flags):
+    out = tmp_path / "out-file"
+    kind_flag = "--problem" if command == "run" else "--kind"
+    message = ("n and rows" if flags[0] == "lasso-ball" else "n") + " must be in [1, 64]"
+    assert run_cli(command, kind_flag, *flags, "--out", str(out)) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("cfg,key", [

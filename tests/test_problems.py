@@ -243,7 +243,7 @@ def test_brute_force_matches_the_per_face_loop():
 
 
 def test_brute_force_dimension_cap():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^oracle needs n <= 4 for quadratics$"):
         brute_force_optimum(qp(np.eye(5), np.zeros(5)))
 
 

@@ -75,12 +75,12 @@ class RunConfig:
     n: int = 8
     seed: int = 0
     rows: Optional[int] = None
-    negfrac: float = 0.25
+    negfrac: Optional[float] = None
     cond: Optional[float] = None
     solver: str = "mfista"
     eps: float = 1e-8
     max_iters: int = 20000
-    step_mode: str = "inverse-L"
+    step_mode: Optional[str] = None
     trace: str = "norms"
     out: Optional[str] = None
     with_oracle: bool = False
@@ -101,15 +101,22 @@ class RunConfig:
             raise ValueError("exactly one of --problem / --instance is required")
         if self.problem is not None and self.problem not in PROBLEM_KINDS:
             raise ValueError(f"unknown problem kind {self.problem!r}")
-        for key, kind in (("cond", "convex-qp"), ("rows", "lasso-ball")):  # else never read
-            if getattr(self, key) is not None and self.problem != kind:
-                raise ValueError(f"config key {key!r} applies only to --problem {kind}")
-        if self.seed < 0:
-            raise ValueError(f"config key 'seed' must be >= 0, got {self.seed!r}")
         if self.solver not in SOLVERS:
             raise ValueError(f"unknown solver {self.solver!r}")
-        if self.step_mode not in STEP_MODES:
+        if self.step_mode is not None and self.step_mode not in STEP_MODES:
             raise ValueError(f"unknown step mode {self.step_mode!r}")
+        # a setting is refused where it is never read, and takes its default where it is
+        for key, flag, value, default in (("cond", "problem", "convex-qp", None),
+                                          ("rows", "problem", "lasso-ball", None),
+                                          ("negfrac", "problem", "nonconvex-qp", 0.25),
+                                          ("step_mode", "solver", "fista", "inverse-L")):
+            if getattr(self, flag) != value:
+                if getattr(self, key) is not None:
+                    raise ValueError(f"config key {key!r} applies only to --{flag} {value}")
+            elif getattr(self, key) is None:
+                setattr(self, key, default)
+        if self.seed < 0:
+            raise ValueError(f"config key 'seed' must be >= 0, got {self.seed!r}")
         if not 0 < self.eps < math.inf:  # NaN fails too; inf stops at any point
             raise ValueError(f"epsilon must be positive and finite, got {self.eps!r}")
         if self.max_iters < 1:
@@ -481,7 +488,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen_p.add_argument("--n", type=int, required=True)
     gen_p.add_argument("--seed", type=int, default=0)
     gen_p.add_argument("--rows", type=int)
-    gen_p.add_argument("--negfrac", type=float, default=0.25)
+    gen_p.add_argument("--negfrac", type=float)
     gen_p.add_argument("--cond", type=float)
     gen_p.add_argument("--out", required=True)
 

@@ -13,6 +13,7 @@ import pytest
 
 import fistalab.cli as cli
 from fistalab.cli import build_parser, main, read_trace_csv, write_trace_csv
+from fistalab.problems import save_instance
 from fistalab import (SolverConfig, Trace, make_convex_qp, make_lasso_on_ball,
                       make_nonconvex_qp, run_fista_baseline, run_mfista, run_proxgrad_baseline,
                       to_problem)
@@ -100,6 +101,10 @@ def test_default_out_dir_names_the_fista_step_mode(tmp_path):
     assert run_cli("run", "--problem", "convex-qp", "--n", "4", "--seed", "1",
                    "--solver", "fista", "--step-mode", "quarter-L") == 0
     assert (tmp_path / "out" / "convex-qp-n4-seed1-fista-quarter-L" / "trace.csv").exists()
+    # without --step-mode a fista run takes, and is named by, the step 1/L
+    assert run_cli("run", "--problem", "convex-qp", "--n", "4", "--seed", "1",
+                   "--solver", "fista") == 0
+    assert (tmp_path / "out" / "convex-qp-n4-seed1-fista-inverse-L" / "trace.csv").exists()
 
 
 def test_python_m_fistalab_runs(tmp_path):
@@ -643,6 +648,12 @@ GENERATOR_REFUSALS = [
      "config key 'rows' applies only to --problem lasso-ball"),
     (("gen", "--kind", "lasso-ball", "--n", "4", "--cond", "2"),
      "config key 'cond' applies only to --problem convex-qp"),
+    (("run", "--problem", "convex-qp", "--n", "4", "--negfrac", "0.4"),
+     "config key 'negfrac' applies only to --problem nonconvex-qp"),
+    (("gen", "--kind", "lasso-ball", "--n", "4", "--negfrac", "0.4"),
+     "config key 'negfrac' applies only to --problem nonconvex-qp"),
+    (("run", "--problem", "convex-qp", "--n", "4", "--step-mode", "quarter-L"),
+     "config key 'step_mode' applies only to --solver fista"),
 ]
 
 
@@ -667,7 +678,15 @@ def test_generator_settings_the_problem_never_reads_are_refused(tmp_path, capsys
      "config key 'cond' applies only to --problem convex-qp"),
     ({"instance": "inst.txt", "rows": 4},
      "config key 'rows' applies only to --problem lasso-ball"),
-], ids=["nonconvex-rows", "lasso-cond", "instance-cond", "instance-rows"])
+    ({"problem": "convex-qp", "negfrac": 0.4},
+     "config key 'negfrac' applies only to --problem nonconvex-qp"),
+    ({"instance": "inst.txt", "negfrac": 0.4},
+     "config key 'negfrac' applies only to --problem nonconvex-qp"),
+    # a sweep cell takes its solver from the sweep's axis: mfista here
+    ({"problem": "convex-qp", "solver": "proxgrad", "step_mode": "inverse-L"},
+     "config key 'step_mode' applies only to --solver fista"),
+], ids=["nonconvex-rows", "lasso-cond", "instance-cond", "instance-rows", "convex-negfrac",
+        "instance-negfrac", "proxgrad-step_mode"])
 def test_run_config_and_sweep_refuse_settings_the_problem_never_reads(tmp_path, capsys,
                                                                       settings, message):
     inst = tmp_path / "inst.txt"
@@ -748,7 +767,8 @@ def test_run_config_file_types_checked(tmp_path, capsys, cfg, key):
                  id="eps-int-beyond-float"),
     pytest.param("cond", 10**400, f"config key 'cond' must be float or null, got {10**400!r}",
                  id="cond-int-beyond-float"),
-    pytest.param("negfrac", -10**400, f"config key 'negfrac' must be float, got {-10**400!r}",
+    pytest.param("negfrac", -10**400,
+                 f"config key 'negfrac' must be float or null, got {-10**400!r}",
                  id="negfrac-int-beyond-float"),
 ])
 def test_run_config_file_values_checked(tmp_path, capsys, key, value, message):
@@ -864,6 +884,34 @@ def test_file_run_manifest_names_no_generator_setting(tmp_path):
     assert config["instance"] == str(inst_file)
     assert not {"n", "seed", "rows", "negfrac", "cond"} & set(config)
     assert run_cli("check", str(out / "trace.csv")) == 0
+
+
+@pytest.mark.parametrize("argv,step_mode,negfrac", [
+    (("--problem", "convex-qp"), None, None),
+    (("--problem", "convex-qp", "--solver", "proxgrad"), None, None),
+    (("--problem", "convex-qp", "--solver", "fista"), "inverse-L", None),
+    (("--problem", "convex-qp", "--solver", "fista", "--step-mode", "quarter-L"),
+     "quarter-L", None),
+    (("--problem", "nonconvex-qp"), None, 0.25),
+    (("--problem", "nonconvex-qp", "--negfrac", "0.4"), None, 0.4),
+    (("--problem", "lasso-ball"), None, None),
+], ids=["mfista", "proxgrad", "fista", "fista-quarter-L", "nonconvex", "nonconvex-negfrac",
+        "lasso"])
+def test_manifest_records_only_settings_the_run_read(tmp_path, argv, step_mode, negfrac):
+    # mfista steps 1/(4L) and proxgrad 1/L whatever step_mode says, and only a
+    # nonconvex QP reads negfrac; the manifest used to record both defaults on every run
+    out = tmp_path / "r"
+    assert run_cli("run", *argv, "--n", "4", "--eps", "1e-6", "--out", str(out)) == 0
+    config = json.loads((out / "manifest.json").read_text())["config"]
+    assert (config["step_mode"], config["negfrac"]) == (step_mode, negfrac)
+
+
+def test_gen_negfrac_default_is_the_generators(tmp_path):
+    path = tmp_path / "i.txt"
+    assert run_cli("gen", "--kind", "nonconvex-qp", "--n", "6", "--seed", "4",
+                   "--out", str(path)) == 0
+    save_instance(make_nonconvex_qp(6, 4)[1], tmp_path / "ref.txt")
+    assert path.read_bytes() == (tmp_path / "ref.txt").read_bytes()
 
 
 def test_check_oracle_without_a_key_names_file_and_key(tmp_path, capsys):

@@ -1,7 +1,14 @@
 import dataclasses
+import functools
 import itertools
 import math
+import multiprocessing
+import os
+import pickle
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,7 +23,9 @@ from fistalab import (
     make_nonconvex_qp,
     to_problem,
 )
-from fistalab.problems import _support_polish, lasso_optimum, save_instance
+from fistalab import problems
+from fistalab.problems import (SPLIT_MIN_ENTRIES, _blas_threads, _split_dot, _support_polish,
+                               lasso_optimum, save_instance)
 from fistalab.prox import soft_threshold
 
 from conftest import grid_min_2d, sample_feasible
@@ -104,6 +113,121 @@ def test_make_lasso_on_ball_properties():
     assert np.linalg.norm(cert.y_star) < 0.5 * inst.radius
 
 
+def test_split_products_equal_the_whole_on_one_blas_thread():
+    # the split is bit for bit on a BLAS that runs on one thread, as the benchmark's
+    # does; this process's BLAS may run on more, so the bit-for-bit oracle test runs
+    # again in a child whose BLAS is held to one
+    if _blas_threads() == 0 or _cpus() < 2:
+        pytest.skip("no split here: no readable OpenBLAS thread count, or one CPU")
+    tests = Path(__file__).resolve().parent
+    child = ("import sys; from fistalab.problems import _blas_threads; import test_problems\n"
+             "assert _blas_threads() == 1\n"
+             "for n in (1037, 2048):\n"
+             "    test_problems.test_oracles_equal_matmul_expressions_bit_for_bit(n)\n")
+    path = os.pathsep.join(filter(None, [str(tests.parent / "src"), str(tests),
+                                         os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True,
+                          env={**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": path},
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr
+
+
+def _square_qp(n):
+    return QuadraticInstance("convex-qp", np.eye(n), np.zeros(n), -np.ones(n), np.ones(n),
+                             1.0, 0.0, 0)
+
+
+@pytest.fixture
+def one_blas_thread(monkeypatch):
+    """Products of 2^20 entries or more split, on any host: two CPUs, one BLAS thread."""
+    monkeypatch.setattr(problems, "_blas_threads", lambda: 1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    return monkeypatch
+
+
+@pytest.mark.parametrize("n,half", [(2048, 1024), (1037, 512), (32, None)])
+def test_product_split_at_a_multiple_of_8_rows_from_2_20_entries(one_blas_thread, n, half):
+    inst = _square_qp(n)
+    if half is None:
+        assert inst._dot == inst.Q.dot
+    else:
+        assert inst._dot.func is _split_dot
+        assert inst._dot.args[0] is inst.Q and inst._dot.args[1] == half
+    lasso = LassoOnBallInstance("lasso-ball", np.ones((1024, 2048)), np.ones(1024), 0.1, 10.0,
+                                1.0, 0)
+    assert lasso._dot.func is _split_dot
+    assert lasso._dot.args[0] is lasso.A and lasso._dot.args[1] == 512
+
+
+@pytest.mark.parametrize("cpus,blas_threads", [({0}, 1), ({0, 1}, 2), ({0, 1}, 0)])
+def test_product_stays_whole_on_one_cpu_or_a_threaded_blas(one_blas_thread, cpus, blas_threads):
+    # a BLAS on two threads has both CPUs already, and splits at rows of its own
+    one_blas_thread.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+    one_blas_thread.setattr(problems, "_blas_threads", lambda: blas_threads)
+    inst = _square_qp(2048)
+    assert inst._dot == inst.Q.dot
+
+
+def test_split_product_leaves_other_arguments_to_the_whole(one_blas_thread):
+    rng = np.random.default_rng(3)
+    inst = QuadraticInstance("convex-qp", rng.standard_normal((1037, 1037)), np.zeros(1037),
+                             -np.ones(1037), np.ones(1037), 1.0, 0.0, 0)
+    Q, y = inst.Q, rng.standard_normal(1037)
+    assert isinstance(inst._dot, functools.partial)
+    for other in (y.tolist(), y.astype(np.float32), y.astype(">f8"), y[:, None]):
+        assert inst._dot(other).tobytes() == Q.dot(other).tobytes()
+    with pytest.raises(ValueError) as whole:
+        Q.dot(y[:5])
+    with pytest.raises(ValueError, match=f"^{re.escape(str(whole.value))}$"):
+        inst._dot(y[:5])
+
+
+def _product_in_child(inst, y, expected):
+    assert inst._dot(y).tobytes() == expected
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="no fork on this platform")
+def test_forked_child_makes_split_products_of_its_own(one_blas_thread):
+    # the parent's worker thread is not copied into a forked child, which would
+    # wait on it for ever
+    rng = np.random.default_rng(4)
+    inst = _square_qp(1037)
+    y = rng.standard_normal(1037)
+    expected = inst._dot(y).tobytes()  # the parent's worker exists from here on
+    child = multiprocessing.get_context("fork").Process(target=_product_in_child,
+                                                        args=(inst, y, expected))
+    child.start()
+    child.join(timeout=30)
+    if child.is_alive():
+        child.kill()
+        child.join()
+        pytest.fail("the forked child hung on its split product")
+    assert child.exitcode == 0
+
+
+@pytest.mark.parametrize("n", [32, 1037])
+def test_instances_pickle_with_their_product_and_one_copy_of_the_matrix(one_blas_thread, n):
+    rng = np.random.default_rng(n)
+    M = rng.standard_normal((n, n))
+    qp_inst = QuadraticInstance("convex-qp", M.T @ M / n, rng.uniform(-0.5, 0.5, n),
+                                -np.ones(n), np.ones(n), 1.0, 0.0, 0)
+    lasso = LassoOnBallInstance("lasso-ball", M, rng.standard_normal(n), 0.1, 10.0, 1.0, 0)
+    for inst, matrix in ((qp_inst, "Q"), (lasso, "A")):
+        data = pickle.dumps(inst)
+        assert len(data) < getattr(inst, matrix).nbytes * 1.1 + 4096
+        copy = pickle.loads(data)
+        assert vars(copy).keys() == vars(inst).keys()
+        assert all(np.array_equal(value, getattr(copy, key)) for key, value in vars(inst).items())
+        split = isinstance(inst._dot, functools.partial)
+        assert split == (n == 1037)
+        bound = copy._dot.args[0] if split else copy._dot.__self__
+        assert bound is getattr(copy, matrix)
+        for y in rng.uniform(-1.0, 1.0, (3, n)):
+            for got, want in zip(copy.value_grad(y), inst.value_grad(y)):
+                assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
 # --- optimality oracles ------------------------------------------------------
 
 @pytest.mark.parametrize("make", [
@@ -125,12 +249,18 @@ def test_fused_value_grad_is_bit_identical(make, rng):
             assert g.shape == (inst.dim,) and g.tobytes() == inst.grad(y).tobytes()
 
 
-@pytest.mark.parametrize("n", [1, 4, 32, 2048])
+def _cpus():
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+
+
+@pytest.mark.parametrize("n", [1, 4, 32, 1037, 2048])
 def test_oracles_equal_matmul_expressions_bit_for_bit(n):
     # the oracles call ndarray.dot, which is cheaper per call than @; both
     # must reach the same BLAS arithmetic, up to the n=2048 dense QP and the
     # 1024 x 2048 lasso of the large benchmark runs, which the trace
-    # fingerprint (n <= 64) does not reach
+    # fingerprint (n <= 64) does not reach.  From 2^20 entries on, on one BLAS
+    # thread, the product with Q or A is split in two row halves: the 1037 x
+    # 1037 QP, odd in both sizes, and the n=2048 QP and lasso take the split
     rng = np.random.default_rng(n)
     M = rng.standard_normal((n, n))
     Q = M.T @ M / n
@@ -140,6 +270,9 @@ def test_oracles_equal_matmul_expressions_bit_for_bit(n):
     A = rng.standard_normal((rows, n)) / math.sqrt(rows)
     target = rng.standard_normal(rows)
     lasso_inst = LassoOnBallInstance("lasso-ball", A, target, 0.1, 10.0, 1.0, 0)
+    if _blas_threads() == 1 and _cpus() > 1:
+        for inst, matrix in ((qp_inst, Q), (lasso_inst, A)):
+            assert isinstance(inst._dot, functools.partial) == (matrix.size >= SPLIT_MIN_ENTRIES)
 
     def qp_old(y):
         Qy = Q @ y

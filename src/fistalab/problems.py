@@ -111,14 +111,11 @@ def _matvec(M: np.ndarray):
 
 
 @functools.cache  # of two made by two first calls at once, the one not kept exits when freed
-def _worker():
-    """The thread that computes the second halves, made on the first split product."""
+def _worker(pid: int):
+    """The thread that computes the second halves, made on the first split product in
+    each process: a forked child has no copy of its parent's thread."""
     from concurrent.futures import ThreadPoolExecutor
     return ThreadPoolExecutor(1, thread_name_prefix="fistalab-dot")
-
-
-if hasattr(os, "register_at_fork"):  # a forked child has no copy of the worker's thread
-    os.register_at_fork(after_in_child=_worker.cache_clear)
 
 
 def _split_dot(M: np.ndarray, half: int, y) -> np.ndarray:
@@ -126,7 +123,7 @@ def _split_dot(M: np.ndarray, half: int, y) -> np.ndarray:
     if type(y) is not np.ndarray or y.dtype != np.float64 or y.shape != M.shape[1:]:
         return M.dot(y)  # M.dot's own result or error
     out = np.empty(M.shape[0])
-    second = _worker().submit(np.dot, M[half:], y, out[half:])
+    second = _worker(os.getpid()).submit(np.dot, M[half:], y, out[half:])
     try:
         np.dot(M[:half], y, out[:half])
     finally:  # out is whole, and written no more, once this returns or raises
